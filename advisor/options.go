@@ -162,17 +162,6 @@ func WithGenParallelism(n int) Option {
 	return func(c *config) { c.core.GenParallelism = n }
 }
 
-// WithProjection toggles the what-if engine's relevance projection
-// (default on): evaluation atoms are keyed and costed per (query,
-// relevant sub-config), so configurations differing only in definitions
-// irrelevant to a query share that query's cached cost. Projection is
-// cost-preserving — recommendations are byte-identical either way —
-// and off exists only as the measured baseline for the projection's
-// what-if call reduction (CacheStats.Evaluations).
-func WithProjection(on bool) Option {
-	return func(c *config) { c.core.NoProjection = !on }
-}
-
 // WithCacheShards sets the what-if cache shard count (0 = default).
 func WithCacheShards(n int) Option {
 	return func(c *config) { c.core.CacheShards = n }
@@ -200,27 +189,6 @@ func WithDeadline(d time.Duration) Option {
 // callers that put deadlines on the context themselves.
 func WithAnytime(on bool) Option {
 	return func(c *config) { c.core.Anytime = on }
-}
-
-// WithEagerGreedy forces the greedy-heuristic strategy's original eager
-// marginal scan (re-evaluate the whole eligible prefix every round)
-// instead of the default lazy-greedy heap. Both modes choose identical
-// configurations; eager exists as the measured baseline for the lazy
-// path's what-if call reduction (SearchStats.Evals).
-func WithEagerGreedy(on bool) Option {
-	return func(c *config) { c.core.EagerGreedy = on }
-}
-
-// WithCostBoundedRace makes the race portfolio cost-bounded: members
-// publish fully evaluated net benefits to a shared leader board and
-// abort once their remaining upper bound cannot beat the leader.
-// Aborted members are recorded in SearchStats.Members with Aborted set
-// and never win, so the winning configuration is always complete. Off
-// by default because aborted members' partial results are
-// timing-dependent, unlike the default race whose member results are
-// byte-identical to serial runs.
-func WithCostBoundedRace(on bool) Option {
-	return func(c *config) { c.core.RaceCostBound = on }
 }
 
 // WithTraceCap bounds the per-strategy search trace buffer (0 = the

@@ -582,10 +582,9 @@ func (s *shell) cmdCandidates(rest string) error {
 // cmdSearch parses "<workload-file> [budget-pages]" or "-synthetic n=N
 // [budget-pages]" and compares every registered search strategy
 // side-by-side: one advisor prepares the candidate space once (or the
-// deterministic synthetic generator builds it), then each strategy —
-// plus the eager greedy-heuristic baseline and the cost-bounded race —
+// deterministic synthetic generator builds it), then each strategy
 // searches it at the same budget. The evals column is each strategy's
-// exact what-if call count, which is where lazy-vs-eager shows.
+// exact what-if call count.
 func (s *shell) cmdSearch(rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) >= 1 && fields[0] == "-synthetic" {
@@ -634,31 +633,13 @@ func (s *shell) cmdSearch(rest string) error {
 		s.searchTableRow(name, len(resp.Indexes), resp.TotalPages, resp.NetBenefit, resp.Search.Rounds,
 			resp.Search.Elapsed, resp.Search.Evals, resp.Cache.Hits, note)
 	}
-	// Eager baseline for the lazy-greedy comparison: same candidate
-	// space, original per-round prefix re-evaluation.
-	eagerAdv, err := advisor.New(s.cat, advisor.WithParallelism(s.parallel), advisor.WithEagerGreedy(true))
-	if err != nil {
-		return err
-	}
-	eagerSess, err := eagerAdv.Open(ctx, w)
-	if err != nil {
-		return err
-	}
-	defer eagerSess.Close()
-	resp, err := eagerSess.Recommend(ctx, advisor.RecommendRequest{Strategy: "greedy-heuristic", BudgetPages: budget})
-	if err != nil {
-		return err
-	}
-	s.searchTableRow("greedy-eager", len(resp.Indexes), resp.TotalPages, resp.NetBenefit, resp.Search.Rounds,
-		resp.Search.Elapsed, resp.Search.Evals, resp.Cache.Hits, "eager marginal scan")
 	return nil
 }
 
 // cmdSearchSynthetic drives the deterministic synthetic candidate-space
 // generator ("search -synthetic n=N [seed=S] [budget-pages]"): no
-// documents, no optimizer — just the search layer at scale, with the
-// eager baseline and the cost-bounded race alongside the registered
-// strategies. The generator seed defaults to 42 (the benchmark spaces)
+// documents, no optimizer — just the search layer at scale, every
+// registered strategy over the same space. The generator seed defaults to 42 (the benchmark spaces)
 // and is always echoed, so any printed table can be reproduced.
 func (s *shell) cmdSearchSynthetic(fields []string) error {
 	usage := fmt.Errorf("usage: search -synthetic n=N [seed=S] [budget-pages]")
@@ -693,51 +674,27 @@ func (s *shell) cmdSearchSynthetic(fields []string) error {
 	fmt.Fprintf(s.out, "synthetic space: %d candidates (%d DAG roots), budget %d pages, seed %d\n",
 		len(sp.Candidates), len(sp.DAG.Roots), sp.BudgetPages, seed)
 	ctx := context.Background()
-	run := func(name string, tune func(*search.Space), note string) error {
-		stratName := name
-		switch name {
-		case "greedy-eager":
-			stratName = "greedy-heuristic"
-		case "race-bounded":
-			stratName = "race"
-		}
-		strat, err := search.Lookup(stratName)
+	s.searchTableHeader()
+	for _, name := range search.Names() {
+		strat, err := search.Lookup(name)
 		if err != nil {
 			return err
 		}
-		view := sp.WithBudget(sp.BudgetPages)
-		if tune != nil {
-			tune(view)
-		}
-		res, err := strat.Search(ctx, view)
+		res, err := strat.Search(ctx, sp)
 		if err != nil {
 			return err
 		}
+		note := ""
 		if res.Stats.Winner != "" {
 			note = "winner " + res.Stats.Winner
-			for _, m := range res.Members {
-				if m.Aborted {
-					note += ", " + m.Strategy + " aborted"
-				}
-			}
 		}
 		if lps := res.Stats.LP; lps != nil {
 			note = fmt.Sprintf("lp objective %.1f, bound %.1f, %d passes", lps.Objective, lps.Bound, lps.Passes)
 		}
 		s.searchTableRow(name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
 			res.Stats.Elapsed, res.Stats.Evals, res.Stats.Cache.Hits, note)
-		return nil
 	}
-	s.searchTableHeader()
-	for _, name := range search.Names() {
-		if err := run(name, nil, ""); err != nil {
-			return err
-		}
-	}
-	if err := run("greedy-eager", func(v *search.Space) { v.EagerGreedy = true }, "eager marginal scan"); err != nil {
-		return err
-	}
-	return run("race-bounded", func(v *search.Space) { v.RaceCostBound = true }, "")
+	return nil
 }
 
 // cmdSnapshot is the durable-session toolbox:

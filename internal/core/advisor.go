@@ -65,16 +65,6 @@ type Options struct {
 	// the deadline still compete and the best finished member wins.
 	Anytime bool
 
-	// EagerGreedy forces greedy-heuristic's original eager marginal
-	// scan instead of the default lazy-greedy heap. Both choose the
-	// same configuration; eager is the measured baseline for the lazy
-	// path's what-if call reduction.
-	EagerGreedy bool
-	// RaceCostBound makes the race portfolio cost-bounded: members
-	// publish fully evaluated nets to a shared leader board and abort
-	// once their remaining upper bound cannot beat the leader (aborted
-	// members are recorded in the search stats and never win).
-	RaceCostBound bool
 	// TraceCap bounds the per-strategy search trace buffer: 0 means
 	// the search layer's default, negative means unlimited. Truncation
 	// is recorded in the search stats.
@@ -98,12 +88,6 @@ type Options struct {
 	// unlimited. The cache lives for the advisor's lifetime, so
 	// unbounded growth is opt-in only.
 	CacheSize int
-	// NoProjection disables the what-if engine's relevance projection:
-	// evaluation atoms are keyed by the whole configuration instead of
-	// each query's relevant sub-config. Recommendations are identical
-	// either way; this is the measured baseline and the differential-
-	// test reference.
-	NoProjection bool
 
 	// Resilience, when non-nil, wraps the cost service in the
 	// whatif.ResilientService middleware (per-call timeouts, bounded
@@ -194,10 +178,9 @@ func NewWithService(cat *catalog.Catalog, opts Options, svc whatif.CostService, 
 		svc = resilient
 	}
 	eng := whatif.NewEngine(svc, whatif.Options{
-		Workers:      opts.Parallelism,
-		Shards:       opts.CacheShards,
-		MaxEntries:   cacheSize,
-		NoProjection: opts.NoProjection,
+		Workers:    opts.Parallelism,
+		Shards:     opts.CacheShards,
+		MaxEntries: cacheSize,
 	})
 	rate := optimizer.DefaultCost.MaintPerEntry
 	if opt != nil {

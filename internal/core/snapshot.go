@@ -53,12 +53,15 @@ func invalidf(format string, args ...any) error {
 }
 
 // optionsFingerprint renders the advisor options that shape prepared
-// state — candidate source, generalization rules and budgets, and the
-// what-if atom keying mode. Two advisors with equal fingerprints build
+// state — candidate source, generalization rules and budgets. Two
+// advisors with equal fingerprints build
 // identical candidate spaces and cache keys for a given workload and
 // catalog, which is exactly what makes a snapshot portable between
 // them. Tuning knobs that do not change prepared state (parallelism,
 // cache sizing, budgets, search strategy) are deliberately excluded.
+// The trailing "noproj=false" is a fixed literal: the what-if engine
+// has one atom keying mode now, and keeping the field byte-identical
+// lets snapshots written while keying was selectable restore warm.
 func (a *Advisor) optionsFingerprint() string {
 	o := a.opts
 	rules := "none"
@@ -75,8 +78,8 @@ func (a *Advisor) optionsFingerprint() string {
 			}
 		}
 	}
-	return fmt.Sprintf("v1|src=%s|rules=%s|minshared=%d|maxcand=%d|noproj=%t",
-		a.candidateSource().Name(), rules, o.MinSharedSteps, o.MaxCandidates, o.NoProjection)
+	return fmt.Sprintf("v1|src=%s|rules=%s|minshared=%d|maxcand=%d|noproj=false",
+		a.candidateSource().Name(), rules, o.MinSharedSteps, o.MaxCandidates)
 }
 
 // Save serializes the prepared session's full state — workload,

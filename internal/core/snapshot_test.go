@@ -157,6 +157,18 @@ func TestSaveWithoutBenefitMatrixOmitsSection(t *testing.T) {
 	}
 }
 
+// TestDefaultOptionsFingerprint pins the fingerprint string snapshots
+// carry for the default options. Changing it turns every snapshot
+// written by an earlier build into an options mismatch, so restores
+// silently fall back to a cold prepare.
+func TestDefaultOptionsFingerprint(t *testing.T) {
+	_, cat := xmarkStoreFixture(t, 10)
+	const want = "v1|src=optimizer|rules=default|minshared=1|maxcand=400|noproj=false"
+	if got := New(cat, DefaultOptions()).optionsFingerprint(); got != want {
+		t.Errorf("default options fingerprint = %q, want %q", got, want)
+	}
+}
+
 func TestLoadPreparedOptionsMismatch(t *testing.T) {
 	_, cat := xmarkStoreFixture(t, 120)
 	ctx := context.Background()

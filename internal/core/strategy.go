@@ -127,8 +127,6 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		Eval:             searchEvaluator{ev},
 		InteractionAware: a.opts.InteractionAware,
 		Anytime:          a.opts.Anytime,
-		EagerGreedy:      a.opts.EagerGreedy,
-		RaceCostBound:    a.opts.RaceCostBound,
 		TraceCap:         a.opts.TraceCap,
 		LPMaxPasses:      a.opts.LPMaxPasses,
 		LPRepairRounds:   a.opts.LPRepairRounds,

@@ -226,7 +226,7 @@ func TestE14(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"race", "greedy-heuristic", "topdown", "winner", "xmark", "tpox",
-		"syn-1k", "syn-10k", "greedy-eager", "race-bounded"} {
+		"syn-1k", "syn-10k", "lp", "greedy-whatif"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("missing %q in:\n%s", want, rep)
 		}

@@ -224,60 +224,39 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 		}
 	}
 	// Synthetic scale section: the same portfolio question at candidate
-	// counts the real workloads cannot reach, where lazy-vs-eager and
-	// cost-bounded racing actually separate. Evals here are the exact
-	// per-strategy what-if call counts from Stats.
+	// counts the real workloads cannot reach, where lazy greedy, the lp
+	// relaxation and the race actually separate. Evals here are the
+	// exact per-strategy what-if call counts from Stats.
+	greedy, err := search.Lookup("greedy-heuristic")
+	if err != nil {
+		return "", err
+	}
 	for _, n := range []int{1000, 10000} {
 		sp := search.NewSyntheticSpace(n, 42)
 		wlName := fmt.Sprintf("syn-%dk", n/1000)
-		for _, variant := range []struct {
-			name string
-			base string
-			tune func(*search.Space)
-		}{
-			{"greedy-heuristic", "greedy-heuristic", nil},
-			{"greedy-eager", "greedy-heuristic", func(v *search.Space) { v.EagerGreedy = true }},
-			{"lp", "lp", nil},
-			{"race", "race", nil},
-			{"race-bounded", "race", func(v *search.Space) { v.RaceCostBound = true }},
-		} {
-			strat, err := search.Lookup(variant.base)
+		for _, name := range []string{"greedy-heuristic", "lp", "race"} {
+			strat, err := search.Lookup(name)
 			if err != nil {
 				return "", err
 			}
-			view := sp.WithBudget(sp.BudgetPages)
-			if variant.tune != nil {
-				variant.tune(view)
-			}
-			res, err := strat.Search(ctx, view)
+			res, err := strat.Search(ctx, sp)
 			if err != nil {
 				return "", err
 			}
-			t.add(wlName, variant.name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
+			t.add(wlName, name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
 				res.Stats.Elapsed.Milliseconds(), res.Stats.Evals, 0.0, int64(0), res.Stats.Winner)
 		}
 		// The same greedy search through the real what-if engine over the
-		// synthetic backend, with and without relevance projection — the
-		// projected-hit and CostService-call counters at a candidate scale
-		// the real workloads cannot reach.
-		for _, noProj := range []bool{false, true} {
-			name := "greedy-whatif"
-			if noProj {
-				name += "-noproj"
-			}
-			spw, eng := search.NewSyntheticWhatIfSpace(n, 42, whatif.Options{NoProjection: noProj})
-			strat, err := search.Lookup("greedy-heuristic")
-			if err != nil {
-				return "", err
-			}
-			res, err := strat.Search(ctx, spw)
-			if err != nil {
-				return "", err
-			}
-			st := eng.Stats()
-			t.add(wlName, name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-				res.Stats.Elapsed.Milliseconds(), st.Evaluations, 100*st.HitRate(), st.ProjectedHits, "")
+		// synthetic backend — the projected-hit and CostService-call
+		// counters at a candidate scale the real workloads cannot reach.
+		spw, eng := search.NewSyntheticWhatIfSpace(n, 42, whatif.Options{})
+		res, err := greedy.Search(ctx, spw)
+		if err != nil {
+			return "", err
 		}
+		st := eng.Stats()
+		t.add(wlName, "greedy-whatif", len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
+			res.Stats.Elapsed.Milliseconds(), st.Evaluations, 100*st.HitRate(), st.ProjectedHits, "")
 	}
 	return t.String(), nil
 }

@@ -71,25 +71,28 @@ func syntheticSpace(b *testing.B, n int) *search.Space {
 
 // BenchmarkSearchScale is the scale trajectory behind BENCH_search.json:
 // the synthetic candidate space at 1k/10k/50k candidates, comparing the
-// lazy-greedy heap against the eager baseline, the lp relaxation
-// against lazy greedy, and the cost-bounded race against the plain
-// portfolio. evals/op is each strategy's exact what-if call count
-// (Stats.Evals), the quantity the lazy path (and, far more so, the lp
-// strategy) exists to shrink. The slowest variants are skipped at 50k
-// to keep the CI -benchtime=1x smoke seconds-scale; set
-// SEARCH_SCALE_FULL=1 to run them anyway (the BENCH_search.json
-// refresh does).
+// lazy-greedy heap against the eager marginal-scan oracle, the lp
+// relaxation against lazy greedy, and the race portfolio. evals/op is
+// each search's exact what-if call count (Stats.Evals), the quantity
+// the lazy path (and, far more so, the lp strategy) exists to shrink.
+// The slowest variants are skipped at 50k to keep the CI -benchtime=1x
+// smoke seconds-scale; set SEARCH_SCALE_FULL=1 to run them anyway.
 func BenchmarkSearchScale(b *testing.B) {
+	lookup := func(name string) func(context.Context, *search.Space) (*search.Result, error) {
+		strat, err := search.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return strat.Search
+	}
 	variants := []struct {
-		name  string
-		strat string
-		tune  func(*search.Space)
+		name   string
+		search func(context.Context, *search.Space) (*search.Result, error)
 	}{
-		{"greedy-eager", "greedy-heuristic", func(sp *search.Space) { sp.EagerGreedy = true }},
-		{"greedy-lazy", "greedy-heuristic", nil},
-		{"lp", "lp", nil},
-		{"race", "race", nil},
-		{"race-bounded", "race", func(sp *search.Space) { sp.RaceCostBound = true }},
+		{"greedy-eager", search.EagerGreedyOracle},
+		{"greedy-lazy", lookup("greedy-heuristic")},
+		{"lp", lookup("lp")},
+		{"race", lookup("race")},
 	}
 	full := os.Getenv("SEARCH_SCALE_FULL") != ""
 	for _, sz := range []struct {
@@ -99,28 +102,20 @@ func BenchmarkSearchScale(b *testing.B) {
 	}{
 		{"n-1k", 1_000, nil},
 		{"n-10k", 10_000, nil},
-		{"n-50k", 50_000, map[string]bool{"greedy-eager": true, "race": true, "race-bounded": true}},
+		{"n-50k", 50_000, map[string]bool{"greedy-eager": true, "race": true}},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
-			base := syntheticSpace(b, sz.n)
+			sp := syntheticSpace(b, sz.n)
 			for _, v := range variants {
 				if sz.skip[v.name] && !full {
 					continue
 				}
-				strat, err := search.Lookup(v.strat)
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.Run(v.name, func(b *testing.B) {
-					sp := base.WithBudget(base.BudgetPages)
-					if v.tune != nil {
-						v.tune(sp)
-					}
 					ctx := context.Background()
 					var evals, rounds int64
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						res, err := strat.Search(ctx, sp)
+						res, err := v.search(ctx, sp)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -60,11 +60,10 @@ func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
 //     optimizer no longer uses for any workload query are dropped and
 //     their space reclaimed.
 //
-// The marginal evaluation runs in one of two modes that choose
-// identical configurations: the default lazy-greedy heap (lazy.go),
-// which re-evaluates only candidates whose last-known marginal still
-// competes for the top, and the original eager prefix scan, kept
-// behind Space.EagerGreedy as the reference baseline.
+// With Space.InteractionAware the marginal evaluation is the lazy-greedy
+// heap (lazy.go), which re-evaluates only candidates whose last-known
+// marginal still competes for the top; without it, the search trusts
+// standalone benefits (the E10 ablation).
 type greedyHeuristic struct{}
 
 func (greedyHeuristic) Name() string { return "greedy-heuristic" }
@@ -90,107 +89,33 @@ func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error)
 			positive = append(positive, c)
 		}
 	}
-	// Consider high-density candidates first so the upper-bound pruning
-	// fires early (eager cutoff / lazy heap order).
+	// Consider high-density candidates first: the lazy heap's initial
+	// order, and the standalone mode's selection order.
 	remaining := rankByDensity(positive, alone)
-
-	// The lazy heap only pays off when marginals are re-evaluated; the
-	// standalone-trusting mode does no re-evaluation, so it always runs
-	// the plain scan.
-	if sp.InteractionAware && !sp.EagerGreedy {
+	if sp.InteractionAware {
 		return g.lazy(ctx, sp, tr, alone, remaining)
 	}
-	return g.eager(ctx, sp, tr, alone, remaining)
+	return g.standaloneOnly(ctx, sp, tr, remaining)
 }
 
-// eager is the original marginal-evaluation loop: every round scans the
-// density-ordered eligible prefix, re-evaluating config+{c} for each
-// candidate until the standalone-density upper bound says no later
-// candidate can beat the best found.
-func (g greedyHeuristic) eager(ctx context.Context, sp *Space, tr *tracer,
-	alone map[int]*Eval, remaining []*Candidate) (*Result, error) {
+// standaloneOnly is the interaction-blind form of the heuristic search:
+// standalone benefits are trusted, so each round adds the densest
+// candidate that passes the budget and redundancy filters — no marginal
+// re-evaluation — and prices the grown configuration once, which is
+// what reclamation needs.
+func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *tracer,
+	remaining []*Candidate) (*Result, error) {
 	width := bitsetWidth(sp.Candidates)
 	var config []*Candidate
 	covered := candidate.NewBitset(width)
-
-	curEval, err := tr.ev.Evaluate(ctx, nil)
-	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
-	}
+	var curEval *Eval
 	for {
-		if sp.leader != nil {
-			sp.leader.publish(curEval.Net)
-			if bound := greedyUpperBound(sp, curEval.Net, PagesOf(config), remaining, alone); bound < sp.leader.best() {
-				return abort(sp, tr, config, curEval, bound), nil
-			}
-		}
 		pages := PagesOf(config)
-		// Eligible candidates, in standalone-density order (inherited
-		// from the sort above): budget and redundancy filters first.
-		var elig []*Candidate
-		for _, c := range remaining {
-			if !sp.Fits(pages + c.Pages()) {
-				continue
-			}
-			// Redundancy heuristic: covered patterns must grow.
-			if c.Covers().SubsetOf(covered) {
-				continue
-			}
-			elig = append(elig, c)
-		}
 		var best *Candidate
-		var bestEval *Eval
-		bestRatio := 0.0
-		if sp.InteractionAware {
-			// Marginal re-evaluation, parallelized in worker-sized
-			// chunks down the density-ordered prefix. Upper-bound
-			// pruning applies exactly as in the sequential algorithm —
-			// the marginal benefit of c cannot meaningfully exceed its
-			// standalone benefit, so the scan stops at the first
-			// candidate whose standalone density is at or below the
-			// best found ratio. Chunk members past the cutoff were
-			// evaluated speculatively; their results are discarded, so
-			// the recommendation is independent of the worker count.
-			chunk := tr.ev.Workers() // always >= 1
-			stopped := false
-			for start := 0; start < len(elig) && !stopped; start += chunk {
-				// Free prune at the batch boundary: if the cutoff
-				// already holds for the batch's densest candidate, no
-				// member can win — skip the speculative evaluations.
-				if best != nil && ratio(alone[elig[start].ID].Net, elig[start].Pages()) <= bestRatio {
-					break
-				}
-				end := start + chunk
-				if end > len(elig) {
-					end = len(elig)
-				}
-				batch := elig[start:end]
-				evals, err := evalEach(ctx, tr.ev, config, batch)
-				if err != nil {
-					if sp.degradable(err) {
-						return degrade(sp, tr, config, curEval, err), nil
-					}
-					return nil, err
-				}
-				for i, c := range batch {
-					if best != nil && ratio(alone[c.ID].Net, c.Pages()) <= bestRatio {
-						stopped = true
-						break
-					}
-					marg := evals[i].Net - curEval.Net
-					if r := ratio(marg, c.Pages()); marg > 0 && (best == nil || r > bestRatio) {
-						best, bestEval, bestRatio = c, evals[i], r
-					}
-				}
-			}
-		} else {
-			for _, c := range elig {
-				if r := ratio(alone[c.ID].Net, c.Pages()); alone[c.ID].Net > 0 && (best == nil || r > bestRatio) {
-					best, bestRatio = c, r
-				}
+		for _, c := range remaining {
+			if sp.Fits(pages+c.Pages()) && !c.Covers().SubsetOf(covered) {
+				best = c
+				break
 			}
 		}
 		if best == nil {
@@ -198,32 +123,21 @@ func (g greedyHeuristic) eager(ctx context.Context, sp *Space, tr *tracer,
 		}
 		config = append(config, best)
 		best.Covers().OrInto(covered)
-		if bestEval == nil {
-			bestEval, err = tr.ev.Evaluate(ctx, config)
-			if err != nil {
-				if sp.degradable(err) {
-					// The newest member was never evaluated; degrade to
-					// the configuration the last evaluation priced.
-					return degrade(sp, tr, config[:len(config)-1], curEval, err), nil
-				}
-				return nil, err
+		bestEval, err := tr.ev.Evaluate(ctx, config)
+		if err != nil {
+			if sp.degradable(err) {
+				// The newest member was never evaluated; degrade to
+				// the configuration the last evaluation priced.
+				return degrade(sp, tr, config[:len(config)-1], curEval, err), nil
 			}
+			return nil, err
 		}
 		curEval = bestEval
 		tr.round++
 		tr.emit(TraceEvent{Action: ActionAdd, Candidate: best.Key(), Benefit: curEval.Net,
 			Pages: PagesOf(config), Covered: covered.Count(), Of: width})
 
-		// Reclaim space held by members no plan uses anymore.
-		pruned := config[:0:0]
-		for _, c := range config {
-			if curEval.Used[c.ID] {
-				pruned = append(pruned, c)
-			} else {
-				tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under current config"})
-			}
-		}
-		if len(pruned) != len(config) {
+		if pruned := reclaim(tr, config, curEval); len(pruned) != len(config) {
 			config = pruned
 			curEval, err = tr.ev.Evaluate(ctx, config)
 			if err != nil {
@@ -234,10 +148,7 @@ func (g greedyHeuristic) eager(ctx context.Context, sp *Space, tr *tracer,
 				}
 				return nil, err
 			}
-			covered = candidate.NewBitset(width)
-			for _, c := range config {
-				c.Covers().OrInto(covered)
-			}
+			covered = coverage(width, config)
 		}
 		// Remove the chosen candidate from further consideration.
 		rest := remaining[:0:0]
@@ -251,17 +162,25 @@ func (g greedyHeuristic) eager(ctx context.Context, sp *Space, tr *tracer,
 	return finish(ctx, sp, tr, config, curEval)
 }
 
-// greedyUpperBound is a greedy member's optimistic remaining net: the
-// current configuration's net plus every positive standalone net of a
-// candidate that still fits the budget on its own. Marginal benefits
-// cannot meaningfully exceed standalone benefits, so a member whose
-// bound trails the race leader cannot win and may abort.
-func greedyUpperBound(sp *Space, curNet float64, pages int64, remaining []*Candidate, alone map[int]*Eval) float64 {
-	bound := curNet
-	for _, c := range remaining {
-		if net := alone[c.ID].Net; net > 0 && sp.Fits(pages+c.Pages()) {
-			bound += net
+// reclaim returns the members of config that some plan uses under ev,
+// emitting an ActionReclaim event for each one it drops.
+func reclaim(tr *tracer, config []*Candidate, ev *Eval) []*Candidate {
+	pruned := config[:0:0]
+	for _, c := range config {
+		if ev.Used[c.ID] {
+			pruned = append(pruned, c)
+		} else {
+			tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under current config"})
 		}
 	}
-	return bound
+	return pruned
+}
+
+// coverage is the union of the configuration's covered basic patterns.
+func coverage(width int, config []*Candidate) candidate.Bitset {
+	covered := candidate.NewBitset(width)
+	for _, c := range config {
+		c.Covers().OrInto(covered)
+	}
+	return covered
 }

@@ -21,9 +21,9 @@ type lazyItem struct {
 	eval  *Eval
 }
 
-// lazyHeap is a max-heap over (key desc, pos asc): the same order the
-// eager scan resolves ties in — earliest density-rank position wins
-// among equal marginals — so popping the heap reproduces the eager
+// lazyHeap is a max-heap over (key desc, pos asc): the same order an
+// eager prefix scan resolves ties in — earliest density-rank position
+// wins among equal marginals — so popping the heap reproduces the eager
 // selection exactly.
 type lazyHeap []*lazyItem
 
@@ -53,9 +53,9 @@ func (h *lazyHeap) Pop() any {
 // to how many tops get speculatively refreshed — a runtime-dependent
 // burst would make the recommendation depend on the parallelism setting
 // (E12 pins that it does not), and any burst beyond the top itself both
-// wastes speculative evaluations and surfaces grown marginals the eager
+// wastes speculative evaluations and surfaces grown marginals an eager
 // scan resolves differently. Parallel workers still serve the
-// standalone seeding pass and the eager mode's round batches.
+// standalone seeding pass.
 const lazyBurst = 1
 
 // lazy is the submodular lazy-evaluation form of the interaction-aware
@@ -65,10 +65,12 @@ const lazyBurst = 1
 // re-evaluate only popped tops until the freshly re-evaluated top beats
 // every stale key below it. When marginals shrink as the configuration
 // grows (submodularity), a stale key is an upper bound and the fresh
-// top is exactly the argmax the eager prefix scan finds — at a fraction
-// of the what-if calls. The real cost model can violate that locally
-// (index interactions), so lazy-vs-eager equality is additionally
-// pinned empirically by property tests on the shipped workloads.
+// top is exactly the argmax an eager prefix scan (re-evaluate every
+// eligible candidate down the density order each round) finds — at a
+// fraction of the what-if calls. The real cost model can violate that
+// locally (index interactions), so equality with an eager scan oracle is
+// additionally pinned empirically by property tests on the shipped
+// workloads.
 //
 // Two situations fall back to first principles: a candidate that fails
 // the budget or redundancy filter is parked for the round and re-tried
@@ -101,19 +103,6 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 	round := 1
 	var parked []*lazyItem
 	for {
-		if sp.leader != nil {
-			sp.leader.publish(curEval.Net)
-			bound := curEval.Net
-			pages := PagesOf(config)
-			for _, it := range h {
-				if net := alone[it.c.ID].Net; net > 0 && sp.Fits(pages+it.c.Pages()) {
-					bound += net
-				}
-			}
-			if bound < sp.leader.best() {
-				return abort(sp, tr, config, curEval, bound), nil
-			}
-		}
 		pages := PagesOf(config)
 		parked = parked[:0]
 		var selected *lazyItem
@@ -184,15 +173,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 			Pages: PagesOf(config), Covered: covered.Count(), Of: width})
 
 		// Reclaim space held by members no plan uses anymore.
-		pruned := config[:0:0]
-		for _, c := range config {
-			if curEval.Used[c.ID] {
-				pruned = append(pruned, c)
-			} else {
-				tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under current config"})
-			}
-		}
-		if len(pruned) != len(config) {
+		if pruned := reclaim(tr, config, curEval); len(pruned) != len(config) {
 			config = pruned
 			curEval, err = tr.ev.Evaluate(ctx, config)
 			if err != nil {
@@ -203,10 +184,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 				}
 				return nil, err
 			}
-			covered = candidate.NewBitset(width)
-			for _, c := range config {
-				c.Covers().OrInto(covered)
-			}
+			covered = coverage(width, config)
 			// The configuration shrank, so marginals may have grown:
 			// last-known marginals are no longer upper bounds. Standalone
 			// nets still are — reset every key to that bound.

@@ -19,8 +19,7 @@ import (
 // containment chains from the DAG — then deterministically rounds the
 // fractional solution and repairs it with a bounded number of real
 // what-if evaluations. The dual bound certified by the solver upper
-// bounds every feasible configuration's surrogate net, which is what
-// the cost-bounded race aborts against.
+// bounds every feasible configuration's surrogate net (Stats.LP.Bound).
 //
 // What-if evaluations are spent only on the rounded configuration and
 // the repair pass (plus one standalone pass per candidate when the
@@ -85,13 +84,6 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 		Note: fmt.Sprintf("lp relaxation: objective %.1f, dual bound %.1f, %d passes (converged=%t), support %d of %d items, %d chains",
 			sol.Objective, sol.Bound, sol.Passes, sol.Converged, support, prob.NumItems, len(prob.Groups))})
 
-	// Cost-bounded racing: the dual bound upper-bounds every feasible
-	// configuration's surrogate net. If the leader already beat it,
-	// rounding cannot win — stop before spending a single evaluation.
-	if sp.leader != nil && sol.Bound < sp.leader.best() {
-		return abort(sp, tr, nil, &Eval{}, sol.Bound), nil
-	}
-
 	// Deterministic rounding: a lazy-greedy (CELF) scan over the
 	// surrogate objective under the budget and containment-antichain
 	// constraints, tried from two pivots — LP-support-first (the
@@ -133,9 +125,6 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 			return degrade(sp, tr, r.config, nil, err), nil
 		}
 		return nil, err
-	}
-	if sp.leader != nil {
-		sp.leader.publish(curEval.Net)
 	}
 	tr.emit(TraceEvent{Action: ActionRounded, Benefit: curEval.Net, Pages: r.pages,
 		Note: fmt.Sprintf("rounded net %.1f vs lp objective %.1f (bound %.1f)", curEval.Net, sol.Objective, sol.Bound)})
@@ -494,9 +483,6 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 			r.rebuildCurQ()
 			r.version++
 			curEval = bestEval
-			if sp.leader != nil {
-				sp.leader.publish(curEval.Net)
-			}
 			tr.emit(TraceEvent{Action: ActionDrop, Benefit: curEval.Net, Pages: r.pages,
 				Note: fmt.Sprintf("rescue: rounded net was negative; truncated to the best %d-member prefix", bestK)})
 		}
@@ -526,9 +512,6 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 					return nil, degrade(sp, tr, r.config, nil, err), nil
 				}
 				return nil, nil, err
-			}
-			if sp.leader != nil {
-				sp.leader.publish(curEval.Net)
 			}
 			changed = true
 		}
@@ -585,9 +568,6 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 				}
 				r.add(top.pos)
 				curEval = top.eval
-				if sp.leader != nil {
-					sp.leader.publish(curEval.Net)
-				}
 				tr.round++
 				tr.emit(TraceEvent{Action: ActionAdd, Candidate: top.c.Key(), Benefit: curEval.Net,
 					Pages: r.pages, Note: "repair: real marginal"})

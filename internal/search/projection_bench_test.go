@@ -10,18 +10,18 @@ import (
 	"repro/internal/whatif"
 )
 
-// BenchmarkWhatifProjection is the scale trajectory behind
-// BENCH_whatif.json: greedy-heuristic search over the whatif-backed
-// synthetic space at 1k/10k candidates, with relevance projection
-// (the default) against the whole-configuration atom keying
-// (unprojected baseline). evals/op is the engine's exact CostService
-// call count (whatif.Stats.Evaluations), the quantity projection
-// exists to shrink; projhits/op counts cache hits that only exist
-// because projection dropped irrelevant definitions from the atom key.
-// Both variants choose byte-identical configurations
-// (TestProjectionDifferentialSynthetic pins that). The in-repo bench
-// stops at 10k to keep the CI -benchtime=1x smoke seconds-scale;
-// BENCH_whatif.json records a one-off 50k measurement.
+// BenchmarkWhatifProjection measures the what-if engine's relevance
+// projection. On the whatif-backed synthetic space it runs
+// greedy-heuristic search at 1k/10k candidates; on the xmark and tpox
+// workloads it runs the whole advisor stack with projection (the
+// default) against a backend whose relevance filter is hidden, so atoms
+// are keyed by each query's whole collection-filtered configuration.
+// evals/op is the engine's exact CostService call count
+// (whatif.Stats.Evaluations), the quantity projection exists to shrink;
+// projhits/op counts cache hits that only exist because projection
+// dropped irrelevant definitions from the atom key. Both real-workload
+// variants choose byte-identical configurations
+// (TestProjectionDifferentialRealWorkloads pins that).
 func BenchmarkWhatifProjection(b *testing.B) {
 	strat, err := search.Lookup("greedy-heuristic")
 	if err != nil {
@@ -35,41 +35,31 @@ func BenchmarkWhatifProjection(b *testing.B) {
 		{"n-10k", 10_000},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
-			for _, v := range []struct {
-				name   string
-				noProj bool
-			}{
-				{"projected", false},
-				{"unprojected", true},
-			} {
-				b.Run(v.name, func(b *testing.B) {
-					ctx := context.Background()
-					var evals, projHits, hits int64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						// A fresh space per iteration: a warm cache would
-						// turn every evaluation into a hit and measure
-						// nothing.
-						b.StopTimer()
-						sp, eng := search.NewSyntheticWhatIfSpace(sz.n, 42, whatif.Options{NoProjection: v.noProj})
-						b.StartTimer()
-						if _, err := strat.Search(ctx, sp); err != nil {
-							b.Fatal(err)
-						}
-						st := eng.Stats()
-						evals += st.Evaluations
-						projHits += st.ProjectedHits
-						hits += st.Hits
-					}
-					b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-					b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
-					b.ReportMetric(float64(projHits)/float64(b.N), "projhits/op")
-				})
+			ctx := context.Background()
+			var evals, projHits, hits int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A fresh space per iteration: a warm cache would turn
+				// every evaluation into a hit and measure nothing.
+				b.StopTimer()
+				sp, eng := search.NewSyntheticWhatIfSpace(sz.n, 42, whatif.Options{})
+				b.StartTimer()
+				if _, err := strat.Search(ctx, sp); err != nil {
+					b.Fatal(err)
+				}
+				st := eng.Stats()
+				evals += st.Evaluations
+				projHits += st.ProjectedHits
+				hits += st.Hits
 			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+			b.ReportMetric(float64(projHits)/float64(b.N), "projhits/op")
 		})
 	}
 	// Real workloads through the whole advisor stack: candidate
-	// pipeline + optimizer-backed what-if engine, projection on vs off.
+	// pipeline + optimizer-backed what-if engine, projection on vs the
+	// collection-only reference.
 	env, err := experiments.BuildEnv(experiments.Small)
 	if err != nil {
 		b.Fatal(err)
@@ -82,10 +72,10 @@ func BenchmarkWhatifProjection(b *testing.B) {
 		b.Run(wl, func(b *testing.B) {
 			for _, v := range []struct {
 				name string
-				on   bool
+				opts []advisor.Option
 			}{
-				{"projected", true},
-				{"unprojected", false},
+				{"projected", nil},
+				{"collection-only", []advisor.Option{advisor.WithCostWrapper(hideRelevance)}},
 			} {
 				b.Run(v.name, func(b *testing.B) {
 					ctx := context.Background()
@@ -93,7 +83,7 @@ func BenchmarkWhatifProjection(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						a, err := advisor.New(env.Cat, advisor.WithProjection(v.on))
+						a, err := advisor.New(env.Cat, v.opts...)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -25,16 +25,10 @@ func init() {
 // The winner is deterministic: highest final net benefit, ties broken
 // by fewer pages, then by strategy name — so racing in parallel returns
 // the same configuration as running each member serially and picking by
-// the same rule.
-//
-// With Space.RaceCostBound the race is additionally cost-bounded:
-// members publish every fully evaluated net to a shared leader board
-// and abort once their remaining upper bound cannot beat it. Aborted
-// members are excluded from the winner pick (their partial result is
-// recorded in Members with Stats.Aborted), so the winner is still a
-// complete, budget-respecting configuration — but which members abort
-// depends on timing, so cost-bounded member results are not
-// byte-identical to serial runs and the mode is opt-in.
+// the same rule. Every member runs to completion, so each member result
+// is byte-identical to a serial run of that strategy. For large
+// candidate spaces, run the lp strategy on its own instead: the race
+// waits for its slowest member.
 type race struct{}
 
 func (race) Name() string { return "race" }
@@ -50,13 +44,6 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("search: race has no member strategies")
 	}
-	spRun := sp
-	if sp.RaceCostBound {
-		run := *sp
-		run.leader = newLeaderBoard()
-		spRun = &run
-	}
-
 	results := make([]*Result, len(members))
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup
@@ -76,7 +63,7 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 					results[i], errs[i] = nil, whatif.NewPanicError("search: race member "+name, r)
 				}
 			}()
-			results[i], errs[i] = strat.Search(ctx, spRun)
+			results[i], errs[i] = strat.Search(ctx, sp)
 		}(i, name, strat)
 	}
 	wg.Wait()
@@ -121,20 +108,14 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 		}
 		tr.round++
 		note := fmt.Sprintf("%s: %d indexes in %v", name, len(res.Config), res.Stats.Elapsed.Round(time.Millisecond))
-		switch {
-		case res.Aborted:
-			note = fmt.Sprintf("%s: aborted (cost bound) in %v", name, res.Stats.Elapsed.Round(time.Millisecond))
-		case res.Degraded:
+		if res.Degraded {
 			note = fmt.Sprintf("%s: degraded (best-so-far) in %v", name, res.Stats.Elapsed.Round(time.Millisecond))
 		}
 		tr.emit(TraceEvent{Action: ActionMember, Benefit: res.Eval.Net, Pages: res.Pages, Note: note})
-		// Aborted members stopped with a partial configuration; only
-		// members that finished compete for the win. Degraded members
-		// compete among themselves as the fallback tier: a fully
-		// evaluated result always beats a best-so-far one, whatever the
-		// nets claim.
+		// Degraded members compete among themselves as the fallback
+		// tier: a fully evaluated result always beats a best-so-far one,
+		// whatever the nets claim.
 		switch {
-		case res.Aborted:
 		case res.Degraded:
 			if better(res, degradedBest) {
 				degradedBest = res
@@ -147,9 +128,9 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 		winner = degradedBest
 	}
 	if winner == nil {
-		// Unreachable in practice: greedy-basic never aborts, so a
-		// cost-bounded race always has at least one finisher.
-		return nil, fmt.Errorf("search: race has no surviving member")
+		// Only a strategy returning neither a result nor an error gets
+		// here: every finished member otherwise competes.
+		return nil, fmt.Errorf("search: race has no finished member")
 	}
 	pickNote := winner.Strategy
 	if expired != nil {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/search"
 )
 
-// lazyEagerPair runs greedy-heuristic over the space in both marginal
-// modes and returns (lazy, eager).
+// lazyEagerPair runs the greedy-heuristic strategy and the eager
+// marginal-scan oracle over the space and returns (strategy, oracle).
 func lazyEagerPair(t *testing.T, sp *search.Space) (*search.Result, *search.Result) {
 	t.Helper()
 	strat, err := search.Lookup("greedy-heuristic")
@@ -18,15 +18,11 @@ func lazyEagerPair(t *testing.T, sp *search.Space) (*search.Result, *search.Resu
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lazySp := sp.WithBudget(sp.BudgetPages)
-	lazySp.EagerGreedy = false
-	lazy, err := strat.Search(ctx, lazySp)
+	lazy, err := strat.Search(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eagerSp := sp.WithBudget(sp.BudgetPages)
-	eagerSp.EagerGreedy = true
-	eager, err := strat.Search(ctx, eagerSp)
+	eager, err := search.EagerGreedyOracle(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +45,10 @@ func requireSameChoice(t *testing.T, label string, lazy, eager *search.Result) {
 	}
 }
 
-// TestLazyMatchesEagerOnWorkloads pins the tentpole property on the
-// three real workloads: the lazy-greedy heap and the original eager
-// prefix scan choose byte-identical configurations, and lazy never
-// spends more what-if calls than eager.
+// TestLazyMatchesEagerOnWorkloads pins the lazy-greedy property on the
+// three real workloads: the lazy-greedy heap and the eager prefix-scan
+// oracle choose byte-identical configurations, and lazy never spends
+// more what-if calls than the oracle.
 func TestLazyMatchesEagerOnWorkloads(t *testing.T) {
 	ctx := context.Background()
 	for name, w := range propertyWorkloads(t) {
@@ -82,11 +78,11 @@ func TestLazyMatchesEagerOnWorkloads(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesEagerOnSyntheticPermuted runs both modes over the
-// synthetic space — where interaction is heavy enough that the lazy
-// heap actually skips most re-evaluations — and under candidate-order
-// permutations: the ranking is content-based, so input order must not
-// change the recommendation.
+// TestLazyMatchesEagerOnSyntheticPermuted runs the strategy and the
+// oracle over the synthetic space — where interaction is heavy enough
+// that the lazy heap actually skips most re-evaluations — and under
+// candidate-order permutations: the ranking is content-based, so input
+// order must not change the recommendation.
 func TestLazyMatchesEagerOnSyntheticPermuted(t *testing.T) {
 	sp := search.NewSyntheticSpace(2000, 7)
 	lazy, eager := lazyEagerPair(t, sp)
@@ -112,6 +108,46 @@ func TestLazyMatchesEagerOnSyntheticPermuted(t *testing.T) {
 			t.Errorf("seed %d: permuting the candidate order changed the recommendation", seed)
 		}
 	}
+}
+
+// TestStandaloneGreedyMatchesOracle pins greedy-heuristic without
+// interaction awareness (the E10 ablation) against the oracle's
+// standalone branch: the same configuration, net and pages on the three
+// real workloads at several budgets and on the 1k synthetic space.
+func TestStandaloneGreedyMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	blind := func(sp *search.Space) *search.Space {
+		v := sp.WithBudget(sp.BudgetPages)
+		v.InteractionAware = false
+		return v
+	}
+	for name, w := range propertyWorkloads(t) {
+		t.Run(name, func(t *testing.T) {
+			prep, err := testAdvisor(t).Prepare(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, frac := range []int64{1, 2, 4} {
+				budget := max(full.TotalPages/frac, 1)
+				got, want := lazyEagerPair(t, blind(prep.Space().WithBudget(budget)))
+				if len(want.Config) == 0 {
+					t.Fatalf("%s budget %d: the oracle chose nothing", name, budget)
+				}
+				requireSameChoice(t, name, got, want)
+			}
+		})
+	}
+	t.Run("synthetic-1k", func(t *testing.T) {
+		got, want := lazyEagerPair(t, blind(search.NewSyntheticSpace(1000, 42)))
+		if len(want.Config) == 0 {
+			t.Fatal("the oracle chose nothing on the synthetic space")
+		}
+		requireSameChoice(t, "synthetic-1k", got, want)
+	})
 }
 
 // TestSyntheticSpaceDeterministic pins the generator: same (n, seed)
@@ -154,63 +190,6 @@ func TestSyntheticSpaceDeterministic(t *testing.T) {
 			t.Fatalf("synthetic searches diverged: %q/%.3f/%d vs %q/%.3f/%d",
 				configKey(r), r.Eval.Net, r.Stats.Evals, configKey(ra), ra.Eval.Net, ra.Stats.Evals)
 		}
-	}
-}
-
-// TestCostBoundedRace checks the opt-in racing mode on the synthetic
-// space: the winner is never an aborted member, the result matches the
-// best surviving member, and the chosen configuration is the same one
-// the plain (abort-free) race picks — aborting losers must not change
-// what wins.
-func TestCostBoundedRace(t *testing.T) {
-	sp := search.NewSyntheticSpace(5000, 3)
-	strat, err := search.Lookup("race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	plain, err := strat.Search(ctx, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded := sp.WithBudget(sp.BudgetPages)
-	bounded.RaceCostBound = true
-	res, err := strat.Search(ctx, bounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Winner == "" {
-		t.Fatal("cost-bounded race recorded no winner")
-	}
-	bestSurviving := 0.0
-	haveSurvivor := false
-	for _, m := range res.Members {
-		if m.Aborted != m.Stats.Aborted {
-			t.Errorf("%s: result Aborted=%v but stats Aborted=%v", m.Strategy, m.Aborted, m.Stats.Aborted)
-		}
-		if m.Aborted {
-			if m.Strategy == res.Stats.Winner {
-				t.Errorf("aborted member %q won the race", m.Strategy)
-			}
-			continue
-		}
-		haveSurvivor = true
-		if m.Eval.Net > bestSurviving {
-			bestSurviving = m.Eval.Net
-		}
-	}
-	if !haveSurvivor {
-		t.Fatal("cost-bounded race has no surviving member")
-	}
-	if res.Eval.Net+1e-9 < bestSurviving {
-		t.Errorf("cost-bounded race net %.3f < best surviving member %.3f", res.Eval.Net, bestSurviving)
-	}
-	if configKey(res) != configKey(plain) {
-		t.Errorf("cost-bounded race chose a different configuration than the plain race:\n%s\nvs\n%s",
-			configKey(res), configKey(plain))
-	}
-	if res.Eval.Net != plain.Eval.Net {
-		t.Errorf("cost-bounded race net %.6f != plain race net %.6f", res.Eval.Net, plain.Eval.Net)
 	}
 }
 

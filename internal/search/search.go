@@ -5,10 +5,13 @@
 //
 // Strategies are pluggable: the three paper algorithms (plain greedy
 // knapsack, greedy with redundancy/interaction heuristics, top-down DAG
-// descent) register themselves in a name-keyed registry, and a fourth
-// "race" strategy runs the whole portfolio concurrently on the shared
-// what-if cache and returns the best configuration. External strategies
-// can be added with Register without touching internal/core.
+// descent) and a CoPhy-style LP relaxation ("lp") register themselves in
+// a name-keyed registry, and a "race" strategy runs the whole portfolio
+// concurrently on the shared what-if cache and returns the best
+// configuration. Each strategy has exactly one search path: the
+// interaction-aware greedy heuristic always uses the lazy-greedy heap,
+// and every race member runs to completion. External strategies can be
+// added with Register without touching internal/core.
 //
 // Every search produces a structured trace (typed TraceEvents rendered
 // to text or JSON) and per-strategy stats (rounds, wall time, what-if
@@ -21,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,8 +58,8 @@ type Eval struct {
 type Evaluator interface {
 	// Evaluate returns the workload evaluation of the configuration.
 	Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, error)
-	// Workers is the evaluator's useful concurrency (>= 1); strategies
-	// size their speculative evaluation batches by it.
+	// Workers is the evaluator's useful concurrency (>= 1); the
+	// per-candidate fan-out bounds its concurrent calls by it.
 	Workers() int
 }
 
@@ -160,28 +162,12 @@ type Space struct {
 	// deadline still compete and the best finished member wins; only
 	// when no member finished does the deadline surface as an error.
 	Anytime bool
-	// EagerGreedy forces greedy-heuristic's original eager marginal
-	// scan (re-evaluate the density-ordered eligible prefix every
-	// round) instead of the default lazy-greedy heap. The two paths
-	// choose identical configurations; eager exists as the reference
-	// baseline and for measuring the lazy path's what-if call
-	// reduction.
-	EagerGreedy bool
 	// TraceCap bounds the per-strategy trace event buffer: 0 means
 	// DefaultTraceCap, negative means unlimited. When the cap is hit
 	// the buffer ends with an ActionTruncated marker and
 	// Stats.Truncated counts the dropped events; streaming Observers
 	// always receive the full stream.
 	TraceCap int
-	// RaceCostBound makes the race portfolio cost-bounded: members
-	// publish their best net benefit to a shared leader board and a
-	// member aborts once its remaining upper bound (current net plus
-	// every positive standalone net still fitting the budget) cannot
-	// beat the leader. Aborted members are recorded in the result's
-	// Members with Stats.Aborted set and never win. Off by default
-	// because an aborted member's partial result is no longer
-	// byte-identical to running it serially.
-	RaceCostBound bool
 	// LPMaxPasses caps the lp strategy's dual coordinate-descent
 	// passes (0 = the solver default). Fewer passes loosen the LP
 	// bound but never invalidate it.
@@ -191,9 +177,6 @@ type Space struct {
 	// round may drop unused members and add one candidate priced by
 	// real marginal evaluations.
 	LPRepairRounds int
-	// leader is the shared race leader board, set on the per-member
-	// space copies by the race strategy when RaceCostBound is on.
-	leader *leaderBoard
 }
 
 // WithBudget returns a view of the space under a different disk budget,
@@ -237,11 +220,6 @@ type Result struct {
 	// Members holds the per-member results of a portfolio run (the
 	// race strategy); nil for plain strategies.
 	Members []*Result
-	// Aborted marks a cost-bounded race member that stopped early
-	// because its remaining upper bound could not beat the leader; the
-	// Config/Eval are whatever the member had when it stopped, and the
-	// race never picks an aborted member as winner.
-	Aborted bool
 	// Degraded marks a best-so-far result returned because the what-if
 	// backend became unavailable mid-search (circuit breaker open)
 	// while Space.Anytime allowed partial results. Config is whatever
@@ -314,41 +292,6 @@ func rankByDensity(cands []*Candidate, alone map[int]*Eval) []*Candidate {
 		return a.Key() < b.Key()
 	})
 	return order
-}
-
-// leaderBoard is the race portfolio's shared best-net publication
-// point: members publish the net benefit of configurations they have
-// fully evaluated, and cost-bounded members abort once their remaining
-// upper bound cannot beat the board. The member holding the maximum
-// final net can never abort (its own bound is at least its final net,
-// which is at least the leader), so at least one member always
-// survives.
-type leaderBoard struct {
-	bits atomic.Uint64
-}
-
-func newLeaderBoard() *leaderBoard {
-	lb := &leaderBoard{}
-	lb.bits.Store(math.Float64bits(math.Inf(-1)))
-	return lb
-}
-
-// publish raises the board to net if it is a new maximum.
-func (l *leaderBoard) publish(net float64) {
-	for {
-		old := l.bits.Load()
-		if math.Float64frombits(old) >= net {
-			return
-		}
-		if l.bits.CompareAndSwap(old, math.Float64bits(net)) {
-			return
-		}
-	}
-}
-
-// best returns the highest published net (-Inf before any publication).
-func (l *leaderBoard) best() float64 {
-	return math.Float64frombits(l.bits.Load())
 }
 
 // evalEach evaluates base+{c} for every candidate in cands as one
@@ -452,8 +395,7 @@ func degrade(sp *Space, tr *tracer, config []*Candidate, cur *Eval, cause error)
 	}
 }
 
-// finish evaluates the final configuration and assembles the Result,
-// publishing the final net to the race leader board when one is wired.
+// finish evaluates the final configuration and assembles the Result.
 // fallback is the last complete evaluation the strategy holds (nil when
 // it has none): if the final evaluation itself hits an open circuit
 // breaker under the anytime contract, the result degrades to it rather
@@ -466,9 +408,6 @@ func finish(ctx context.Context, sp *Space, tr *tracer, config []*Candidate, fal
 		}
 		return nil, err
 	}
-	if sp.leader != nil {
-		sp.leader.publish(final.Net)
-	}
 	return &Result{
 		Strategy: tr.strategy,
 		Config:   config,
@@ -477,23 +416,4 @@ func finish(ctx context.Context, sp *Space, tr *tracer, config []*Candidate, fal
 		Trace:    tr.events,
 		Stats:    tr.stats(),
 	}, nil
-}
-
-// abort assembles the Result of a cost-bounded member that stopped
-// early: the partial configuration it had (possibly none), the last
-// evaluation it paid for, and Stats.Aborted set. No final evaluation is
-// spent — the whole point of aborting is to stop paying.
-func abort(sp *Space, tr *tracer, config []*Candidate, cur *Eval, bound float64) *Result {
-	tr.aborted = true
-	tr.emit(TraceEvent{Action: ActionAbort, Benefit: cur.Net, Pages: PagesOf(config),
-		Note: fmt.Sprintf("cost bound: remaining upper bound %.1f cannot beat leader %.1f", bound, sp.leader.best())})
-	return &Result{
-		Strategy: tr.strategy,
-		Config:   config,
-		Pages:    PagesOf(config),
-		Eval:     cur,
-		Trace:    tr.events,
-		Stats:    tr.stats(),
-		Aborted:  true,
-	}
 }

@@ -29,7 +29,7 @@ const (
 	// winner candidate serves. Combined with the small query universe
 	// this puts many winners on every query: heavy interaction, so
 	// marginal benefits collapse far below standalone benefits and the
-	// eager scan keeps re-pricing the whole winner prefix every round —
+	// an eager scan keeps re-pricing the whole winner prefix every round —
 	// the regime the lazy-greedy heap exists for.
 	synQueriesPerWinner = 4
 	// synChildrenPerGen is the DAG fan-out: each generalized root
@@ -40,8 +40,8 @@ const (
 	// counts stay comparable across scales. Callers can re-budget with
 	// WithBudget.
 	synBudgetPages = 2000
-	// synWorkers is the fixed evaluator parallelism, so speculative
-	// batch sizes (and therefore eval counts) are machine-independent.
+	// synWorkers is the fixed evaluator parallelism, so fan-out
+	// concurrency is machine-independent.
 	synWorkers = 8
 )
 
@@ -80,9 +80,8 @@ func (r *lcg) intn(n int) int { return int(r.next() % uint64(n)) }
 //     paper's "most general indexes are usually far too large to
 //     recommend": huge update cost), which keeps them out of the
 //     top-down start configuration — top-down can only reach the
-//     filler tail, its achievable net is honestly small, and the race
-//     leader overtakes its cost bound early. Roots over fillers are
-//     barely net-positive.
+//     filler tail, so its achievable net is honestly small. Roots over
+//     fillers are barely net-positive.
 //
 // Query benefit is weighted max-cover over the shared queries (each
 // query is served by its best configuration member) plus a small
@@ -322,7 +321,7 @@ func (s *synthEval) EvaluateBatch(ctx context.Context, base, cands []*Candidate)
 	return out, nil
 }
 
-// Workers is fixed so speculative batch sizes are machine-independent.
+// Workers is fixed so fan-out concurrency is machine-independent.
 func (s *synthEval) Workers() int { return synWorkers }
 
 // benefits builds the model's standalone benefit matrix: installed

@@ -156,9 +156,9 @@ func (s *synthWhatifEval) Workers() int { return synWorkers }
 // whatif.Engine over a SyntheticBackend. Strategies choose the same
 // configurations as on the plain space; what changes is the measured
 // cost — engine counters now count real per-query CostService calls,
-// which is what the projection benchmarks and the projected-vs-
-// unprojected differential tests need at 10k+ candidates. The engine is
-// returned alongside for counter access.
+// which is what the projection benchmarks and the engine-vs-model
+// differential tests need at 10k+ candidates. The engine is returned
+// alongside for counter access.
 func NewSyntheticWhatIfSpace(n int, seed uint64, o whatif.Options) (*Space, *whatif.Engine) {
 	sp := NewSyntheticSpace(n, seed)
 	model := sp.Eval.(*synthEval)

@@ -46,22 +46,6 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		inConfig[c.ID] = true
 	}
 	for !sp.Fits(PagesOf(config)) && len(config) > 0 {
-		if sp.leader != nil {
-			// Optimistic bound on the descent's final net: the sum of
-			// the current members' positive standalone nets (benefits
-			// at most add up; every further descent step only drops or
-			// specializes members). Trailing the leader means the
-			// remaining rounds cannot produce a winner.
-			bound := 0.0
-			for _, c := range config {
-				if net := alone[c.ID].Net; net > 0 {
-					bound += net
-				}
-			}
-			if bound < sp.leader.best() {
-				return abort(sp, tr, nil, &Eval{}, bound), nil
-			}
-		}
 		// Victim: the member with the worst standalone net benefit per
 		// page (general, large, weakly used indexes go first).
 		vi := 0

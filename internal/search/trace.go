@@ -32,10 +32,6 @@ const (
 	ActionMember Action = "member"
 	// ActionPick records the portfolio winner (race).
 	ActionPick Action = "pick"
-	// ActionAbort records a portfolio member stopping early because its
-	// remaining upper bound cannot beat the current race leader
-	// (cost-bounded racing).
-	ActionAbort Action = "abort"
 	// ActionTruncated marks the point where the per-strategy trace
 	// buffer hit its cap (Space.TraceCap); it is the buffer's final
 	// event, and Stats.Truncated counts the events dropped after it.
@@ -158,10 +154,6 @@ type Stats struct {
 	// Truncated counts trace events dropped after the per-strategy
 	// buffer hit its cap (Space.TraceCap); 0 when the full trace fit.
 	Truncated int `json:"truncatedEvents,omitempty"`
-	// Aborted marks a portfolio member that stopped early under
-	// cost-bounded racing because its remaining upper bound could not
-	// beat the leader; aborted members never win the race.
-	Aborted bool `json:"aborted,omitempty"`
 	// Degraded marks a run that fell back to its best-so-far
 	// configuration because the what-if backend became unavailable
 	// (circuit breaker open) while Space.Anytime allowed partial
@@ -181,8 +173,7 @@ type LPStats struct {
 	// Objective is the primal value of the fractional solution.
 	Objective float64 `json:"objective"`
 	// Bound is the dual upper bound on any feasible configuration's
-	// surrogate net benefit (the race cost-bound the strategy aborts
-	// against).
+	// surrogate net benefit.
 	Bound float64 `json:"bound"`
 	// RoundedNet is the what-if net benefit of the final rounded (and
 	// repaired) configuration.
@@ -215,9 +206,6 @@ func (s Stats) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "search[%s]: %d rounds, %d what-if calls in %v; cache %d hits / %d misses / %d evaluations",
 		s.Strategy, s.Rounds, s.Evals, s.Elapsed.Round(time.Millisecond), s.Cache.Hits, s.Cache.Misses, s.Cache.Evaluations)
-	if s.Aborted {
-		sb.WriteString("; aborted (cost bound)")
-	}
 	if s.Degraded {
 		sb.WriteString("; degraded (cost service unavailable)")
 	}
@@ -250,7 +238,6 @@ type tracer struct {
 	round     int
 	cap       int
 	truncated int
-	aborted   bool
 	degraded  bool
 	lp        *LPStats
 	events    Trace
@@ -302,7 +289,6 @@ func (t *tracer) stats() Stats {
 		Cache:     t.sp.counters().Sub(t.base),
 		Evals:     t.ev.calls.Load(),
 		Truncated: t.truncated,
-		Aborted:   t.aborted,
 		Degraded:  t.degraded,
 		LP:        t.lp,
 	}

@@ -27,13 +27,6 @@ type Options struct {
 	// MaxEntries caps the number of memoized per-(query, sub-config)
 	// atoms (approximately, split across shards); 0 means unlimited.
 	MaxEntries int
-	// NoProjection disables relevance projection: atoms are keyed by
-	// the full requested configuration (every definition, every
-	// collection) instead of the query's projected sub-config, so each
-	// distinct configuration re-costs every query — the pre-projection
-	// engine, kept as the measured baseline and differential-test
-	// reference. Costing itself is identical either way.
-	NoProjection bool
 }
 
 // Stats are the engine's monotonic counters. A cache "hit" includes
@@ -148,11 +141,10 @@ type cacheShard struct {
 // after base only pays optimizer calls for the queries c is relevant
 // to. It is safe for concurrent use.
 type Engine struct {
-	svc          CostService
-	rel          RelevanceService // nil: collection-only projection
-	noProjection bool
-	workers      int
-	sem          chan struct{} // global per-query evaluation slots
+	svc     CostService
+	rel     RelevanceService // nil: collection-only projection
+	workers int
+	sem     chan struct{} // global per-query evaluation slots
 
 	shards      []*cacheShard
 	shardMask   uint32
@@ -176,14 +168,13 @@ func NewEngine(svc CostService, o Options) *Engine {
 		}
 	}
 	e := &Engine{
-		svc:          svc,
-		noProjection: o.NoProjection,
-		workers:      workers,
-		sem:          make(chan struct{}, workers),
-		shards:       make([]*cacheShard, nShards),
-		shardMask:    uint32(nShards - 1),
+		svc:       svc,
+		workers:   workers,
+		sem:       make(chan struct{}, workers),
+		shards:    make([]*cacheShard, nShards),
+		shardMask: uint32(nShards - 1),
 	}
-	if rs, ok := svc.(RelevanceService); ok && !o.NoProjection {
+	if rs, ok := svc.(RelevanceService); ok {
 		e.rel = rs
 	}
 	for i := range e.shards {
@@ -352,14 +343,8 @@ func (e *Engine) EvaluateConfig(ctx context.Context, queries []*querylang.Query,
 // projectAtom returns the sub-config the atom's query is costed
 // against — the collection's definitions, restricted to the relevance
 // predicate when the service provides one — plus whether any
-// definition of the full configuration was dropped. With NoProjection
-// the service still sees the collection-filtered slice (the CostService
-// contract), but the atom is keyed by the full configuration, so
-// dropped is always false.
+// definition of the full configuration was dropped.
 func (e *Engine) projectAtom(p *atomPlan, config []*catalog.IndexDef) ([]*catalog.IndexDef, bool) {
-	if e.noProjection {
-		return filterConfig(config, p.q.Collection), false
-	}
 	n := 0
 	for _, d := range config {
 		if d.Collection == p.q.Collection && (p.relevant == nil || p.relevant(d)) {
@@ -406,7 +391,6 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 		out[i] = &ConfigEval{Queries: make([]QueryEval, len(atoms)), Atoms: make([]AtomInfo, len(atoms))}
 	}
 	type joinedAtom struct {
-		key     string
 		ent     *entry
 		qi, ci  int
 		svcCfg  []*catalog.IndexDef
@@ -437,7 +421,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 				// Cached or in flight (possibly owned by this very
 				// batch, a duplicate projected sub-config): wait after
 				// the owned work completes.
-				joins = append(joins, joinedAtom{key: key, ent: ent, qi: qi, ci: ci,
+				joins = append(joins, joinedAtom{ent: ent, qi: qi, ci: ci,
 					svcCfg: svcCfg, dropped: dropped})
 				continue
 			}
@@ -548,15 +532,16 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				// Owner died on its own context; re-evaluate with ours
-				// (the dead entry is already evicted).
+				// Owner died on its own context; re-run this one atom
+				// with ours (the dead entry is already evicted, so the
+				// retry claims the key or joins a newer owner).
 				if errors.Is(j.ent.err, context.Canceled) || errors.Is(j.ent.err, context.DeadlineExceeded) {
-					val, hit, err := e.evaluateAtom(ctx, j.key, atoms[j.qi].q, j.svcCfg, j.dropped)
+					retry, err := e.evaluateBatch(ctx, atoms[j.qi:j.qi+1], configs[j.ci:j.ci+1])
 					if err != nil {
 						return nil, err
 					}
-					out[j.ci].Queries[j.qi] = val
-					out[j.ci].Atoms[j.qi].Hit = hit
+					out[j.ci].Queries[j.qi] = retry[0].Queries[0]
+					out[j.ci].Atoms[j.qi].Hit = retry[0].Atoms[0].Hit
 					continue
 				}
 				return nil, j.ent.err
@@ -575,62 +560,6 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 		}
 	}
 	return out, nil
-}
-
-// evaluateAtom is the single-atom singleflight path, used when a join
-// finds its owner died on the owner's own context: look the key up
-// again, joining any new in-flight evaluation, or claim and evaluate
-// it. The bool reports whether the value came from the cache.
-func (e *Engine) evaluateAtom(ctx context.Context, key string, q *querylang.Query, svcCfg []*catalog.IndexDef, dropped bool) (QueryEval, bool, error) {
-	sh := e.shard(key)
-	for {
-		sh.mu.Lock()
-		if ent, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-ent.ready:
-				if ent.err != nil {
-					if err := ctx.Err(); err != nil {
-						return QueryEval{}, false, err
-					}
-					if errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) {
-						continue
-					}
-					return QueryEval{}, false, ent.err
-				}
-				e.hits.Add(1)
-				e.relDefs.Add(int64(len(svcCfg)))
-				if dropped {
-					e.projHits.Add(1)
-				}
-				return ent.val, true, nil
-			case <-ctx.Done():
-				return QueryEval{}, false, ctx.Err()
-			}
-		}
-		ent := &entry{ready: make(chan struct{})}
-		sh.insert(key, ent, e.maxPerShard)
-		sh.mu.Unlock()
-		e.misses.Add(1)
-		e.relDefs.Add(int64(len(svcCfg)))
-
-		val, err := e.evalOne(ctx, q, svcCfg)
-		if err != nil {
-			// Failed evaluations are not cached. Evict before waking
-			// waiters so their retry cannot rejoin this dead entry.
-			sh.mu.Lock()
-			if sh.m[key] == ent {
-				sh.remove(key)
-			}
-			sh.mu.Unlock()
-			ent.err = err
-			close(ent.ready)
-			return QueryEval{}, false, err
-		}
-		ent.val = val
-		close(ent.ready)
-		return val, false, nil
-	}
 }
 
 // evalOne runs one CostService call under an engine semaphore slot.

@@ -143,46 +143,6 @@ func TestProjectionBatchDedup(t *testing.T) {
 	}
 }
 
-// TestNoProjectionKeysFullConfig checks the measured-baseline mode:
-// atoms are keyed by the whole configuration, so configurations
-// differing only in irrelevant defs never share, while the costs remain
-// identical to the projected engine's.
-func TestNoProjectionKeysFullConfig(t *testing.T) {
-	mk := func(noProj bool) (*relService, *Engine) {
-		svc := &relService{relevant: map[string]map[string]bool{"Q1": {"I1": true}}}
-		return svc, NewEngine(svc, Options{Workers: 4, NoProjection: noProj})
-	}
-	qs := testQueries(1)
-	i1, i2 := testDef("I1", "c", "/a/b"), testDef("I2", "c", "/a/c")
-	ctx := context.Background()
-
-	baseSvc, base := mk(true)
-	projSvc, proj := mk(false)
-	for _, cfg := range [][]*catalog.IndexDef{{i1}, {i1, i2}} {
-		want, err := base.EvaluateConfig(ctx, qs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := proj.EvaluateConfig(ctx, qs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Queries, want.Queries) {
-			t.Errorf("config %v: projected engine differs from baseline", cfg)
-		}
-	}
-	if st := base.Stats(); st.Misses != 2 || st.ProjectedHits != 0 {
-		t.Errorf("baseline stats = %+v, want 2 misses / 0 projected hits", st)
-	}
-	if calls := baseSvc.calls.Load(); calls != 2 {
-		t.Errorf("baseline service calls = %d, want 2", calls)
-	}
-	// The projected engine collapses both configs onto the {I1} atom.
-	if calls := projSvc.calls.Load(); calls != 1 {
-		t.Errorf("projected service calls = %d, want 1", calls)
-	}
-}
-
 // TestRelevantCounts checks the eval-free projected-size probe.
 func TestRelevantCounts(t *testing.T) {
 	svc := &relService{relevant: map[string]map[string]bool{
