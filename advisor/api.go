@@ -50,13 +50,15 @@ func (e *RequestError) Unwrap() error { return ErrInvalidRequest }
 // pinned v1 wire format.
 type (
 	// SearchStats summarize one strategy run (rounds, wall time, cache
-	// deltas; winner and members for the race portfolio).
+	// counts; winner and members for the race portfolio).
 	SearchStats = search.Stats
 	// TraceEvent is one structured search step.
 	TraceEvent = search.TraceEvent
 	// Trace is a structured search trace.
 	Trace = search.Trace
-	// CacheStats are what-if engine counter deltas for one run.
+	// CacheStats count the what-if work of one run: the engine and the
+	// resilience middleware charge each request's own counters, so the
+	// counts are exact while other requests share the advisor.
 	CacheStats = whatif.Stats
 	// ResilienceStats are the costing resilience middleware's counters
 	// (retries, breaker trips and rejects, call timeouts, recovered

@@ -11,7 +11,7 @@ const (
 	// strategy emits it (under the race portfolio, events from every
 	// member interleave; TraceEvent.Strategy tells them apart).
 	EventTrace EventType = "trace"
-	// EventCounters carries the run's cache and kernel counter deltas,
+	// EventCounters carries the run's cache counts and kernel deltas,
 	// emitted once after the search finishes.
 	EventCounters EventType = "counters"
 	// EventResult terminates a successful stream with the full

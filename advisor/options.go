@@ -191,31 +191,6 @@ func WithAnytime(on bool) Option {
 	return func(c *config) { c.core.Anytime = on }
 }
 
-// WithTraceCap bounds the per-strategy search trace buffer (0 = the
-// default cap, negative = unlimited). When a search overflows the cap,
-// the trace ends with a "truncated" marker event and
-// SearchStats.TruncatedEvents counts the dropped events; streaming
-// progress events are never truncated.
-func WithTraceCap(n int) Option {
-	return func(c *config) { c.core.TraceCap = n }
-}
-
-// WithLPIterations caps the lp strategy's dual coordinate-descent
-// passes (0 = the solver default). The dual value is a certified upper
-// bound at every pass, so a lower cap trades bound tightness — and
-// with it rounding quality — for solve time, never correctness.
-func WithLPIterations(n int) Option {
-	return func(c *config) { c.core.LPMaxPasses = n }
-}
-
-// WithLPRepairRounds caps the lp strategy's bounded what-if repair
-// after rounding (0 = the default, negative = no repair). Each round
-// drops configuration members no plan uses and prices a fixed-size
-// burst of extension candidates with real marginal evaluations.
-func WithLPRepairRounds(n int) Option {
-	return func(c *config) { c.core.LPRepairRounds = n }
-}
-
 // WithResilience wraps the what-if cost service in the resilience
 // middleware, directly below the memoizing engine: per-call timeouts,
 // bounded retries with exponential backoff and deterministic jitter,
@@ -258,10 +233,6 @@ func (c *config) validate() error {
 	canon, err := search.Canonical(string(c.core.Search))
 	if err != nil {
 		return &OptionError{Option: "WithStrategy", Value: string(c.core.Search), Reason: err.Error()}
-	}
-	if c.core.LPMaxPasses < 0 {
-		return &OptionError{Option: "WithLPIterations", Value: c.core.LPMaxPasses,
-			Reason: "pass cap must be >= 0 (0 = solver default)"}
 	}
 	c.core.Search = core.SearchKind(canon)
 	if c.core.Rules != "" {

@@ -95,8 +95,8 @@ func (s *Session) Recommend(ctx context.Context, req RecommendRequest) (*Recomme
 
 // RecommendStream serves one request while streaming progress events:
 // an EventSpace with the candidate-space summary, one EventTrace per
-// search step as it happens, an EventCounters with the run's cache and
-// kernel deltas, and a terminal EventResult (or EventError). The
+// search step as it happens, an EventCounters with the run's cache
+// counts and kernel deltas, and a terminal EventResult (or EventError). The
 // channel closes after the terminal event. Cancelling ctx aborts both
 // the search and the stream; an abandoned consumer therefore cancels
 // rather than leaks.

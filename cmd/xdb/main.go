@@ -495,8 +495,8 @@ func (s *shell) cmdWhatIf(rest string) error {
 		rsvc = whatif.NewResilientService(fsvc, whatif.ResilientOptions{})
 		eng = whatif.NewEngine(rsvc, whatif.Options{Workers: s.parallel, MaxEntries: 1 << 16})
 	}
-	before := eng.Stats()
-	res, err := eng.EvaluateConfig(context.Background(), queries, defs)
+	ctx, tally := whatif.WithTally(context.Background())
+	res, err := eng.EvaluateConfig(ctx, queries, defs)
 	if err != nil {
 		return err
 	}
@@ -515,7 +515,7 @@ func (s *shell) cmdWhatIf(rest string) error {
 			e.Query.ID, qe.CostNoIndexes, qe.Cost, qe.Benefit(),
 			res.Atoms[qi].Relevant, cached, strings.Join(qe.UsedIndexes, ","))
 	}
-	st := eng.Stats().Sub(before)
+	st := tally.Stats()
 	fmt.Fprintf(s.out, "weighted: no-index %.1f, with-config %.1f (benefit %.1f)\n", noIdx, withIdx, noIdx-withIdx)
 	fmt.Fprintf(s.out, "what-if engine: %d workers, %d evaluations, %d hits (%d projected), %d misses\n",
 		eng.Workers(), st.Evaluations, st.Hits, st.ProjectedHits, st.Misses)

@@ -1,0 +1,112 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/store"
+	"repro/internal/whatif"
+)
+
+// accountingBudgets are the page budgets of the six concurrent
+// requests.
+var accountingBudgets = []int64{40, 80, 160, 320, 640, 1280}
+
+// accountingSession prepares a fresh advisor's session over the
+// xmark workload. For strategies that run lp it builds the benefit
+// matrix up front: only the first request on a session builds it, so
+// leaving it to the requests would make their lookup counts depend on
+// which one got there first.
+func accountingSession(t *testing.T, cat *catalog.Catalog, kind SearchKind) *Prepared {
+	t.Helper()
+	ctx := context.Background()
+	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind == "lp" || kind == SearchRace {
+		if _, err := p.BenefitMatrix(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestConcurrentRecommendsAccountExactly runs six recommends at six
+// budgets concurrently on one cold session, per strategy, and checks
+// that each response counts exactly its own what-if work: the
+// per-request evaluations sum to the engine's, each request looks up as
+// many atoms as a serial run at the same budget, and the race's cache
+// counts are the sum of its members'.
+func TestConcurrentRecommendsAccountExactly(t *testing.T) {
+	st := store.New()
+	if _, err := datagen.GenerateXMark(st, datagen.XMarkConfig{Docs: 250, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New(st)
+	ctx := context.Background()
+	serialSession := accountingSession(t, cat, "lp")
+
+	for _, kind := range []SearchKind{SearchGreedyHeuristic, SearchTopDown, "lp", SearchRace} {
+		t.Run(string(kind), func(t *testing.T) {
+			serial := make([]whatif.Stats, len(accountingBudgets))
+			for i, b := range accountingBudgets {
+				rec, err := serialSession.RecommendWith(ctx, kind, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial[i] = rec.Cache
+			}
+
+			p := accountingSession(t, cat, kind)
+			before := p.a.cost.Stats()
+			recs := make([]*Recommendation, len(accountingBudgets))
+			errs := make([]error, len(accountingBudgets))
+			var wg sync.WaitGroup
+			for i, b := range accountingBudgets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					recs[i], errs[i] = p.RecommendWith(ctx, kind, b)
+				}()
+			}
+			wg.Wait()
+			after := p.a.cost.Stats()
+
+			var sum whatif.Stats
+			for i, rec := range recs {
+				if errs[i] != nil {
+					t.Fatalf("budget %d: %v", accountingBudgets[i], errs[i])
+				}
+				c := rec.Cache
+				sum.Hits += c.Hits
+				sum.Misses += c.Misses
+				sum.Evaluations += c.Evaluations
+				if got, want := c.Hits+c.Misses, serial[i].Hits+serial[i].Misses; got != want {
+					t.Errorf("budget %d: %d lookups, a serial run makes %d", accountingBudgets[i], got, want)
+				}
+				if kind == SearchRace {
+					var members whatif.Stats
+					for _, m := range rec.Search.Members {
+						members.Hits += m.Cache.Hits
+						members.Misses += m.Cache.Misses
+						members.Evaluations += m.Cache.Evaluations
+					}
+					if rc := rec.Search.Cache; rc.Hits != members.Hits || rc.Misses != members.Misses || rc.Evaluations != members.Evaluations {
+						t.Errorf("budget %d: race cache %+v, its members sum to %d/%d/%d", accountingBudgets[i],
+							rc, members.Hits, members.Misses, members.Evaluations)
+					}
+				}
+			}
+			if got, want := sum.Evaluations, after.Evaluations-before.Evaluations; got != want {
+				t.Errorf("requests claim %d evaluations, the engine made %d", got, want)
+			}
+			if got, want := sum.Hits+sum.Misses, (after.Hits+after.Misses)-(before.Hits+before.Misses); got != want {
+				t.Errorf("requests claim %d lookups, the engine made %d", got, want)
+			}
+		})
+	}
+}

@@ -65,19 +65,6 @@ type Options struct {
 	// the deadline still compete and the best finished member wins.
 	Anytime bool
 
-	// TraceCap bounds the per-strategy search trace buffer: 0 means
-	// the search layer's default, negative means unlimited. Truncation
-	// is recorded in the search stats.
-	TraceCap int
-	// LPMaxPasses caps the lp strategy's dual coordinate-descent
-	// passes; 0 means the solver default. The dual value is a valid
-	// upper bound at every pass, so a lower cap trades bound tightness
-	// (and rounding quality) for solve time, never correctness.
-	LPMaxPasses int
-	// LPRepairRounds caps the lp strategy's what-if repair rounds after
-	// rounding; 0 means the default, negative disables repair entirely.
-	LPRepairRounds int
-
 	// Parallelism bounds concurrent what-if query evaluations in the
 	// costing engine; 0 means GOMAXPROCS.
 	Parallelism int
@@ -281,12 +268,12 @@ type Recommendation struct {
 	// and the pipeline wall time.
 	Gen candidate.Stats
 	// TraceEvents is the structured search trace (typed events with
-	// round, action, candidate key, benefit, pages, and cache deltas).
+	// round, action, candidate key, benefit, pages, and cache counts).
 	TraceEvents search.Trace
 	// Trace is TraceEvents rendered to text, one line per event.
 	Trace []string
 	// Search holds the strategy's run stats: rounds, wall time, cache
-	// counter deltas, and — for the race portfolio — the winner and
+	// counts, and — for the race portfolio — the winner and
 	// per-member stats.
 	Search search.Stats
 	// Evaluations counts per-query what-if evaluations issued during
@@ -297,15 +284,15 @@ type Recommendation struct {
 	// projection view): the distribution that determines how much of a
 	// configuration each per-query what-if call actually prices.
 	Relevance whatif.RelevanceStats
-	// Cache holds the what-if engine counter deltas for this run. The
-	// deltas are windows over the advisor's shared engine counters:
-	// they are accurate when runs on one Advisor do not overlap, and
-	// approximate if Recommend/EvaluateOn/AnalyzeConfig run
-	// concurrently on the same Advisor (the evaluations themselves
-	// remain correct either way).
+	// Cache counts the what-if work this run caused: the engine and the
+	// resilience middleware charge it to the run's own tally, so it is
+	// exact even while other runs share the Advisor's engine.
 	Cache whatif.Stats
 	// Kernel is the pattern containment kernel's counter delta for this
 	// run (interned patterns, contains/overlaps cache hits and misses).
+	// It is a before/after window over the process-wide kernel
+	// counters, so it includes the kernel work of any run that
+	// overlaps this one.
 	Kernel pattern.KernelStats
 	// Elapsed is the advisor runtime.
 	Elapsed time.Duration
@@ -331,21 +318,21 @@ func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload) (*
 }
 
 // RecommendFull is the one-shot pipeline with per-call strategy and
-// budget: Prepare plus one search, with Elapsed and the cache/kernel
-// counter windows covering the whole run (candidate generation
-// included), unlike Prepared.RecommendWith whose windows cover only the
-// search. The Prepared is returned alongside so callers can keep the
-// warm space for follow-up searches.
+// budget: Prepare plus one search, with Elapsed, Cache and Kernel
+// covering the whole run (candidate generation included), unlike
+// Prepared.RecommendWith, which covers only the search and assembly.
+// Cache counts exactly this run's what-if work. The Prepared is
+// returned alongside so callers can keep the warm space for follow-up
+// searches.
 func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, kind SearchKind, budgetPages int64,
 	obs func(search.TraceEvent)) (*Recommendation, *Prepared, error) {
-	start := time.Now()
-	statsBefore := a.cost.Stats()
-	kernelBefore := pattern.Stats()
+	start, kernelBefore := time.Now(), pattern.Stats()
+	ctx, tally := whatif.WithTally(ctx)
 	p, err := a.Prepare(ctx, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := p.recommend(ctx, kind, budgetPages, obs, start, statsBefore, kernelBefore)
+	rec, err := p.recommend(ctx, tally, kind, budgetPages, obs, start, kernelBefore)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -127,13 +127,6 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		Eval:             searchEvaluator{ev},
 		InteractionAware: a.opts.InteractionAware,
 		Anytime:          a.opts.Anytime,
-		TraceCap:         a.opts.TraceCap,
-		LPMaxPasses:      a.opts.LPMaxPasses,
-		LPRepairRounds:   a.opts.LPRepairRounds,
-		Counters: func() search.Counters {
-			s := a.cost.Stats()
-			return search.Counters{Hits: s.Hits, Misses: s.Misses, Evaluations: s.Evaluations}
-		},
 	}
 	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp}
 	sp.Benefits = p.BenefitMatrix
@@ -240,8 +233,10 @@ func (p *Prepared) CandidateStats() candidate.Stats { return p.set.Stats }
 
 // RecommendWith runs one search strategy at one disk budget (0 =
 // unlimited) over the prepared space and assembles the full
-// recommendation. The run's cache/kernel counter windows and Elapsed
-// cover only this search, not the shared candidate generation.
+// recommendation. Its Cache counts exactly the what-if work this call
+// caused, even while other calls share the advisor; Cache, Kernel and
+// Elapsed cover this search and its assembly, not the shared candidate
+// generation.
 func (p *Prepared) RecommendWith(ctx context.Context, kind SearchKind, budgetPages int64) (*Recommendation, error) {
 	return p.RecommendObserved(ctx, kind, budgetPages, nil)
 }
@@ -254,15 +249,17 @@ func (p *Prepared) RecommendWith(ctx context.Context, kind SearchKind, budgetPag
 // Prepared are safe and each sees only its own events.
 func (p *Prepared) RecommendObserved(ctx context.Context, kind SearchKind, budgetPages int64,
 	obs func(search.TraceEvent)) (*Recommendation, error) {
-	return p.recommend(ctx, kind, budgetPages, obs, time.Now(), p.a.cost.Stats(), pattern.Stats())
+	start, kernelBefore := time.Now(), pattern.Stats()
+	ctx, tally := whatif.WithTally(ctx)
+	return p.recommend(ctx, tally, kind, budgetPages, obs, start, kernelBefore)
 }
 
 // recommend searches the prepared space and derives the recommendation
-// output: DDL, per-query analysis, overtrained comparison, and the
-// counter windows against the given snapshots.
-func (p *Prepared) recommend(ctx context.Context, kind SearchKind, budgetPages int64,
-	obs func(search.TraceEvent),
-	start time.Time, statsBefore whatif.Stats, kernelBefore pattern.KernelStats) (*Recommendation, error) {
+// output: DDL, per-query analysis, overtrained comparison, the what-if
+// counts of tally (the request's, which ctx carries), and the kernel
+// window against the given snapshot.
+func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind SearchKind, budgetPages int64,
+	obs func(search.TraceEvent), start time.Time, kernelBefore pattern.KernelStats) (*Recommendation, error) {
 	strat, err := search.Lookup(string(kind))
 	if err != nil {
 		return nil, err
@@ -371,7 +368,7 @@ func (p *Prepared) recommend(ctx context.Context, kind SearchKind, budgetPages i
 		rec.PerQuery = append(rec.PerQuery, qa)
 	}
 	rec.Relevance = p.relevance
-	rec.Cache = p.a.cost.Stats().Sub(statsBefore)
+	rec.Cache = tally.Stats()
 	rec.Evaluations = int(rec.Cache.Evaluations)
 	rec.Kernel = pattern.Stats().Sub(kernelBefore)
 	rec.Elapsed = time.Since(start)

@@ -15,7 +15,7 @@ import (
 // and re-evaluates nothing. Reclamation follows every addition, exactly
 // as in the strategy. Stats.Evals counts the oracle's own evaluations.
 func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
-	tr := newTracer("greedy-eager", sp)
+	ctx, tr := newTracer(ctx, "greedy-eager", sp)
 	alone, err := standalone(ctx, tr.ev, sp.Candidates)
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ type greedyBasic struct{}
 func (greedyBasic) Name() string { return "greedy-basic" }
 
 func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
-	tr := newTracer(g.Name(), sp)
+	ctx, tr := newTracer(ctx, g.Name(), sp)
 	alone, err := standalone(ctx, tr.ev, sp.Candidates)
 	if err != nil {
 		if sp.degradable(err) {
@@ -69,7 +69,7 @@ type greedyHeuristic struct{}
 func (greedyHeuristic) Name() string { return "greedy-heuristic" }
 
 func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error) {
-	tr := newTracer(g.Name(), sp)
+	ctx, tr := newTracer(ctx, g.Name(), sp)
 
 	// Candidates with no standalone benefit are dropped up front. A
 	// candidate useless alone can in principle gain value inside an

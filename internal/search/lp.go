@@ -30,9 +30,10 @@ import (
 // model.
 func init() { Register(lpStrategy{}) }
 
-// DefaultLPRepairRounds is the repair-round cap used when
-// Space.LPRepairRounds is 0.
-const DefaultLPRepairRounds = 3
+// lpRepairRounds caps the what-if repair rounds after rounding. Each
+// round may drop unused members and add one candidate priced by real
+// marginal evaluations.
+const lpRepairRounds = 3
 
 // lpRepairBurst is how many extension candidates one repair round
 // prices with real what-if marginals. It is a fixed constant, not the
@@ -45,7 +46,7 @@ type lpStrategy struct{}
 func (lpStrategy) Name() string { return "lp" }
 
 func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
-	tr := newTracer("lp", sp)
+	ctx, tr := newTracer(ctx, "lp", sp)
 
 	m, err := lpMatrix(ctx, sp, tr)
 	if err != nil {
@@ -63,7 +64,7 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	order := lpOrder(sp.Candidates, m)
 
 	prob := lpProblem(sp, m, order)
-	sol := lp.Solve(prob, lp.Options{MaxPasses: sp.LPMaxPasses})
+	sol := lp.Solve(prob, lp.Options{})
 	support := 0
 	for _, x := range sol.X {
 		if x > 0 {
@@ -446,14 +447,6 @@ func (r *lpRounder) phase(positions []int) {
 // add the best positive one. It returns the repaired evaluation, or a
 // terminal (degraded) result when the backend goes away mid-repair.
 func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *Eval) (*Eval, *Result, error) {
-	rounds := sp.LPRepairRounds
-	if rounds == 0 {
-		rounds = DefaultLPRepairRounds
-	}
-	if rounds < 0 {
-		return curEval, nil, nil // repair disabled
-	}
-
 	// Rescue: a rounded configuration that nets negative means the
 	// surrogate badly overestimated (typically the modular-only
 	// fallback matrix, which double-counts shared queries). The
@@ -488,7 +481,7 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 		}
 	}
 
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < lpRepairRounds; round++ {
 		changed := false
 
 		pruned := r.config[:0:0]

@@ -34,7 +34,7 @@ type race struct{}
 func (race) Name() string { return "race" }
 
 func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
-	tr := newTracer(r.Name(), sp)
+	ctx, tr := newTracer(ctx, r.Name(), sp)
 	var members []string
 	for _, name := range Names() {
 		if name != r.Name() {

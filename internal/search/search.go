@@ -15,9 +15,12 @@
 //
 // Every search produces a structured trace (typed TraceEvents rendered
 // to text or JSON) and per-strategy stats (rounds, wall time, what-if
-// cache counter deltas), and a Space can be re-budgeted with WithBudget
-// so budget sweeps reuse the candidate set and the warm cache instead of
-// re-running the whole advisor per budget point.
+// cache counts). Each strategy evaluates under a context carrying its
+// own whatif.Tally, which the what-if engine charges directly, so the
+// counts are exact even while other searches share the engine. A Space
+// can be re-budgeted with WithBudget so budget sweeps reuse the
+// candidate set and the warm cache instead of re-running the whole
+// advisor per budget point.
 package search
 
 import (
@@ -102,21 +105,12 @@ func (c *countingEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Ca
 	return fanOutEach(ctx, c.inner, base, cands)
 }
 
-// Counters are what-if cache counter snapshots (or deltas), threaded
-// into traces and stats so every search step carries its cache cost.
+// Counters are the what-if cache counts of one search, threaded into
+// traces and stats so every search step carries its cache cost.
 type Counters struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Evaluations int64 `json:"evaluations"`
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (c Counters) Sub(earlier Counters) Counters {
-	return Counters{
-		Hits:        c.Hits - earlier.Hits,
-		Misses:      c.Misses - earlier.Misses,
-		Evaluations: c.Evaluations - earlier.Evaluations,
-	}
 }
 
 // Space is one configuration-search problem: the candidate set to
@@ -140,9 +134,6 @@ type Space struct {
 	// each round instead of trusting standalone benefits (§2.3 "index
 	// interaction").
 	InteractionAware bool
-	// Counters, when non-nil, snapshots the what-if engine's cache
-	// counters; traces and stats record deltas against it.
-	Counters func() Counters
 	// Benefits, when non-nil, produces the standalone per-(query,
 	// candidate) benefit matrix, rows aligned with Candidates order —
 	// the decomposed benefit model a CoPhy-style LP strategy optimizes
@@ -168,15 +159,6 @@ type Space struct {
 	// Stats.Truncated counts the dropped events; streaming Observers
 	// always receive the full stream.
 	TraceCap int
-	// LPMaxPasses caps the lp strategy's dual coordinate-descent
-	// passes (0 = the solver default). Fewer passes loosen the LP
-	// bound but never invalidate it.
-	LPMaxPasses int
-	// LPRepairRounds caps the lp strategy's what-if repair rounds
-	// after rounding (0 = the default, negative = no repair). Each
-	// round may drop unused members and add one candidate priced by
-	// real marginal evaluations.
-	LPRepairRounds int
 }
 
 // WithBudget returns a view of the space under a different disk budget,
@@ -193,14 +175,6 @@ func (s *Space) Fits(pages int64) bool {
 	return s.BudgetPages <= 0 || pages <= s.BudgetPages
 }
 
-// counters reads the cache counters, zero when no source is wired.
-func (s *Space) counters() Counters {
-	if s.Counters == nil {
-		return Counters{}
-	}
-	return s.Counters()
-}
-
 // Result is one strategy's chosen configuration plus its evaluation,
 // structured trace, and run stats.
 type Result struct {
@@ -215,7 +189,7 @@ type Result struct {
 	Eval *Eval
 	// Trace is the structured search trace.
 	Trace Trace
-	// Stats summarizes the run (rounds, wall time, cache deltas).
+	// Stats summarizes the run (rounds, wall time, cache counts).
 	Stats Stats
 	// Members holds the per-member results of a portfolio run (the
 	// race strategy); nil for plain strategies.

@@ -195,7 +195,6 @@ func TestBudgetSweepSharesTheSpace(t *testing.T) {
 	// configuration the strategy prices is already cached — zero new
 	// what-if evaluations proves the sweep actually shares the space.
 	for budget, want := range firstPass {
-		before := sp.Counters()
 		res, err := strat.Search(ctx, sp.WithBudget(budget))
 		if err != nil {
 			t.Fatal(err)
@@ -203,8 +202,9 @@ func TestBudgetSweepSharesTheSpace(t *testing.T) {
 		if got := configKey(res); got != want {
 			t.Errorf("budget %d: re-sweep changed the config:\n%s\nvs\n%s", budget, got, want)
 		}
-		if d := sp.Counters().Sub(before); d.Evaluations != 0 {
-			t.Errorf("budget %d: re-sweep issued %d evaluations on a warm space, want 0", budget, d.Evaluations)
+		if c := res.Stats.Cache; c.Evaluations != 0 || c.Hits == 0 {
+			t.Errorf("budget %d: re-sweep counted %d evaluations and %d hits on a warm space, want 0 and > 0",
+				budget, c.Evaluations, c.Hits)
 		}
 	}
 }

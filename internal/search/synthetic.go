@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/candidate"
 	"repro/internal/catalog"
@@ -252,9 +251,6 @@ func NewSyntheticSpace(n int, seed uint64) *Space {
 		BudgetPages:      synBudgetPages,
 		Eval:             ev,
 		InteractionAware: true,
-		Counters: func() Counters {
-			return Counters{Evaluations: ev.evals.Load()}
-		},
 		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) {
 			return ev.benefits(), nil
 		},
@@ -286,8 +282,6 @@ type synthEval struct {
 	vals    []float64
 	upd     []float64
 	queries [][]int32
-	// evals counts configuration evaluations (the Space.Counters feed).
-	evals atomic.Int64
 }
 
 // Evaluate prices one configuration: each shared query is served by its
@@ -299,7 +293,6 @@ func (s *synthEval) Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.evals.Add(1)
 	return s.eval(cfg), nil
 }
 
@@ -314,7 +307,6 @@ func (s *synthEval) EvaluateBatch(ctx context.Context, base, cands []*Candidate)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s.evals.Add(1)
 		cfg[len(base)] = c
 		out[i] = s.eval(cfg)
 	}

@@ -183,9 +183,5 @@ func NewSyntheticWhatIfSpace(n int, seed uint64, o whatif.Options) (*Space, *wha
 	}
 	eng := whatif.NewEngine(backend, o)
 	sp.Eval = &synthWhatifEval{model: model, byName: byName, bound: eng.Bind(queries)}
-	sp.Counters = func() Counters {
-		st := eng.Stats()
-		return Counters{Hits: st.Hits, Misses: st.Misses, Evaluations: st.Evaluations}
-	}
 	return sp, eng
 }

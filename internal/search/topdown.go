@@ -23,7 +23,7 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 	if sp.DAG == nil {
 		return nil, fmt.Errorf("search: topdown needs a containment DAG (Space.DAG is nil)")
 	}
-	tr := newTracer(t.Name(), sp)
+	ctx, tr := newTracer(ctx, t.Name(), sp)
 	alone, err := standalone(ctx, tr.ev, sp.DAG.Nodes)
 	if err != nil {
 		if sp.degradable(err) {

@@ -1,10 +1,13 @@
 package search
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/whatif"
 )
 
 // Action is the kind of one search step.
@@ -53,7 +56,7 @@ const (
 
 // TraceEvent is one structured search step: which round, what happened,
 // to which candidate, and at what benefit/size — plus the cumulative
-// what-if cache deltas since the search started, so the cost of every
+// what-if cache counts since the search started, so the cost of every
 // decision is visible.
 type TraceEvent struct {
 	// Round is the search round the event belongs to (1-based; 0 for
@@ -80,17 +83,15 @@ type TraceEvent struct {
 	// race portfolio a single stream interleaves events from every
 	// member, and this is how consumers tell them apart.
 	Strategy string `json:"strategy,omitempty"`
-	// Cache is the cumulative what-if counter delta since the search
-	// started (hits/misses/evaluations spent so far). The deltas are
-	// windows over the space's shared engine counters: exact when one
-	// search runs at a time, and inclusive of sibling traffic when
-	// searches share the engine concurrently (the race portfolio's
-	// members each observe the whole portfolio's work).
+	// Cache is the what-if work this strategy has caused so far
+	// (hits/misses/evaluations), counted by the what-if engine against
+	// the strategy's own tally: exact even when other searches share
+	// the engine concurrently. A search over a space whose evaluator
+	// does not go through a what-if engine reports zeros.
 	Cache Counters `json:"cache"`
 	// Evals is the cumulative count of configuration evaluations this
-	// strategy itself has requested so far — unlike Cache, it is exact
-	// per strategy even when portfolio members run concurrently, which
-	// is what makes the lazy-greedy call reduction observable.
+	// strategy itself has requested so far, which is what makes the
+	// lazy-greedy call reduction observable.
 	Evals int64 `json:"evals"`
 }
 
@@ -136,20 +137,18 @@ func (t Trace) String() string { return strings.Join(t.Strings(), "\n") }
 func (t Trace) JSON() ([]byte, error) { return json.MarshalIndent(t, "", "  ") }
 
 // Stats summarize one strategy run: rounds taken, wall time, and the
-// what-if cache counter deltas the search spent. For the race strategy,
-// Winner names the member whose configuration won and Members holds the
-// per-member stats; because the members run concurrently on the shared
-// engine, each member's Cache window includes its siblings' traffic —
-// compare member Elapsed/Rounds freely, but attribute cache counters to
-// the portfolio as a whole, not to individual members.
+// what-if work the search caused. For the race strategy, Winner names
+// the member whose configuration won and Members holds the per-member
+// stats; each member's Cache counts only that member's work, and the
+// race's Cache is their sum.
 type Stats struct {
 	Strategy string        `json:"strategy"`
 	Rounds   int           `json:"rounds"`
 	Elapsed  time.Duration `json:"elapsedNs"`
 	Cache    Counters      `json:"cache"`
 	// Evals counts the configuration evaluations this strategy itself
-	// requested (what-if calls). Exact per strategy, unlike the Cache
-	// windows; for the race portfolio it is the sum over all members.
+	// requested (what-if calls); for the race portfolio it is the sum
+	// over all members.
 	Evals int64 `json:"evals"`
 	// Truncated counts trace events dropped after the per-strategy
 	// buffer hit its cap (Space.TraceCap); 0 when the full trace fit.
@@ -228,13 +227,14 @@ const DefaultTraceCap = 4096
 // wraps the space's evaluator in a per-strategy call counter: every
 // strategy routes its evaluations through tracer.ev, so Stats.Evals and
 // TraceEvent.Evals are exact even when portfolio members share the
-// engine concurrently.
+// engine concurrently. The what-if engine charges the search's work to
+// tally, which newTracer installs in the strategy's context.
 type tracer struct {
 	strategy  string
 	sp        *Space
 	ev        *countingEvaluator
+	tally     *whatif.Tally
 	start     time.Time
-	base      Counters
 	round     int
 	cap       int
 	truncated int
@@ -243,7 +243,12 @@ type tracer struct {
 	events    Trace
 }
 
-func newTracer(strategy string, sp *Space) *tracer {
+// newTracer starts a search's tracer and returns the context the
+// strategy must evaluate under: it carries the strategy's tally, nested
+// under any tally ctx already carries (the request's, or the race's for
+// a portfolio member).
+func newTracer(ctx context.Context, strategy string, sp *Space) (context.Context, *tracer) {
+	ctx, tally := whatif.WithTally(ctx)
 	cap := sp.TraceCap
 	switch {
 	case cap == 0:
@@ -251,11 +256,17 @@ func newTracer(strategy string, sp *Space) *tracer {
 	case cap < 0:
 		cap = int(^uint(0) >> 1) // unlimited
 	}
-	return &tracer{strategy: strategy, sp: sp, ev: &countingEvaluator{inner: sp.Eval},
-		start: time.Now(), base: sp.counters(), cap: cap}
+	return ctx, &tracer{strategy: strategy, sp: sp, ev: &countingEvaluator{inner: sp.Eval},
+		tally: tally, start: time.Now(), cap: cap}
 }
 
-// emit stamps the round, strategy, cache deltas, and eval count, then
+// cache reads the search's what-if counts so far.
+func (t *tracer) cache() Counters {
+	s := t.tally.Stats()
+	return Counters{Hits: s.Hits, Misses: s.Misses, Evaluations: s.Evaluations}
+}
+
+// emit stamps the round, strategy, cache counts, and eval count, then
 // appends the event (up to the trace cap; the cap'th slot becomes an
 // ActionTruncated marker and later events only bump the dropped count)
 // and forwards it to the space's streaming observer, if any — observers
@@ -263,7 +274,7 @@ func newTracer(strategy string, sp *Space) *tracer {
 func (t *tracer) emit(e TraceEvent) {
 	e.Round = t.round
 	e.Strategy = t.strategy
-	e.Cache = t.sp.counters().Sub(t.base)
+	e.Cache = t.cache()
 	e.Evals = t.ev.calls.Load()
 	switch {
 	case len(t.events) < t.cap:
@@ -286,7 +297,7 @@ func (t *tracer) stats() Stats {
 		Strategy:  t.strategy,
 		Rounds:    t.round,
 		Elapsed:   time.Since(t.start),
-		Cache:     t.sp.counters().Sub(t.base),
+		Cache:     t.cache(),
 		Evals:     t.ev.calls.Load(),
 		Truncated: t.truncated,
 		Degraded:  t.degraded,

@@ -29,7 +29,8 @@ type Options struct {
 	MaxEntries int
 }
 
-// Stats are the engine's monotonic counters. A cache "hit" includes
+// Stats are what-if counters: an engine's lifetime totals
+// (Engine.Stats) or the work charged to one Tally. A cache "hit" includes
 // joining an in-flight evaluation of the same atom (the singleflight
 // path); "evaluations" counts per-query CostService calls. Hits,
 // misses, and the projection counters are per atom — one
@@ -46,8 +47,8 @@ type Stats struct {
 	// lookup; RelevantDefs / (Hits + Misses) is the mean relevance-set
 	// size the engine actually costed against.
 	RelevantDefs int64 `json:"relevantDefs"`
-	// Resilience aggregates the middleware's retry/breaker/timeout/
-	// panic counters (when the engine's CostService keeps them) plus
+	// Resilience counts the resilience middleware's retries, breaker
+	// trips and rejects, call timeouts and recovered panics, plus the
 	// panics the engine itself recovered; zero-valued when the service
 	// stack has no resilience layer and nothing panicked.
 	Resilience ResilienceStats `json:"resilience,omitzero"`
@@ -68,24 +69,6 @@ func (s Stats) MeanRelevant() float64 {
 		return float64(s.RelevantDefs) / float64(t)
 	}
 	return 0
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (s Stats) Sub(earlier Stats) Stats {
-	return Stats{
-		Hits:          s.Hits - earlier.Hits,
-		Misses:        s.Misses - earlier.Misses,
-		Evaluations:   s.Evaluations - earlier.Evaluations,
-		ProjectedHits: s.ProjectedHits - earlier.ProjectedHits,
-		RelevantDefs:  s.RelevantDefs - earlier.RelevantDefs,
-		Resilience: ResilienceStats{
-			Retries:         s.Resilience.Retries - earlier.Resilience.Retries,
-			BreakerTrips:    s.Resilience.BreakerTrips - earlier.Resilience.BreakerTrips,
-			BreakerRejects:  s.Resilience.BreakerRejects - earlier.Resilience.BreakerRejects,
-			CallTimeouts:    s.Resilience.CallTimeouts - earlier.Resilience.CallTimeouts,
-			PanicsRecovered: s.Resilience.PanicsRecovered - earlier.Resilience.PanicsRecovered,
-		},
-	}
 }
 
 // AtomInfo is the assembly metadata of one query's atom within a
@@ -150,8 +133,9 @@ type Engine struct {
 	shardMask   uint32
 	maxPerShard int
 
-	hits, misses, evals, projHits, relDefs atomic.Int64
-	panics                                 atomic.Int64 // recovered in callService
+	// total is the engine's lifetime tally: every call charges it
+	// alongside the tallies on the call's context.
+	total Tally
 }
 
 // NewEngine wraps the service in a concurrent memoizing engine.
@@ -192,23 +176,11 @@ func NewEngine(svc CostService, o Options) *Engine {
 // Workers returns the engine's evaluation parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// Stats returns a snapshot of the engine counters, merged with the
-// resilience counters of the underlying service stack (when it keeps
-// any) and the engine's own recovered-panic count.
-func (e *Engine) Stats() Stats {
-	s := Stats{
-		Hits:          e.hits.Load(),
-		Misses:        e.misses.Load(),
-		Evaluations:   e.evals.Load(),
-		ProjectedHits: e.projHits.Load(),
-		RelevantDefs:  e.relDefs.Load(),
-	}
-	if src, ok := e.svc.(ResilienceSource); ok {
-		s.Resilience = src.ResilienceCounters()
-	}
-	s.Resilience.PanicsRecovered += e.panics.Load()
-	return s
-}
+// Stats returns the engine's lifetime counters. Their Resilience holds
+// only the panics the engine itself recovered: the middleware charges
+// its counters to each call's tally and keeps its own lifetime totals.
+// For the counts of one request, put a Tally on its context.
+func (e *Engine) Stats() Stats { return e.total.Stats() }
 
 // callService is the engine's single CostService call site: a panic in
 // the backend (or any middleware above it) is recovered into a typed
@@ -217,7 +189,7 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) callService(ctx context.Context, q *querylang.Query, svcCfg []*catalog.IndexDef) (ev QueryEval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.panics.Add(1)
+			charge(ctx, &e.total, &Stats{Resilience: ResilienceStats{PanicsRecovered: 1}})
 			err = NewPanicError("whatif: engine CostService call", r)
 		}
 	}()
@@ -373,6 +345,7 @@ type ownedAtom struct {
 	svcCfg []*catalog.IndexDef
 	val    QueryEval
 	done   bool
+	called bool  // the CostService was called for this atom
 	err    error // this atom's failure, under the batch's error mutex
 }
 
@@ -385,7 +358,11 @@ type ownedAtom struct {
 // owned entries are published (completed values cached, failed ones
 // evicted so waiters retry instead of rejoining a dead entry) before
 // any join is waited on, so in-batch duplicates can never deadlock.
+// The call's lookups and evaluations are gathered in d and charged
+// once, on every return path.
 func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
+	var d Stats
+	defer func() { charge(ctx, &e.total, &d) }()
 	out := make([]*ConfigEval, len(configs))
 	for i := range out {
 		out[i] = &ConfigEval{Queries: make([]QueryEval, len(atoms)), Atoms: make([]AtomInfo, len(atoms))}
@@ -428,8 +405,8 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 			ent := &entry{ready: make(chan struct{})}
 			sh.insert(key, ent, e.maxPerShard)
 			sh.mu.Unlock()
-			e.misses.Add(1)
-			e.relDefs.Add(int64(len(svcCfg)))
+			d.Misses++
+			d.RelevantDefs += int64(len(svcCfg))
 			own = append(own, &ownedAtom{key: key, ent: ent, qi: qi, ci: ci, svcCfg: svcCfg})
 		}
 	}
@@ -480,7 +457,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 						return
 					}
 					o := own[i]
-					e.evals.Add(1)
+					o.called = true
 					ev, err := e.callService(bctx, atoms[o.qi].q, o.svcCfg)
 					if err != nil {
 						fail(o, err)
@@ -499,6 +476,9 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 	// completed values are cached for everyone, failed or cut-off ones
 	// are evicted so waiters retry instead of rejoining a dead entry.
 	for _, o := range own {
+		if o.called {
+			d.Evaluations++
+		}
 		if o.err == nil && o.done {
 			o.ent.val = o.val
 			close(o.ent.ready)
@@ -548,10 +528,10 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 			}
 			// Count the hit only once a shared value actually arrived,
 			// so error churn does not inflate the rate.
-			e.hits.Add(1)
-			e.relDefs.Add(int64(len(j.svcCfg)))
+			d.Hits++
+			d.RelevantDefs += int64(len(j.svcCfg))
 			if j.dropped {
-				e.projHits.Add(1)
+				d.ProjectedHits++
 			}
 			out[j.ci].Queries[j.qi] = j.ent.val
 			out[j.ci].Atoms[j.qi].Hit = true
@@ -573,7 +553,7 @@ func (e *Engine) evalOne(ctx context.Context, q *querylang.Query, svcCfg []*cata
 	if err := ctx.Err(); err != nil {
 		return QueryEval{}, err
 	}
-	e.evals.Add(1)
+	charge(ctx, &e.total, &Stats{Evaluations: 1})
 	return e.callService(ctx, q, svcCfg)
 }
 

@@ -126,8 +126,7 @@ func TestFaultUnderResilientUnderEngine(t *testing.T) {
 	if len(ev.Queries) != 20 || ev.Queries[0].Cost != 90 {
 		t.Fatalf("unexpected results: %+v", ev.Queries[:1])
 	}
-	st := eng.Stats()
-	if st.Resilience.Retries == 0 {
+	if res.ResilienceCounters().Retries == 0 {
 		t.Fatal("expected some retries under 30% faults")
 	}
 	if faults.Injected() == 0 {

@@ -44,10 +44,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("%s: recovered panic: %v", e.Op, e.Value)
 }
 
-// ResilienceStats are the monotonic counters of a ResilientService
-// (plus any panics the Engine itself recovered). They surface through
-// whatif.Stats so every existing stats pipeline (advisor response,
-// xia/xdb output, healthz) sees them without new plumbing.
+// ResilienceStats are the counters of a ResilientService, plus any
+// panics the Engine itself recovered. Both charge them to the tallies
+// on each call's context, so a request's Stats carry its own.
 type ResilienceStats struct {
 	// Retries counts re-attempted CostService calls (not first tries).
 	Retries int64 `json:"retries,omitempty"`
@@ -60,12 +59,6 @@ type ResilienceStats struct {
 	CallTimeouts int64 `json:"callTimeouts,omitempty"`
 	// PanicsRecovered counts panics converted into PanicError.
 	PanicsRecovered int64 `json:"panicsRecovered,omitempty"`
-}
-
-// ResilienceSource is implemented by CostServices that keep resilience
-// counters; the Engine merges them into its Stats snapshot.
-type ResilienceSource interface {
-	ResilienceCounters() ResilienceStats
 }
 
 // BreakerStater is implemented by CostServices whose health can be
@@ -207,7 +200,9 @@ type ResilientService struct {
 	probes    int // admitted, unresolved half-open probes
 	probeWins int // successful probes this half-open cycle
 
-	retries, trips, rejects, timeouts, panics atomic.Int64
+	// total is the middleware's lifetime tally; each call also charges
+	// the tallies on its context.
+	total Tally
 }
 
 // NewResilientService wraps inner with timeouts, retries, and a
@@ -244,15 +239,9 @@ func (s *ResilientService) State() BreakerState {
 	return s.state
 }
 
-// ResilienceCounters implements ResilienceSource.
+// ResilienceCounters returns the middleware's lifetime counters.
 func (s *ResilientService) ResilienceCounters() ResilienceStats {
-	return ResilienceStats{
-		Retries:         s.retries.Load(),
-		BreakerTrips:    s.trips.Load(),
-		BreakerRejects:  s.rejects.Load(),
-		CallTimeouts:    s.timeouts.Load(),
-		PanicsRecovered: s.panics.Load(),
-	}
+	return s.total.Stats().Resilience
 }
 
 // admit decides whether a call may proceed. probe reports that the
@@ -265,7 +254,6 @@ func (s *ResilientService) admit() (probe bool, err error) {
 		return false, nil
 	case BreakerOpen:
 		if s.opts.Now().Sub(s.openedAt) < s.opts.OpenFor {
-			s.rejects.Add(1)
 			return false, fmt.Errorf("%w (cooling down)", ErrCircuitOpen)
 		}
 		s.state = BreakerHalfOpen
@@ -277,7 +265,6 @@ func (s *ResilientService) admit() (probe bool, err error) {
 			s.probes++
 			return true, nil
 		}
-		s.rejects.Add(1)
 		return false, fmt.Errorf("%w (half-open, probes saturated)", ErrCircuitOpen)
 	}
 	return false, nil
@@ -300,7 +287,6 @@ func (s *ResilientService) record(success, probe bool) (tripped bool) {
 		}
 		s.state = BreakerOpen
 		s.openedAt = s.opts.Now()
-		s.trips.Add(1)
 		return true
 	}
 	if success {
@@ -312,16 +298,16 @@ func (s *ResilientService) record(success, probe bool) (tripped bool) {
 		s.state = BreakerOpen
 		s.openedAt = s.opts.Now()
 		s.failures = 0
-		s.trips.Add(1)
 		return true
 	}
 	return false
 }
 
 // attempt runs one inner call under the per-attempt timeout, with
-// panic containment. timedOut reports that the attempt's own deadline
-// (not the caller's) cut it off.
-func (s *ResilientService) attempt(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (ev QueryEval, timedOut bool, err error) {
+// panic containment, counting recovered panics and call timeouts in d.
+// timedOut reports that the attempt's own deadline (not the caller's)
+// cut it off.
+func (s *ResilientService) attempt(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef, d *ResilienceStats) (ev QueryEval, timedOut bool, err error) {
 	actx := ctx
 	var cancel context.CancelFunc
 	if s.opts.CallTimeout > 0 {
@@ -331,14 +317,14 @@ func (s *ResilientService) attempt(ctx context.Context, q *querylang.Query, conf
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.panics.Add(1)
+				d.PanicsRecovered++
 				err = NewPanicError("whatif: resilient CostService call", r)
 			}
 		}()
 		ev, err = s.inner.EvaluateQuery(actx, q, config)
 	}()
 	if err != nil && ctx.Err() == nil && actx.Err() != nil {
-		s.timeouts.Add(1)
+		d.CallTimeouts++
 		return QueryEval{}, true, fmt.Errorf("whatif: call timed out after %s: %w", s.opts.CallTimeout, err)
 	}
 	return ev, false, err
@@ -348,12 +334,16 @@ func (s *ResilientService) attempt(ctx context.Context, q *querylang.Query, conf
 // breaker. Errors that trip the breaker are wrapped so that
 // errors.Is(err, ErrCircuitOpen) holds from the very first failing
 // call of an outage — the degradation path does not have to wait for a
-// second request to observe the open state.
+// second request to observe the open state. The call's counters are
+// charged once, on return.
 func (s *ResilientService) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (QueryEval, error) {
+	var d Stats
+	defer func() { charge(ctx, &s.total, &d) }()
 	seq := s.seq.Add(1)
 	for attempt := 0; ; attempt++ {
 		probe, err := s.admit()
 		if err != nil {
+			d.Resilience.BreakerRejects++
 			return QueryEval{}, err
 		}
 		if err := ctx.Err(); err != nil {
@@ -366,7 +356,7 @@ func (s *ResilientService) EvaluateQuery(ctx context.Context, q *querylang.Query
 			}
 			return QueryEval{}, err
 		}
-		ev, timedOut, err := s.attempt(ctx, q, config)
+		ev, timedOut, err := s.attempt(ctx, q, config, &d.Resilience)
 		if err == nil {
 			s.record(true, probe)
 			return ev, nil
@@ -382,13 +372,14 @@ func (s *ResilientService) EvaluateQuery(ctx context.Context, q *querylang.Query
 		}
 		tripped := s.record(false, probe)
 		if tripped {
+			d.Resilience.BreakerTrips++
 			return QueryEval{}, fmt.Errorf("%w (tripped by: %w)", ErrCircuitOpen, err)
 		}
 		var pe *PanicError
 		if errors.As(err, &pe) || errors.Is(err, ErrCircuitOpen) || attempt >= s.opts.MaxRetries {
 			return QueryEval{}, err
 		}
-		s.retries.Add(1)
+		d.Resilience.Retries++
 		if serr := s.opts.Sleep(ctx, s.backoff(seq, attempt)); serr != nil {
 			return QueryEval{}, serr
 		}

@@ -286,24 +286,30 @@ func (f *fakeRelevanceService) RelevantFilter(q *querylang.Query) func(*catalog.
 	return func(*catalog.IndexDef) bool { return true }
 }
 
-// TestEngineMergesResilienceCounters checks the Engine surfaces the
-// middleware's counters (and its own recovered panics) in Stats.
-func TestEngineMergesResilienceCounters(t *testing.T) {
+// TestResilienceCountersChargeCallTally checks the middleware charges
+// its counters to the tally on the call's context, next to the engine's
+// own counts, and to no other call's.
+func TestResilienceCountersChargeCallTally(t *testing.T) {
 	inner := &scriptService{failN: 2}
 	clk := &fakeClock{}
 	svc := resilientForTest(inner, clk, nil)
 	eng := NewEngine(svc, Options{Workers: 2})
 	q := testQuery()
+	ctx, tally := WithTally(context.Background())
+	if _, err := eng.EvaluateConfig(ctx, []*querylang.Query{q}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rs := svc.ResilienceCounters(); rs.Retries != 2 {
+		t.Fatalf("middleware lifetime retries %d, want 2", rs.Retries)
+	}
+	if got := tally.Stats(); got.Resilience.Retries != 2 || got.Evaluations != 1 {
+		t.Fatalf("the call's tally must carry its retries and evaluation, got %+v", got)
+	}
 	if _, err := eng.EvaluateConfig(context.Background(), []*querylang.Query{q}, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Resilience.Retries != 2 {
-		t.Fatalf("engine stats must include service retries, got %+v", st.Resilience)
-	}
-	st2 := eng.Stats().Sub(st)
-	if st2.Resilience.Retries != 0 {
-		t.Fatalf("Sub must difference resilience counters, got %+v", st2.Resilience)
+	if got := tally.Stats(); got.Resilience.Retries != 2 || got.Hits != 0 {
+		t.Fatalf("a call on another context must not charge the tally, got %+v", got)
 	}
 }
 
