@@ -42,20 +42,16 @@ type evaluator struct {
 	delOverlap map[[2]int]bool
 }
 
-// configEval is the derived evaluation of one configuration.
+// configEval is the derived evaluation of one configuration with the
+// per-query detail assembly reports: the workload-level figures
+// (QueryBenefit, UpdateCost, Net, Used) plus each query's cost and the
+// candidates its plan uses.
 type configEval struct {
+	search.Eval
 	// queryCost[qi] is the estimated cost of query qi under the config.
 	queryCost []float64
 	// usedBy[qi] lists config candidate IDs used by query qi's plan.
 	usedBy [][]int
-	// QueryBenefit is the weighted query benefit (no update cost).
-	QueryBenefit float64
-	// UpdateCost is the weighted maintenance cost of the config.
-	UpdateCost float64
-	// Net is QueryBenefit - UpdateCost.
-	Net float64
-	// UsedSet is the set of candidate IDs used by at least one query.
-	UsedSet map[int]bool
 }
 
 func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*evaluator, error) {
@@ -83,48 +79,15 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 	return ev, nil
 }
 
-// eval returns the evaluation of a configuration. The underlying
-// per-query costs are memoized by the whatif engine; the derivation here
-// is cheap (no optimizer calls).
+// eval returns the evaluation of a configuration with its per-query
+// detail. The underlying per-query costs are memoized by the whatif
+// engine; the derivation here is cheap (no optimizer calls).
 func (ev *evaluator) eval(ctx context.Context, cfg []*Candidate) (*configEval, error) {
-	defs := make([]*catalog.IndexDef, len(cfg))
-	for i, c := range cfg {
-		defs[i] = c.Def
-	}
-	res, err := ev.bound.EvaluateConfig(ctx, defs)
+	res, err := ev.bound.EvaluateConfig(ctx, defsOfCandidates(cfg))
 	if err != nil {
 		return nil, err
 	}
 	return ev.derive(res, cfg), nil
-}
-
-// evalBatch evaluates base+{c} for a burst of candidates as one unit:
-// the whole burst goes to the whatif engine's batch entry point in one
-// dispatch, then each result gets the same cheap derivation as eval.
-// Results are in cands order.
-func (ev *evaluator) evalBatch(ctx context.Context, base, cands []*Candidate) ([]*configEval, error) {
-	baseDefs := make([]*catalog.IndexDef, len(base))
-	for i, c := range base {
-		baseDefs[i] = c.Def
-	}
-	configs := make([][]*catalog.IndexDef, len(cands))
-	cfgs := make([][]*Candidate, len(cands))
-	for i, c := range cands {
-		defs := make([]*catalog.IndexDef, 0, len(base)+1)
-		defs = append(append(defs, baseDefs...), c.Def)
-		configs[i] = defs
-		cfg := make([]*Candidate, 0, len(base)+1)
-		cfgs[i] = append(append(cfg, base...), c)
-	}
-	results, err := ev.bound.EvaluateConfigBatch(ctx, configs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*configEval, len(cands))
-	for i, res := range results {
-		out[i] = ev.derive(res, cfgs[i])
-	}
-	return out, nil
 }
 
 // degradedEval is the conservative fallback evaluation for assembling a
@@ -137,40 +100,63 @@ func (ev *evaluator) evalBatch(ctx context.Context, base, cands []*Candidate) ([
 // overclaims.
 func (ev *evaluator) degradedEval(cfg []*Candidate) *configEval {
 	out := &configEval{
+		Eval:      search.Eval{Used: map[int]bool{}},
 		queryCost: append([]float64(nil), ev.baseCost...),
 		usedBy:    make([][]int, len(ev.baseCost)),
-		UsedSet:   map[int]bool{},
 	}
 	out.UpdateCost = ev.updateCost(cfg)
 	out.Net = -out.UpdateCost
 	return out
 }
 
-// derive turns the engine's per-query costs into the workload-level
-// aggregates (weighted benefit, update cost, candidate usage). No
+// aggregate turns the engine's per-query costs into the workload-level
+// figures strategies rank by: weighted benefit, update cost, and the
+// candidates some query's plan uses (Used stays nil when none is). No
 // optimizer calls.
-func (ev *evaluator) derive(res *whatif.ConfigEval, cfg []*Candidate) *configEval {
-	defByName := make(map[string]int, len(cfg))
-	for _, c := range cfg {
-		defByName[c.Def.Name] = c.ID
-	}
-	out := &configEval{UsedSet: map[int]bool{}}
+func (ev *evaluator) aggregate(res *whatif.ConfigEval, cfg []*Candidate) search.Eval {
+	var out search.Eval
 	for qi, e := range ev.w.Queries {
 		qe := res.Queries[qi]
-		out.queryCost = append(out.queryCost, qe.Cost)
-		var used []int
 		for _, name := range qe.UsedIndexes {
-			if id, ok := defByName[name]; ok {
-				used = append(used, id)
-				out.UsedSet[id] = true
+			if id, ok := candidateNamed(cfg, name); ok {
+				if out.Used == nil {
+					out.Used = map[int]bool{}
+				}
+				out.Used[id] = true
 			}
 		}
-		out.usedBy = append(out.usedBy, used)
 		out.QueryBenefit += e.Weight * (ev.baseCost[qi] - qe.Cost)
 	}
 	out.UpdateCost = ev.updateCost(cfg)
 	out.Net = out.QueryBenefit - out.UpdateCost
 	return out
+}
+
+// derive is aggregate plus the per-query detail assembly reports.
+func (ev *evaluator) derive(res *whatif.ConfigEval, cfg []*Candidate) *configEval {
+	n := len(ev.w.Queries)
+	out := &configEval{Eval: ev.aggregate(res, cfg), queryCost: make([]float64, n), usedBy: make([][]int, n)}
+	for qi := range ev.w.Queries {
+		qe := res.Queries[qi]
+		out.queryCost[qi] = qe.Cost
+		for _, name := range qe.UsedIndexes {
+			if id, ok := candidateNamed(cfg, name); ok {
+				out.usedBy[qi] = append(out.usedBy[qi], id)
+			}
+		}
+	}
+	return out
+}
+
+// candidateNamed returns the ID of the candidate of cfg whose definition
+// is called name (the last such, should several be).
+func candidateNamed(cfg []*Candidate, name string) (int, bool) {
+	for i := len(cfg) - 1; i >= 0; i-- {
+		if cfg[i].Def.Name == name {
+			return cfg[i].ID, true
+		}
+	}
+	return 0, false
 }
 
 // searchEvaluator adapts the advisor's evaluator to the search layer's
@@ -183,33 +169,40 @@ type searchEvaluator struct {
 
 // Evaluate prices the configuration for the search layer.
 func (s searchEvaluator) Evaluate(ctx context.Context, cfg []*Candidate) (*search.Eval, error) {
-	e, err := s.ev.eval(ctx, cfg)
+	res, err := s.ev.bound.EvaluateConfig(ctx, defsOfCandidates(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return &search.Eval{
-		QueryBenefit: e.QueryBenefit,
-		UpdateCost:   e.UpdateCost,
-		Net:          e.Net,
-		Used:         e.UsedSet,
-	}, nil
+	e := s.ev.aggregate(res, cfg)
+	return &e, nil
 }
 
 // EvaluateBatch prices base+{c} for a whole burst of candidates in one
 // whatif-engine dispatch — the search layer's BatchEvaluator fast path.
+// Results are in cands order.
 func (s searchEvaluator) EvaluateBatch(ctx context.Context, base, cands []*search.Candidate) ([]*search.Eval, error) {
-	evals, err := s.ev.evalBatch(ctx, base, cands)
+	// Every configuration is base+{c}: build them all in one backing
+	// array each, candidates and definitions.
+	w := len(base) + 1
+	cfgs := make([]*Candidate, 0, len(cands)*w)
+	defs := make([]*catalog.IndexDef, 0, len(cands)*w)
+	configs := make([][]*catalog.IndexDef, len(cands))
+	for i, c := range cands {
+		cfgs = append(append(cfgs, base...), c)
+		for _, b := range cfgs[i*w:] {
+			defs = append(defs, b.Def)
+		}
+		configs[i] = defs[i*w : (i+1)*w : (i+1)*w]
+	}
+	results, err := s.ev.bound.EvaluateConfigBatch(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*search.Eval, len(evals))
-	for i, e := range evals {
-		out[i] = &search.Eval{
-			QueryBenefit: e.QueryBenefit,
-			UpdateCost:   e.UpdateCost,
-			Net:          e.Net,
-			Used:         e.UsedSet,
-		}
+	evals := make([]search.Eval, len(cands))
+	out := make([]*search.Eval, len(cands))
+	for i, res := range results {
+		evals[i] = s.ev.aggregate(res, cfgs[i*w:(i+1)*w:(i+1)*w])
+		out[i] = &evals[i]
 	}
 	return out, nil
 }

@@ -30,6 +30,10 @@ const pairCacheCapacity = 1 << pairCacheShift
 // entries always carry the presence bit.
 type pairCache struct {
 	slots []atomic.Uint64
+	// used counts the occupied slots. A slot never returns to 0 once
+	// filled, so counting the puts that found it empty keeps Size exact
+	// without scanning the table.
+	used atomic.Int64
 }
 
 func newPairCache() *pairCache {
@@ -57,18 +61,12 @@ func (c *pairCache) put(p, q ID, v bool) {
 	if v {
 		enc |= 1
 	}
-	c.slots[idx].Store(enc)
+	if c.slots[idx].Swap(enc) == 0 {
+		c.used.Add(1)
+	}
 }
 
-func (c *pairCache) len() int {
-	n := 0
-	for i := range c.slots {
-		if c.slots[i].Load() != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *pairCache) len() int { return int(c.used.Load()) }
 
 // kernel bundles the interner with the pair caches its IDs key. Reset
 // swaps the whole bundle atomically, so a concurrent caller racing a

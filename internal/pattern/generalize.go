@@ -37,8 +37,7 @@ func PairwiseLUB(p, q Pattern) (Pattern, bool) {
 	if !diff {
 		return Pattern{}, false
 	}
-	out := Pattern{Steps: steps}
-	out.str = out.render()
+	out := FromSteps(steps)
 	if out.Equal(p) || out.Equal(q) {
 		return Pattern{}, false
 	}
@@ -87,8 +86,7 @@ func DescendantLeaf(p Pattern) (Pattern, bool) {
 	}
 	last := p.Last()
 	last.Axis = Descendant
-	out := Pattern{Steps: []Step{last}}
-	out.str = out.render()
+	out := FromSteps([]Step{last})
 	if out.Equal(p) {
 		return Pattern{}, false
 	}
@@ -100,9 +98,7 @@ func DescendantLeaf(p Pattern) (Pattern, bool) {
 // for its kind and the virtual-index pattern planted by the Enumerate
 // Indexes optimizer mode.
 func UniversalFor(kind TestKind) Pattern {
-	out := Pattern{Steps: []Step{{Axis: Descendant, Kind: kind}}}
-	out.str = out.render()
-	return out
+	return FromSteps([]Step{{Axis: Descendant, Kind: kind}})
 }
 
 // RelaxAxisAt returns a copy of p whose i-th step's axis is relaxed from

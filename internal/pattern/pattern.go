@@ -135,9 +135,7 @@ func Parse(s string) (Pattern, error) {
 			return Pattern{}, fmt.Errorf("pattern %q: %s step must be last", orig, st)
 		}
 	}
-	p := Pattern{Steps: steps}
-	p.str = p.render()
-	return p, nil
+	return FromSteps(steps), nil
 }
 
 func parseStep(tok string) (Step, error) {
@@ -205,6 +203,16 @@ func (p Pattern) render() string {
 	return sb.String()
 }
 
+// FromSteps returns the pattern made of steps (which it keeps, not
+// copies), with the canonical form rendered once up front, so String,
+// interning and containment probes never re-render it. The steps are
+// not validated; Parse is the checked constructor.
+func FromSteps(steps []Step) Pattern {
+	p := Pattern{Steps: steps}
+	p.str = p.render()
+	return p
+}
+
 // String returns the canonical textual form of the pattern.
 func (p Pattern) String() string {
 	if p.str == "" && len(p.Steps) > 0 {
@@ -252,17 +260,14 @@ func (p Pattern) Clone() Pattern {
 // re-rendering. It panics if n exceeds p's length; Prefix(0) is the
 // zero pattern.
 func (p Pattern) Prefix(n int) Pattern {
-	q := Pattern{Steps: p.Steps[:n:n]}
-	q.str = q.render()
-	return q
+	return FromSteps(p.Steps[:n:n])
 }
 
 // WithStep returns a copy of p whose i-th step is replaced by st.
 func (p Pattern) WithStep(i int, st Step) Pattern {
-	q := p.Clone()
-	q.Steps[i] = st
-	q.str = q.render()
-	return q
+	steps := append([]Step(nil), p.Steps...)
+	steps[i] = st
+	return FromSteps(steps)
 }
 
 // WildcardCount returns the number of wildcard steps, a simple measure of

@@ -119,7 +119,7 @@ func (q *Query) Legs() []Leg {
 		// Normalize: an element's indexed value is its text, so a leg
 		// on .../text() is served by an index on the parent element.
 		if last := l.Pattern.Last(); last.Kind == pattern.TestText && l.Pattern.Len() > 1 {
-			l.Pattern = pattern.Pattern{Steps: l.Pattern.Steps[:l.Pattern.Len()-1]}
+			l.Pattern = l.Pattern.Prefix(l.Pattern.Len() - 1)
 		}
 		k := l.Key()
 		if !seen[k] {
@@ -168,7 +168,10 @@ func (lc *legCollector) collectPath(e *xpath.PathExpr, prefix pattern.Pattern, d
 	steps = append(steps, prefix.Steps...)
 	for _, st := range e.Steps {
 		steps = append(steps, pattern.Step{Axis: st.Axis, Kind: st.Kind, Name: st.Name})
-		cur := pattern.Pattern{Steps: append([]pattern.Step(nil), steps...)}
+		if len(st.Preds) == 0 {
+			continue
+		}
+		cur := pattern.FromSteps(append([]pattern.Step(nil), steps...))
 		for _, pr := range st.Preds {
 			lc.collectBool(pr, cur, disjunct, group)
 		}

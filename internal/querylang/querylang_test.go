@@ -273,3 +273,28 @@ func TestLegKeyDistinguishesOutput(t *testing.T) {
 		t.Error("output flag must be part of the leg key")
 	}
 }
+
+// TestLegPatternsCarryCanonicalString: every leg pattern is built with
+// its canonical form rendered, so String — which interning and every
+// containment probe by pattern call — never allocates.
+func TestLegPatternsCarryCanonicalString(t *testing.T) {
+	for _, src := range []string{
+		`for $i in collection("items")/site/regions/*/item[price > 100 and quantity > 2] return $i/name`,
+		`for $i in collection("items")/site/open_auctions/open_auction
+for $b in $i/bidder
+let $inc := $b/increase
+where $inc > 10 or $i/initial/text() >= 100
+return ($i/itemref/@item, $b/date)`,
+		`SELECT XMLQUERY('$d/site/item/name' PASSING doc AS "d") FROM items WHERE XMLEXISTS('$d/site/item[price > 100]' PASSING doc AS "d") AND XMLEXISTS('$d/site/item[@id = "x"]' PASSING doc AS "d")`,
+	} {
+		q, err := ParseAuto(src)
+		if err != nil {
+			t.Fatalf("ParseAuto(%q): %v", src, err)
+		}
+		for _, l := range q.Legs() {
+			if n := testing.AllocsPerRun(10, func() { _ = l.Pattern.String() }); n != 0 {
+				t.Errorf("leg %s: String allocates %.0f times per call", l, n)
+			}
+		}
+	}
+}

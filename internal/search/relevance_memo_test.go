@@ -1,0 +1,241 @@
+package search_test
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/optimizer"
+	"repro/internal/pattern"
+	"repro/internal/querylang"
+	"repro/internal/sqltype"
+	"repro/internal/whatif"
+	"repro/internal/workload"
+)
+
+// memoDefs returns the real workloads, each one's prepared candidate
+// definitions, definitions outside every space (universal patterns of
+// every type on every collection), and the universe of the
+// relevance-memo tests: every workload's candidates (so each
+// workload's queries also meet other spaces' definitions), a
+// same-content copy of each (distinct pointers must decide and key
+// alike), and the outsiders.
+func memoDefs(t *testing.T) (ws map[string]*workload.Workload, spaces map[string][]*catalog.IndexDef, outside, all []*catalog.IndexDef) {
+	t.Helper()
+	proj, _ := advisorPair(t, 2)
+	ws = propertyWorkloads(t)
+	spaces = map[string][]*catalog.IndexDef{}
+	colls := map[string]bool{}
+	for name, w := range ws {
+		prep, err := proj.Prepare(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range prep.Space().Candidates {
+			spaces[name] = append(spaces[name], c.Def)
+			cp := *c.Def
+			all = append(all, c.Def, &cp)
+		}
+		for _, q := range w.QueryList() {
+			colls[q.Collection] = true
+		}
+	}
+	for coll := range colls {
+		for _, typ := range sqltype.Types {
+			for _, kind := range []pattern.TestKind{pattern.TestElem, pattern.TestAttr} {
+				outside = append(outside, &catalog.IndexDef{Name: "OUTSIDE", Collection: coll,
+					Pattern: pattern.UniversalFor(kind), Type: typ, Virtual: true, EstPages: 1})
+			}
+		}
+	}
+	return ws, spaces, outside, append(all, outside...)
+}
+
+// memoEngines returns, per label, a fresh engine over the optimizer
+// service and whether its relevance predicate is on: one exposing
+// RelevanceService, and one behind a wrapper that hides it
+// (collection-only projection).
+func memoEngines(t *testing.T) map[string]struct {
+	eng  *whatif.Engine
+	pred bool
+} {
+	t.Helper()
+	proj, _ := advisorPair(t, 2)
+	svc := whatif.NewOptimizerService(proj.Optimizer())
+	return map[string]struct {
+		eng  *whatif.Engine
+		pred bool
+	}{
+		"relevance":       {whatif.NewEngine(svc, whatif.Options{Workers: 2}), true},
+		"collection-only": {whatif.NewEngine(hideRelevance(svc), whatif.Options{Workers: 2}), false},
+	}
+}
+
+// referenceKeeps is the projection rule the memo must reproduce,
+// evaluated with the predicate on every call.
+func referenceKeeps(qs []*querylang.Query, pred bool) func(qi int, d *catalog.IndexDef) bool {
+	preds := make([]func(*catalog.IndexDef) bool, len(qs))
+	if pred {
+		for qi, q := range qs {
+			preds[qi] = optimizer.RelevantFilter(q)
+		}
+	}
+	return func(qi int, d *catalog.IndexDef) bool {
+		return d.Collection == qs[qi].Collection && (preds[qi] == nil || preds[qi](d))
+	}
+}
+
+// TestRelevanceMemoDifferential checks the Bound's once-per-definition
+// relevance memo against the predicate it caches. For every (query,
+// definition) pair of xmark, tpox and paper — definitions in and
+// outside the query's space, with and without RelevanceService — the
+// memo's decision equals optimizer.RelevantFilter (plus the collection
+// filter). On random configurations, RelevantCounts, each atom's
+// Relevant size and the cached atom keys equal a reference computed
+// with the predicate and ConfigKey.
+func TestRelevanceMemoDifferential(t *testing.T) {
+	ctx := context.Background()
+	ws, spaces, outside, all := memoDefs(t)
+	for label, e := range memoEngines(t) {
+		for name, w := range ws {
+			qs := w.QueryList()
+			keeps := referenceKeeps(qs, e.pred)
+			b := e.eng.Bind(qs)
+			for _, d := range all {
+				got := b.RelevantCounts([]*catalog.IndexDef{d})
+				for qi := range qs {
+					if want := keeps(qi, d); (got[qi] == 1) != want || got[qi] > 1 {
+						t.Fatalf("%s/%s: query %d, def %s %s: memo %d, predicate %v",
+							label, name, qi, d.Name, d.Pattern, got[qi], want)
+					}
+				}
+			}
+
+			// Random configurations over the space plus outsiders, on a
+			// fresh Bind so the configurations meet an empty memo.
+			b = e.eng.Bind(qs)
+			rng := rand.New(rand.NewSource(int64(len(name) + len(label))))
+			pool := append(append([]*catalog.IndexDef(nil), spaces[name]...), outside...)
+			configs := [][]*catalog.IndexDef{nil}
+			for len(configs) < 16 {
+				cfg := make([]*catalog.IndexDef, 1+rng.Intn(8))
+				for i := range cfg {
+					cfg[i] = pool[rng.Intn(len(pool))]
+				}
+				configs = append(configs, cfg)
+			}
+			want := map[string]bool{}
+			for ci, cfg := range configs {
+				counts := b.RelevantCounts(cfg)
+				for qi := range qs {
+					var sub []*catalog.IndexDef
+					for _, d := range cfg {
+						if keeps(qi, d) {
+							sub = append(sub, d)
+						}
+					}
+					if counts[qi] != len(sub) {
+						t.Fatalf("%s/%s config %d query %d: RelevantCounts %d, reference %d",
+							label, name, ci, qi, counts[qi], len(sub))
+					}
+					want[e.eng.Bind(qs[qi : qi+1]).KeyPrefixes()[0]+whatif.ConfigKey(sub)] = true
+				}
+			}
+			evs, err := b.EvaluateConfigBatch(ctx, configs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, ev := range evs {
+				counts := b.RelevantCounts(configs[ci])
+				for qi, a := range ev.Atoms {
+					if a.Relevant != counts[qi] {
+						t.Fatalf("%s/%s config %d query %d: atom Relevant %d, RelevantCounts %d",
+							label, name, ci, qi, a.Relevant, counts[qi])
+					}
+				}
+			}
+			// The engine saw only this batch since its last flush, so its
+			// cache holds exactly the reference keys.
+			var gotKeys, wantKeys []string
+			for _, a := range e.eng.ExportAtoms(nil) {
+				gotKeys = append(gotKeys, a.Key)
+			}
+			for k := range want {
+				wantKeys = append(wantKeys, k)
+			}
+			sort.Strings(wantKeys)
+			if !slices.Equal(gotKeys, wantKeys) {
+				t.Fatalf("%s/%s: cached atom keys differ from the reference: %d vs %d keys",
+					label, name, len(gotKeys), len(wantKeys))
+			}
+			e.eng.Flush()
+		}
+	}
+}
+
+// containsProbes is the containment kernel's lifetime probe count.
+func containsProbes() int64 {
+	s := pattern.Stats().Contains
+	return s.Hits + s.Misses
+}
+
+// TestWarmLookupsProbeFree pins the point of the relevance memo: once
+// a Bound has seen a configuration, evaluating it again — and counting
+// its relevant sizes — makes no containment probe at all, cached or
+// not. The same holds end to end for a repeated recommend on a
+// prepared session.
+func TestWarmLookupsProbeFree(t *testing.T) {
+	ctx := context.Background()
+	proj, _ := advisorPair(t, 2)
+	for name, w := range propertyWorkloads(t) {
+		prep, err := proj.Prepare(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := prep.Space().Candidates
+		eng := whatif.NewEngine(whatif.NewOptimizerService(proj.Optimizer()), whatif.Options{Workers: 2})
+		b := eng.Bind(w.QueryList())
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		var configs [][]*catalog.IndexDef
+		for len(configs) < 12 {
+			cfg := make([]*catalog.IndexDef, 1+rng.Intn(6))
+			for i := range cfg {
+				cfg[i] = cands[rng.Intn(len(cands))].Def
+			}
+			configs = append(configs, cfg)
+		}
+		if _, err := b.EvaluateConfigBatch(ctx, configs); err != nil {
+			t.Fatal(err)
+		}
+		before, stats := containsProbes(), eng.Stats()
+		for _, cfg := range configs {
+			if _, err := b.EvaluateConfig(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			b.RelevantCounts(cfg)
+		}
+		if got := containsProbes() - before; got != 0 {
+			t.Errorf("%s: re-evaluating seen configurations made %d containment probes, want 0", name, got)
+		}
+		if got := eng.Stats().Misses - stats.Misses; got != 0 {
+			t.Errorf("%s: re-evaluation missed %d atoms, want 0", name, got)
+		}
+
+		if _, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0); err != nil {
+			t.Fatal(err)
+		}
+		before = containsProbes()
+		rec, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := containsProbes() - before; got != 0 || rec.Kernel.Contains.Hits+rec.Kernel.Contains.Misses != 0 {
+			t.Errorf("%s: repeated recommend made %d containment probes (response reports %d), want 0",
+				name, got, rec.Kernel.Contains.Hits+rec.Kernel.Contains.Misses)
+		}
+	}
+}

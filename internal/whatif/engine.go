@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,9 +86,9 @@ type AtomInfo struct {
 // (in input order) under the configuration, reassembled from
 // per-(query, projected sub-config) atoms. Atoms is parallel to
 // Queries and describes the assembly of this particular call; the
-// QueryEval contents are shared with the cache and must not be mutated.
+// QueryEvals are the cache's own and must not be mutated.
 type ConfigEval struct {
-	Queries []QueryEval
+	Queries []*QueryEval
 	Atoms   []AtomInfo
 }
 
@@ -122,7 +123,8 @@ type cacheShard struct {
 // over-approximation via the containment kernel) are part of the
 // query's cache key and its CostService call, so evaluating base+{c}
 // after base only pays optimizer calls for the queries c is relevant
-// to. It is safe for concurrent use.
+// to. Relevance is decided once per (bound query, definition) pair; see
+// Bound. It is safe for concurrent use.
 type Engine struct {
 	svc     CostService
 	rel     RelevanceService // nil: collection-only projection
@@ -197,16 +199,26 @@ func (e *Engine) callService(ctx context.Context, q *querylang.Query, svcCfg []*
 }
 
 // ConfigKey is the canonical, order-insensitive cache key of a
-// configuration. Every field is length- or terminator-delimited so that
+// configuration: its definitions' key parts, sorted and joined by
+// partSep. Every field is length- or terminator-delimited so that
 // distinct definitions can never concatenate to the same key.
 func ConfigKey(config []*catalog.IndexDef) string {
 	parts := make([]string, len(config))
 	for i, d := range config {
-		parts[i] = fmt.Sprintf("%d:%s|%d:%s|%s|%s",
-			len(d.Name), d.Name, len(d.Collection), d.Collection, d.Pattern.String(), d.Type.Short())
+		parts[i] = defPart(d)
 	}
 	sort.Strings(parts)
-	return strings.Join(parts, "\x1e")
+	return strings.Join(parts, partSep)
+}
+
+// partSep separates the definition parts of a ConfigKey.
+const partSep = "\x1e"
+
+// defPart is one definition's part of a ConfigKey.
+func defPart(d *catalog.IndexDef) string {
+	return strconv.Itoa(len(d.Name)) + ":" + d.Name + "|" +
+		strconv.Itoa(len(d.Collection)) + ":" + d.Collection + "|" +
+		d.Pattern.String() + "|" + d.Type.Short()
 }
 
 // queryKey fingerprints one query so atoms from different workloads (or
@@ -220,10 +232,16 @@ func queryKey(q *querylang.Query) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-func (e *Engine) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return e.shards[h.Sum32()&e.shardMask]
+// shard returns the key's shard, chosen by the key's 32-bit FNV-1a
+// hash. It takes the key as a string or as the bytes of one, so a
+// lookup built in a scratch buffer allocates no string.
+func shard[K string | []byte](e *Engine, key K) *cacheShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return e.shards[h&e.shardMask]
 }
 
 // EvaluateQuery costs one query under the configuration, uncached.
@@ -232,32 +250,83 @@ func (e *Engine) EvaluateQuery(ctx context.Context, q *querylang.Query, config [
 }
 
 // atomPlan is the per-query half of an atom key, fixed at Bind time:
-// the query fingerprint prefix and its relevance predicate.
+// the query, its index in the Bound (the bit that holds its relevance
+// in every definition's memo), the fingerprint prefix and the relevance
+// predicate.
 type atomPlan struct {
 	q        *querylang.Query
+	qi       int
 	prefix   string
 	relevant func(*catalog.IndexDef) bool // nil: collection filter only
 }
 
-// Bound is a what-if evaluation scope over a fixed query list: the
-// per-query fingerprints and relevance predicates are computed once, so
-// per-configuration lookups on the hot search path only project and
-// canonicalize the configuration.
+// defMemo is what a Bound decides about one definition on first sight:
+// its ConfigKey part and, per bound query, whether the query's
+// projection keeps it (same collection, and accepted by the query's
+// relevance predicate).
+type defMemo struct {
+	part string
+	rel  []uint64 // bit qi set: bound query qi keeps the definition
+}
+
+func (m *defMemo) keeps(qi int) bool { return m.rel[qi>>6]&(1<<(qi&63)) != 0 }
+
+// Bound is a what-if evaluation scope over a fixed query list. The
+// per-query fingerprints and relevance predicates are computed at Bind.
+// Each definition's relevance to every bound query, and its key part,
+// are decided once, the first time the definition is evaluated or
+// counted on the Bound, so a lookup on the hot search path is a bit
+// test per definition plus a join of cached parts. The memo is keyed by
+// definition pointer and lives as long as the Bound: a definition must
+// not be mutated once the Bound has seen it.
 type Bound struct {
 	eng   *Engine
 	atoms []atomPlan
+	// defs maps each definition seen to its *defMemo. It is written once
+	// per definition and read on every lookup after that, so reads take
+	// no lock.
+	defs sync.Map
 }
 
 // Bind fixes the query list the engine evaluates configurations over.
 func (e *Engine) Bind(queries []*querylang.Query) *Bound {
 	b := &Bound{eng: e, atoms: make([]atomPlan, len(queries))}
 	for i, q := range queries {
-		b.atoms[i] = atomPlan{q: q, prefix: queryKey(q) + "\x1f"}
+		b.atoms[i] = atomPlan{q: q, qi: i, prefix: queryKey(q) + "\x1f"}
 		if e.rel != nil {
 			b.atoms[i].relevant = e.rel.RelevantFilter(q)
 		}
 	}
 	return b
+}
+
+// memos appends the memo of every definition of config to dst, in
+// config order, deciding the definitions the Bound has not seen yet.
+func (b *Bound) memos(dst []*defMemo, config []*catalog.IndexDef) []*defMemo {
+	for _, d := range config {
+		m, ok := b.defs.Load(d)
+		if !ok {
+			dst = append(dst, b.learn(d))
+			continue
+		}
+		dst = append(dst, m.(*defMemo))
+	}
+	return dst
+}
+
+// learn decides d's relevance to every bound query and renders its key
+// part. Concurrent first sights of one definition may both decide it;
+// the first to publish wins, and the decisions agree anyway.
+func (b *Bound) learn(d *catalog.IndexDef) *defMemo {
+	m := &defMemo{part: defPart(d), rel: make([]uint64, (len(b.atoms)+63)/64)}
+	for qi := range b.atoms {
+		p := &b.atoms[qi]
+		if d.Collection == p.q.Collection && (p.relevant == nil || p.relevant(d)) {
+			m.rel[qi>>6] |= 1 << (qi & 63)
+		}
+	}
+	prev, _ := b.defs.LoadOrStore(d, m)
+	return prev.(*defMemo)
 }
 
 // Queries returns the bound query list (in evaluation order).
@@ -274,9 +343,12 @@ func (b *Bound) Queries() []*querylang.Query {
 // the query at all. No CostService calls.
 func (b *Bound) RelevantCounts(config []*catalog.IndexDef) []int {
 	out := make([]int, len(b.atoms))
-	for i := range b.atoms {
-		proj, _ := b.eng.projectAtom(&b.atoms[i], config)
-		out[i] = len(proj)
+	for _, m := range b.memos(nil, config) {
+		for qi := range out {
+			if m.keeps(qi) {
+				out[qi]++
+			}
+		}
 	}
 	return out
 }
@@ -284,7 +356,7 @@ func (b *Bound) RelevantCounts(config []*catalog.IndexDef) []int {
 // EvaluateConfig costs every bound query under the configuration; see
 // Engine.EvaluateConfig.
 func (b *Bound) EvaluateConfig(ctx context.Context, config []*catalog.IndexDef) (*ConfigEval, error) {
-	evs, err := b.eng.evaluateBatch(ctx, b.atoms, [][]*catalog.IndexDef{config})
+	evs, err := b.evaluateBatch(ctx, b.atoms, [][]*catalog.IndexDef{config})
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +372,7 @@ func (b *Bound) EvaluateConfig(ctx context.Context, config []*catalog.IndexDef) 
 // match calling EvaluateConfig per configuration. Lazy-greedy
 // re-evaluation bursts are the intended caller.
 func (b *Bound) EvaluateConfigBatch(ctx context.Context, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
-	return b.eng.evaluateBatch(ctx, b.atoms, configs)
+	return b.evaluateBatch(ctx, b.atoms, configs)
 }
 
 // EvaluateConfig costs every query under the configuration, memoized
@@ -312,27 +384,41 @@ func (e *Engine) EvaluateConfig(ctx context.Context, queries []*querylang.Query,
 	return e.Bind(queries).EvaluateConfig(ctx, config)
 }
 
-// projectAtom returns the sub-config the atom's query is costed
-// against — the collection's definitions, restricted to the relevance
-// predicate when the service provides one — plus whether any
-// definition of the full configuration was dropped.
-func (e *Engine) projectAtom(p *atomPlan, config []*catalog.IndexDef) ([]*catalog.IndexDef, bool) {
+// appendKey appends the atom key of the query's projection of a
+// configuration to dst: the query prefix plus the kept definitions'
+// parts joined by partSep, given the configuration's memos sorted by
+// part. That is byte-identical to prefix + ConfigKey(projected
+// sub-config). It also returns the projected size.
+func (p *atomPlan) appendKey(dst []byte, sorted []*defMemo) ([]byte, int) {
+	dst = append(dst, p.prefix...)
 	n := 0
-	for _, d := range config {
-		if d.Collection == p.q.Collection && (p.relevant == nil || p.relevant(d)) {
-			n++
+	for _, m := range sorted {
+		if !m.keeps(p.qi) {
+			continue
 		}
+		if n > 0 {
+			dst = append(dst, partSep...)
+		}
+		dst = append(dst, m.part...)
+		n++
 	}
+	return dst, n
+}
+
+// project returns the sub-config the atom's query is costed against:
+// the definitions of config (whose memos are parallel to it) that the
+// query keeps, in config order, or config itself when it keeps all.
+func (p *atomPlan) project(config []*catalog.IndexDef, memos []*defMemo, n int) []*catalog.IndexDef {
 	if n == len(config) {
-		return config, false
+		return config
 	}
 	out := make([]*catalog.IndexDef, 0, n)
-	for _, d := range config {
-		if d.Collection == p.q.Collection && (p.relevant == nil || p.relevant(d)) {
+	for i, d := range config {
+		if memos[i].keeps(p.qi) {
 			out = append(out, d)
 		}
 	}
-	return out, true
+	return out
 }
 
 // ownedAtom is one atom this batch owns the evaluation of: its
@@ -349,65 +435,86 @@ type ownedAtom struct {
 	err    error // this atom's failure, under the batch's error mutex
 }
 
-// evaluateBatch is the engine's one evaluation path: a registration
-// pass projects every (configuration, query) pair to its atom key and
-// either claims it (first occurrence anywhere — in the cache, in
-// flight, or earlier in this very batch) or records a join; the owned
-// atoms are drained by a fixed worker pool over one flat task list,
-// each worker holding one engine semaphore slot for its lifetime;
-// owned entries are published (completed values cached, failed ones
-// evicted so waiters retry instead of rejoining a dead entry) before
-// any join is waited on, so in-batch duplicates can never deadlock.
-// The call's lookups and evaluations are gathered in d and charged
-// once, on every return path.
-func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
+// evaluateBatch is the engine's one evaluation path, over atoms (b's
+// whole query list, or one atom of it on the retry path — each atom
+// finds its relevance bits by its own index, not its position in
+// atoms): a registration pass projects every (configuration, query)
+// pair to its atom key and either claims it (first occurrence anywhere
+// — in the cache, in flight, or earlier in this very batch), reads a
+// completed cached value at once, or records a join on an entry still
+// in flight; the owned atoms are drained by a fixed worker pool over one
+// flat task list, each worker holding one engine semaphore slot for its
+// lifetime; owned entries are published (completed values cached,
+// failed ones evicted so waiters retry instead of rejoining a dead
+// entry) before any join is waited on, so in-batch duplicates can never
+// deadlock. The call's lookups and evaluations are gathered in d and
+// charged once, on every return path.
+func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
+	e := b.eng
 	var d Stats
 	defer func() { charge(ctx, &e.total, &d) }()
+	// One backing array each for the batch's results, so a warm batch
+	// allocates a handful of objects however many atoms it looks up.
 	out := make([]*ConfigEval, len(configs))
+	evs := make([]ConfigEval, len(configs))
+	queries := make([]*QueryEval, len(configs)*len(atoms))
+	infos := make([]AtomInfo, len(configs)*len(atoms))
 	for i := range out {
-		out[i] = &ConfigEval{Queries: make([]QueryEval, len(atoms)), Atoms: make([]AtomInfo, len(atoms))}
+		lo, hi := i*len(atoms), (i+1)*len(atoms)
+		evs[i] = ConfigEval{Queries: queries[lo:hi:hi], Atoms: infos[lo:hi:hi]}
+		out[i] = &evs[i]
 	}
 	type joinedAtom struct {
-		ent     *entry
-		qi, ci  int
-		svcCfg  []*catalog.IndexDef
-		dropped bool
+		ent    *entry
+		qi, ci int
 	}
 	var own []*ownedAtom
 	var joins []joinedAtom
+	// served tallies the hits on completed entries, which are read at
+	// once instead of joined; they count only if the batch succeeds,
+	// like the hits of joins.
+	var served Stats
+	var (
+		key    = make([]byte, 0, 512) // scratch: only an owned atom's key becomes a string
+		memos  []*defMemo             // scratch: the configuration's memos, in config order
+		sorted []*defMemo             // scratch: the same memos, sorted by key part
+	)
 	for ci, cfg := range configs {
-		fullSuffix := "" // ConfigKey(cfg), computed at most once
+		memos = b.memos(memos[:0], cfg)
+		sorted = append(sorted[:0], memos...)
+		slices.SortFunc(sorted, func(x, y *defMemo) int { return strings.Compare(x.part, y.part) })
 		for qi := range atoms {
 			p := &atoms[qi]
-			svcCfg, dropped := e.projectAtom(p, cfg)
-			var suffix string
-			if dropped {
-				suffix = ConfigKey(svcCfg)
-			} else {
-				if fullSuffix == "" && len(cfg) > 0 {
-					fullSuffix = ConfigKey(cfg)
-				}
-				suffix = fullSuffix
-			}
-			out[ci].Atoms[qi].Relevant = len(svcCfg)
-			key := p.prefix + suffix
-			sh := e.shard(key)
+			var n int
+			key, n = p.appendKey(key[:0], sorted)
+			out[ci].Atoms[qi].Relevant = n
+			sh := shard(e, key)
 			sh.mu.Lock()
-			if ent, ok := sh.m[key]; ok {
+			if ent, ok := sh.m[string(key)]; ok {
 				sh.mu.Unlock()
-				// Cached or in flight (possibly owned by this very
-				// batch, a duplicate projected sub-config): wait after
+				if completed(ent) {
+					served.Hits++
+					served.RelevantDefs += int64(n)
+					if n < len(cfg) {
+						served.ProjectedHits++
+					}
+					out[ci].Queries[qi] = &ent.val
+					out[ci].Atoms[qi].Hit = true
+					continue
+				}
+				// In flight (possibly owned by this very batch, a
+				// duplicate projected sub-config) or failed: wait after
 				// the owned work completes.
-				joins = append(joins, joinedAtom{ent: ent, qi: qi, ci: ci,
-					svcCfg: svcCfg, dropped: dropped})
+				joins = append(joins, joinedAtom{ent: ent, qi: qi, ci: ci})
 				continue
 			}
 			ent := &entry{ready: make(chan struct{})}
-			sh.insert(key, ent, e.maxPerShard)
+			k := string(key)
+			sh.insert(k, ent, e.maxPerShard)
 			sh.mu.Unlock()
 			d.Misses++
-			d.RelevantDefs += int64(len(svcCfg))
-			own = append(own, &ownedAtom{key: key, ent: ent, qi: qi, ci: ci, svcCfg: svcCfg})
+			d.RelevantDefs += int64(n)
+			own = append(own, &ownedAtom{key: k, ent: ent, qi: qi, ci: ci, svcCfg: p.project(cfg, memos, n)})
 		}
 	}
 
@@ -482,7 +589,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 		if o.err == nil && o.done {
 			o.ent.val = o.val
 			close(o.ent.ready)
-			out[o.ci].Queries[o.qi] = o.val
+			out[o.ci].Queries[o.qi] = &o.ent.val
 			continue
 		}
 		err := o.err
@@ -492,7 +599,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 		if err == nil {
 			err = context.Canceled
 		}
-		sh := e.shard(o.key)
+		sh := shard(e, o.key)
 		sh.mu.Lock()
 		if sh.m[o.key] == o.ent {
 			sh.remove(o.key)
@@ -503,6 +610,14 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 	}
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if served.Hits > 0 {
+		// A batch that reads cached values still honours cancellation,
+		// as a wait on a join would.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		d.add(&served)
 	}
 
 	for _, j := range joins {
@@ -516,7 +631,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 				// with ours (the dead entry is already evicted, so the
 				// retry claims the key or joins a newer owner).
 				if errors.Is(j.ent.err, context.Canceled) || errors.Is(j.ent.err, context.DeadlineExceeded) {
-					retry, err := e.evaluateBatch(ctx, atoms[j.qi:j.qi+1], configs[j.ci:j.ci+1])
+					retry, err := b.evaluateBatch(ctx, atoms[j.qi:j.qi+1], configs[j.ci:j.ci+1])
 					if err != nil {
 						return nil, err
 					}
@@ -529,17 +644,30 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 			// Count the hit only once a shared value actually arrived,
 			// so error churn does not inflate the rate.
 			d.Hits++
-			d.RelevantDefs += int64(len(j.svcCfg))
-			if j.dropped {
+			relevant := out[j.ci].Atoms[j.qi].Relevant
+			d.RelevantDefs += int64(relevant)
+			if relevant < len(configs[j.ci]) {
 				d.ProjectedHits++
 			}
-			out[j.ci].Queries[j.qi] = j.ent.val
+			out[j.ci].Queries[j.qi] = &j.ent.val
 			out[j.ci].Atoms[j.qi].Hit = true
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 	return out, nil
+}
+
+// completed reports whether ent holds a value: its evaluation has
+// finished and did not fail. The receive orders the read of ent.val
+// after its owner's write.
+func completed(ent *entry) bool {
+	select {
+	case <-ent.ready:
+		return ent.err == nil
+	default:
+		return false
+	}
 }
 
 // evalOne runs one CostService call under an engine semaphore slot.

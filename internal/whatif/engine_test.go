@@ -124,11 +124,14 @@ func TestEvaluateConfigMemoizes(t *testing.T) {
 }
 
 // TestConcurrentEvaluationsAgree hammers the engine from many goroutines
-// over a handful of distinct configurations (run with -race).
+// over a handful of distinct configurations (run with -race). Half the
+// goroutines share one Bound, so its definition memo fills concurrently;
+// the other half bind per call.
 func TestConcurrentEvaluationsAgree(t *testing.T) {
 	svc := &fakeService{}
 	e := NewEngine(svc, Options{Workers: 8})
 	qs := testQueries(8)
+	shared := e.Bind(qs)
 	configs := make([][]*catalog.IndexDef, 6)
 	for i := range configs {
 		for j := 0; j <= i; j++ {
@@ -140,9 +143,13 @@ func TestConcurrentEvaluationsAgree(t *testing.T) {
 	for g := 0; g < 10; g++ {
 		for ci, cfg := range configs {
 			wg.Add(1)
+			b := shared
+			if g%2 == 1 {
+				b = e.Bind(qs)
+			}
 			go func(ci int, cfg []*catalog.IndexDef) {
 				defer wg.Done()
-				res, err := e.EvaluateConfig(context.Background(), qs, cfg)
+				res, err := b.EvaluateConfig(context.Background(), cfg)
 				if err != nil {
 					errs <- err
 					return
@@ -299,6 +306,51 @@ func TestContextCancellation(t *testing.T) {
 		t.Errorf("failed evaluations were cached (len=%d)", e.Len())
 	}
 	_ = before
+}
+
+// TestCachedReadsCountAndHonourCancellation: a batch whose atoms are all
+// cached reads them without waiting, charges them as hits (projected
+// ones included) only when it succeeds, and still fails on a cancelled
+// context.
+func TestCachedReadsCountAndHonourCancellation(t *testing.T) {
+	svc := &fakeService{}
+	e := NewEngine(svc, Options{Workers: 2})
+	qs := testQueries(3)
+	qs[2].Collection = "other" // the projection drops I1 for this query
+	b := e.Bind(qs)
+	cfg := []*catalog.IndexDef{testDef("I1", "c", "/a")}
+	if _, err := b.EvaluateConfig(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	calls := svc.calls.Load()
+
+	ctx, tally := WithTally(context.Background())
+	res, err := b.EvaluateConfig(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.calls.Load(); got != calls {
+		t.Errorf("cached re-evaluation called the service %d times", got-calls)
+	}
+	want := Stats{Hits: 3, ProjectedHits: 1, RelevantDefs: 2}
+	if got := tally.Stats(); got != want {
+		t.Errorf("tally = %+v, want %+v", got, want)
+	}
+	for qi, a := range res.Atoms {
+		if !a.Hit || res.Queries[qi] == nil {
+			t.Errorf("q%d: atom %+v, eval %v; want a cached hit", qi, a, res.Queries[qi])
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled, tally = WithTally(cancelled)
+	if _, err := b.EvaluateConfig(cancelled, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled cached read: err = %v, want context.Canceled", err)
+	}
+	if got := tally.Stats(); got != (Stats{}) {
+		t.Errorf("failed cached read charged %+v", got)
+	}
 }
 
 // TestWaiterCancellation: a waiter joining an in-flight evaluation must

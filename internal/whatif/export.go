@@ -44,7 +44,7 @@ func (e *Engine) ExportAtoms(keep func(key string) bool) []CachedAtom {
 func (e *Engine) ImportAtoms(atoms []CachedAtom) int {
 	n := 0
 	for _, a := range atoms {
-		sh := e.shard(a.Key)
+		sh := shard(e, a.Key)
 		sh.mu.Lock()
 		if _, ok := sh.m[a.Key]; !ok {
 			ent := &entry{ready: make(chan struct{}), val: a.Val}

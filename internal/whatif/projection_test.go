@@ -2,8 +2,10 @@ package whatif
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/querylang"
@@ -179,5 +181,53 @@ func TestNewRelevanceStats(t *testing.T) {
 	one := NewRelevanceStats([]int{7})
 	if one.Min != 7 || one.Median != 7 || one.P95 != 7 || one.Max != 7 || one.Mean != 7 {
 		t.Errorf("single-element stats = %+v", one)
+	}
+}
+
+// TestRetryProjectsByBoundIndex: a waiter that retries a dead owner's
+// atom re-enters the batch path with that one atom, so the atom must
+// find its relevance by its own index in the Bound. Here the retried
+// atom is the second query's, whose relevance differs from the first's.
+func TestRetryProjectsByBoundIndex(t *testing.T) {
+	svc := &relService{
+		fakeService: fakeService{block: make(chan struct{}), blockOn: "I2"},
+		relevant:    map[string]map[string]bool{"Q1": {"I1": true}, "Q2": {"I2": true}},
+	}
+	e := NewEngine(svc, Options{Workers: 2})
+	b := e.Bind(testQueries(2))
+	cfg := []*catalog.IndexDef{testDef("I1", "c", "/a"), testDef("I2", "c", "/b")}
+
+	// The owner blocks on Q2's atom (the only one carrying I2) until its
+	// context dies; Q1's atom completes and is cached.
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, err := b.EvaluateConfig(ownerCtx, cfg)
+		ownerDone <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	waiterDone := make(chan *ConfigEval, 1)
+	go func() {
+		ev, err := b.EvaluateConfig(context.Background(), cfg)
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waiterDone <- ev
+	}()
+	time.Sleep(10 * time.Millisecond)
+	cancelOwner()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	close(svc.block)
+	ev := <-waiterDone
+	if ev == nil {
+		t.FailNow()
+	}
+	if got := ev.Queries[1].UsedIndexes; !reflect.DeepEqual(got, []string{"I2"}) {
+		t.Errorf("retried Q2 used %v, want [I2]: the retry projected by the wrong query", got)
+	}
+	if n := e.Len(); n != 2 {
+		t.Errorf("cache holds %d atoms, want 2 (one per query)", n)
 	}
 }

@@ -14,7 +14,9 @@
 //     evaluations are decomposed into per-(query, projected sub-config)
 //     atoms via relevance projection (only the definitions whose
 //     patterns can serve a query are part of its cache key and its
-//     optimizer call), the atoms fan out across a bounded worker pool,
+//     optimizer call; a Bound decides each definition's relevance to
+//     every bound query once, on first sight, and reuses the answer),
+//     the atoms fan out across a bounded worker pool,
 //     results are memoized behind a sharded cache with
 //     singleflight-style deduplication, and hit/miss/evaluation
 //     counters are exposed for benchmarking.

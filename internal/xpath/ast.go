@@ -155,7 +155,7 @@ func (p *PathExpr) AppendTo(prefix pattern.Pattern) pattern.Pattern {
 	for _, st := range p.Steps {
 		steps = append(steps, pattern.Step{Axis: st.Axis, Kind: st.Kind, Name: st.Name})
 	}
-	return pattern.Pattern{Steps: steps}
+	return pattern.FromSteps(steps)
 }
 
 // HasPredicates reports whether any step carries a predicate.
