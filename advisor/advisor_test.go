@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/advisor"
 	"repro/internal/catalog"
@@ -90,9 +92,8 @@ func TestOptionValidation(t *testing.T) {
 		{"bad rules", advisor.WithRules("lub,bogus"), "WithRules"},
 		{"negative parallelism", advisor.WithParallelism(-2), "WithParallelism"},
 		{"negative gen parallelism", advisor.WithGenParallelism(-2), "WithGenParallelism"},
-		{"negative cache shards", advisor.WithCacheShards(-1), "WithCacheShards"},
-		{"negative max candidates", advisor.WithMaxCandidates(-1), "WithMaxCandidates"},
-		{"negative min shared steps", advisor.WithMinSharedSteps(-1), "WithMinSharedSteps"},
+		{"negative budget KB", advisor.WithBudgetKB(-1), "WithBudgetKB"},
+		{"budget KB overflowing bytes", advisor.WithBudgetKB(1<<53 + 1), "WithBudgetKB"},
 		{"negative deadline", advisor.WithDeadline(-1), "WithDeadline"},
 	}
 	for _, tc := range cases {
@@ -195,6 +196,10 @@ func TestRequestValidation(t *testing.T) {
 		{"conflicting budgets", advisor.RecommendRequest{BudgetPages: 1, BudgetKB: 1}, "budgetKB"},
 		{"unlimited conflicts with budget", advisor.RecommendRequest{UnlimitedBudget: true, BudgetKB: 1}, "unlimitedBudget"},
 		{"negative timeout", advisor.RecommendRequest{TimeoutMS: -1}, "timeoutMs"},
+		// 2^53+1 KB wraps to 1024 bytes when multiplied out; the timeout
+		// wraps to a 448µs deadline when converted to a Duration.
+		{"budget KB overflowing bytes", advisor.RecommendRequest{BudgetKB: 1<<53 + 1}, "budgetKB"},
+		{"timeout overflowing duration", advisor.RecommendRequest{TimeoutMS: 18446744073710}, "timeoutMs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +219,10 @@ func TestRequestValidation(t *testing.T) {
 
 	if _, err := sess.Recommend(ctx, advisor.RecommendRequest{APIVersion: advisor.APIVersion}); err != nil {
 		t.Errorf("explicit current version rejected: %v", err)
+	}
+	largest := advisor.RecommendRequest{BudgetKB: math.MaxInt64 / 1024, TimeoutMS: math.MaxInt64 / int64(time.Millisecond)}
+	if _, err := sess.Recommend(ctx, largest); err != nil {
+		t.Errorf("largest representable budget and timeout rejected: %v", err)
 	}
 	sess.Close()
 	if _, err := sess.Recommend(ctx, advisor.RecommendRequest{}); !errors.Is(err, advisor.ErrSessionClosed) {

@@ -3,6 +3,7 @@ package advisor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -106,6 +107,10 @@ type RecommendRequest struct {
 	IncludeDAG bool `json:"includeDAG,omitempty"`
 }
 
+// maxTimeoutMS is the largest request timeout in milliseconds that
+// converts to a time.Duration without overflow.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // validate normalizes the request against the advisor's defaults,
 // returning the canonical strategy and the effective page budget.
 func (r *RecommendRequest) validate(a *Advisor) (strategy string, budgetPages int64, err error) {
@@ -123,8 +128,9 @@ func (r *RecommendRequest) validate(a *Advisor) (strategy string, budgetPages in
 	if r.BudgetPages < 0 {
 		return "", 0, &RequestError{Field: "budgetPages", Reason: "must be >= 0 (0 = unlimited)"}
 	}
-	if r.BudgetKB < 0 {
-		return "", 0, &RequestError{Field: "budgetKB", Reason: "must be >= 0 (0 = unlimited)"}
+	if r.BudgetKB < 0 || r.BudgetKB > maxBudgetKB {
+		return "", 0, &RequestError{Field: "budgetKB",
+			Reason: fmt.Sprintf("must be in [0, %d] (0 = unlimited)", maxBudgetKB)}
 	}
 	if r.BudgetPages > 0 && r.BudgetKB > 0 {
 		return "", 0, &RequestError{Field: "budgetKB", Reason: "budgetPages and budgetKB are exclusive"}
@@ -132,8 +138,9 @@ func (r *RecommendRequest) validate(a *Advisor) (strategy string, budgetPages in
 	if r.UnlimitedBudget && (r.BudgetPages > 0 || r.BudgetKB > 0) {
 		return "", 0, &RequestError{Field: "unlimitedBudget", Reason: "exclusive with budgetPages and budgetKB"}
 	}
-	if r.TimeoutMS < 0 {
-		return "", 0, &RequestError{Field: "timeoutMs", Reason: "must be >= 0 (0 = no timeout)"}
+	if r.TimeoutMS < 0 || r.TimeoutMS > maxTimeoutMS {
+		return "", 0, &RequestError{Field: "timeoutMs",
+			Reason: fmt.Sprintf("must be in [0, %d] (0 = no timeout)", maxTimeoutMS)}
 	}
 	budgetPages = a.BudgetPages()
 	switch {

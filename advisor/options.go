@@ -3,6 +3,7 @@ package advisor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -48,7 +49,10 @@ func (e *OptionError) Unwrap() error { return ErrInvalidOption }
 // config is the advisor's resolved configuration: the core options plus
 // the facade-level request defaults.
 type config struct {
-	core        core.Options
+	core core.Options
+	// budgetKB is the default budget when WithBudgetKB set it last
+	// (0 otherwise); validate range-checks it and converts it to pages.
+	budgetKB    int64
 	deadline    time.Duration
 	faultSpec   string
 	snapshotDir string
@@ -65,20 +69,25 @@ type Option func(*config)
 // WithBudgetPages sets the default disk budget in pages (0 =
 // unlimited); individual requests may override it.
 func WithBudgetPages(pages int64) Option {
-	return func(c *config) { c.core.DiskBudgetPages = pages }
+	return func(c *config) { c.core.DiskBudgetPages, c.budgetKB = pages, 0 }
 }
 
 // WithBudgetKB sets the default disk budget in kilobytes, converted to
-// pages (rounding up to one page for any positive budget).
+// pages (rounding up to one page for any positive budget). Budgets
+// whose byte count overflows an int64 are rejected.
 func WithBudgetKB(kb int64) Option {
-	return func(c *config) { c.core.DiskBudgetPages = budgetKBToPages(kb) }
+	return func(c *config) { c.core.DiskBudgetPages, c.budgetKB = 0, kb }
 }
 
-// budgetKBToPages converts a KB budget to pages; any positive budget is
-// at least one page, and non-positive means unlimited.
+// maxBudgetKB is the largest budget in kilobytes whose byte count fits
+// in an int64.
+const maxBudgetKB = math.MaxInt64 / 1024
+
+// budgetKBToPages converts a KB budget in [0, maxBudgetKB] to pages;
+// any positive budget is at least one page, and 0 means unlimited.
 func budgetKBToPages(kb int64) int64 {
-	if kb <= 0 {
-		return kb
+	if kb == 0 {
+		return 0
 	}
 	pages := (kb * 1024) / store.DefaultPageSize
 	if pages < 1 {
@@ -94,28 +103,12 @@ func WithStrategy(name string) Option {
 	return func(c *config) { c.core.Search = core.SearchKind(name) }
 }
 
-// WithGeneralize toggles the candidate generalization phase (§2.2).
-func WithGeneralize(on bool) Option {
-	return func(c *config) { c.core.Generalize = on }
-}
-
-// WithRules replaces the default generalization rule set with a
+// WithRules replaces the default generalization rule set (§2.2) with a
 // comma-separated spec ("lub,leaf,axis", "all", "none"). The empty
-// string keeps the paper's default rules.
+// string keeps the paper's default rules; "none" turns generalization
+// off.
 func WithRules(spec string) Option {
 	return func(c *config) { c.core.Rules = spec }
-}
-
-// WithMaxCandidates caps the expanded candidate set (0 = the default
-// cap).
-func WithMaxCandidates(n int) Option {
-	return func(c *config) { c.core.MaxCandidates = n }
-}
-
-// WithMinSharedSteps sets the minimum number of shared concrete steps
-// two patterns need before pairwise generalization applies.
-func WithMinSharedSteps(n int) Option {
-	return func(c *config) { c.core.MinSharedSteps = n }
 }
 
 // WithInteractionAware toggles interaction-aware greedy search (§2.3):
@@ -130,24 +123,11 @@ func WithInteractionAware(on bool) Option {
 // coupled syntactic baseline (the paper's coupling ablation).
 func WithSyntacticEnumeration(on bool) Option {
 	return func(c *config) {
+		c.core.Source = nil
 		if on {
-			c.core.Enumeration = core.EnumSyntactic
-		} else {
-			c.core.Enumeration = core.EnumOptimizer
+			c.core.Source = candidate.SyntacticSource{}
 		}
 	}
-}
-
-// WithIncludeUniversal adds the universal patterns (//* and //@*) as
-// DAG roots.
-func WithIncludeUniversal(on bool) Option {
-	return func(c *config) { c.core.IncludeUniversal = on }
-}
-
-// WithRelaxAxes enables the optional axis-relaxation rule
-// (/a/b -> /a//b).
-func WithRelaxAxes(on bool) Option {
-	return func(c *config) { c.core.RelaxAxes = on }
 }
 
 // WithParallelism bounds concurrent what-if query evaluations (0 =
@@ -162,13 +142,9 @@ func WithGenParallelism(n int) Option {
 	return func(c *config) { c.core.GenParallelism = n }
 }
 
-// WithCacheShards sets the what-if cache shard count (0 = default).
-func WithCacheShards(n int) Option {
-	return func(c *config) { c.core.CacheShards = n }
-}
-
-// WithCacheSize caps the number of memoized configuration evaluations
-// (0 = the default cap, negative = unlimited).
+// WithCacheSize caps the number of memoized what-if atoms, one per
+// (query, projected sub-configuration) pair (0 = the default cap of
+// 65536, negative = unlimited).
 func WithCacheSize(n int) Option {
 	return func(c *config) { c.core.CacheSize = n }
 }
@@ -226,6 +202,13 @@ func WithFaultInjection(spec string) Option {
 // configuration, replacing per-command flag checks. It normalizes the
 // strategy to its canonical name.
 func (c *config) validate() error {
+	if c.budgetKB < 0 || c.budgetKB > maxBudgetKB {
+		return &OptionError{Option: "WithBudgetKB", Value: c.budgetKB,
+			Reason: fmt.Sprintf("disk budget must be in [0, %d] KB (0 = unlimited)", maxBudgetKB)}
+	}
+	if c.budgetKB > 0 {
+		c.core.DiskBudgetPages = budgetKBToPages(c.budgetKB)
+	}
 	if c.core.DiskBudgetPages < 0 {
 		return &OptionError{Option: "WithBudgetPages", Value: c.core.DiskBudgetPages,
 			Reason: "disk budget must be >= 0 (0 = unlimited)"}
@@ -240,14 +223,6 @@ func (c *config) validate() error {
 			return &OptionError{Option: "WithRules", Value: c.core.Rules, Reason: err.Error()}
 		}
 	}
-	if c.core.MaxCandidates < 0 {
-		return &OptionError{Option: "WithMaxCandidates", Value: c.core.MaxCandidates,
-			Reason: "candidate cap must be >= 0 (0 = default)"}
-	}
-	if c.core.MinSharedSteps < 0 {
-		return &OptionError{Option: "WithMinSharedSteps", Value: c.core.MinSharedSteps,
-			Reason: "shared-step threshold must be >= 0"}
-	}
 	if c.core.Parallelism < 0 {
 		return &OptionError{Option: "WithParallelism", Value: c.core.Parallelism,
 			Reason: "worker count must be >= 0 (0 = GOMAXPROCS)"}
@@ -255,10 +230,6 @@ func (c *config) validate() error {
 	if c.core.GenParallelism < 0 {
 		return &OptionError{Option: "WithGenParallelism", Value: c.core.GenParallelism,
 			Reason: "worker count must be >= 0 (0 = GOMAXPROCS)"}
-	}
-	if c.core.CacheShards < 0 {
-		return &OptionError{Option: "WithCacheShards", Value: c.core.CacheShards,
-			Reason: "shard count must be >= 0 (0 = default)"}
 	}
 	if c.deadline < 0 {
 		return &OptionError{Option: "WithDeadline", Value: c.deadline,

@@ -337,6 +337,8 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown strategy", post(recommendURL, `{"strategy":"annealing"}`), http.StatusBadRequest},
 		{"conflicting budgets", post(recommendURL, `{"budgetPages":1,"budgetKB":1}`), http.StatusBadRequest},
 		{"future api version", post(recommendURL, `{"apiVersion":"v9"}`), http.StatusBadRequest},
+		{"budgetKB overflowing bytes", post(recommendURL, `{"budgetKB":9007199254740993}`), http.StatusBadRequest},
+		{"timeoutMs overflowing duration", post(recommendURL, `{"timeoutMs":18446744073710}`), http.StatusBadRequest},
 		{"missing workload", post(ts.URL+"/v1/sessions", `{"name":"empty"}`), http.StatusBadRequest},
 		{"unparseable workload", post(ts.URL+"/v1/sessions", `{"workload":"q|notaweight|x"}`), http.StatusBadRequest},
 		{"bad session apiVersion", post(ts.URL+"/v1/sessions", `{"apiVersion":"v9","workload":"q|1|x"}`), http.StatusBadRequest},

@@ -203,7 +203,7 @@ func TestOpenFallsBackColdOnMismatch(t *testing.T) {
 	}
 
 	adv2, err := advisor.New(catalog.New(env.Store),
-		advisor.WithSnapshotDir(dir), advisor.WithGeneralize(false))
+		advisor.WithSnapshotDir(dir), advisor.WithRules("none"))
 	if err != nil {
 		t.Fatal(err)
 	}

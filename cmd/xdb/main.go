@@ -389,11 +389,11 @@ func (s *shell) cmdEvaluate(rest string) error {
 		}
 		defs = append(defs, catalog.VirtualDef(fmt.Sprintf("V%d", i+1), q.Collection, p, ty, st))
 	}
-	ev, err := s.what.EvaluateQuery(context.Background(), q, defs)
+	res, err := s.what.Bind([]*querylang.Query{q}).EvaluateConfig(context.Background(), defs)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(s.out, ev.Explain(q.Text, defs))
+	fmt.Fprint(s.out, res.Queries[0].Explain(q.Text, defs))
 	return nil
 }
 

@@ -38,7 +38,6 @@ func main() {
 	wpath := flag.String("workload", "", "workload file (required)")
 	budgetKB := flag.Int64("budget-kb", 0, "disk budget in KB (0 = unlimited)")
 	searchName := flag.String("search", "greedy", "search strategy: "+strings.Join(advisor.Strategies(), " | "))
-	noGen := flag.Bool("no-generalize", false, "disable candidate generalization")
 	rules := flag.String("rules", "", "generalization rules: comma-separated lub,wildcard,leaf,axis,universal | all | none (default: paper rules)")
 	genParallel := flag.Int("gen-parallel", 0, "concurrent candidate enumerations (0 = GOMAXPROCS)")
 	showDAG := flag.Bool("dag", false, "print the candidate DAG")
@@ -46,8 +45,7 @@ func main() {
 	traceJSON := flag.Bool("trace-json", false, "print the structured search trace as JSON")
 	materialize := flag.Bool("materialize", false, "build recommended indexes and report actual execution times")
 	parallel := flag.Int("parallel", 0, "concurrent what-if evaluations (0 = GOMAXPROCS)")
-	cacheShards := flag.Int("cache-shards", 0, "what-if cache shard count (0 = default)")
-	cacheSize := flag.Int("cache-size", 0, "max memoized configuration evaluations (0 = default 65536, negative = unlimited)")
+	cacheSize := flag.Int("cache-size", 0, "max memoized what-if atoms, one per (query, projected sub-configuration) (0 = default 65536, negative = unlimited)")
 	timeout := flag.Duration("timeout", 0, "abort the advisor after this duration (0 = none)")
 	flag.Parse()
 
@@ -74,11 +72,9 @@ func main() {
 	adv, err := advisor.New(cat,
 		advisor.WithStrategy(*searchName),
 		advisor.WithBudgetKB(*budgetKB),
-		advisor.WithGeneralize(!*noGen),
 		advisor.WithRules(*rules),
 		advisor.WithGenParallelism(*genParallel),
 		advisor.WithParallelism(*parallel),
-		advisor.WithCacheShards(*cacheShards),
 		advisor.WithCacheSize(*cacheSize),
 	)
 	if err != nil {

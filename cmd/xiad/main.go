@@ -64,8 +64,7 @@ func run(args []string) int {
 	load := fs.String("load", "", "load data: <collection>=<dir>[,<collection>=<dir>...]")
 	searchName := fs.String("search", "", "default search strategy: "+strings.Join(advisor.Strategies(), " | "))
 	parallel := fs.Int("parallel", 0, "concurrent what-if evaluations (0 = GOMAXPROCS)")
-	cacheShards := fs.Int("cache-shards", 0, "what-if cache shard count (0 = default)")
-	cacheSize := fs.Int("cache-size", 0, "max memoized configuration evaluations (0 = default, negative = unlimited)")
+	cacheSize := fs.Int("cache-size", 0, "max memoized what-if atoms, one per (query, projected sub-configuration) (0 = default 65536, negative = unlimited)")
 	reqTimeout := fs.Duration("request-timeout", 0, "default per-recommendation deadline; anytime race returns best-so-far (0 = none)")
 	sessionTTL := fs.Duration("session-ttl", 15*time.Minute, "evict sessions idle for this long (0 = never)")
 	maxSessions := fs.Int("max-sessions", 0, "max concurrently open sessions (0 = unlimited)")
@@ -89,7 +88,6 @@ func run(args []string) int {
 	}
 	opts := []advisor.Option{
 		advisor.WithParallelism(*parallel),
-		advisor.WithCacheShards(*cacheShards),
 		advisor.WithCacheSize(*cacheSize),
 		advisor.WithAnytime(true),
 		advisor.WithResilience(advisor.ResilienceOptions{

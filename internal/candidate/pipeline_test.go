@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/datagen"
 	"repro/internal/optimizer"
 	"repro/internal/querylang"
 	"repro/internal/sqltype"
@@ -157,6 +158,36 @@ func TestPipelineHonorsCandidateBudget(t *testing.T) {
 	}
 	if set.Stats.Pruned == 0 {
 		t.Error("budget pruning not counted")
+	}
+}
+
+// TestMinSharedStepsBlocksUnrelatedLUB runs the paper's default rules
+// over two same-length patterns that share only the document root:
+// the default threshold lets LUB propose /site/*/*/*, a threshold of
+// two shared steps blocks it.
+func TestMinSharedStepsBlocksUnrelatedLUB(t *testing.T) {
+	st := store.New()
+	if _, err := datagen.GenerateXMark(st, datagen.XMarkConfig{Docs: 100, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New(st)
+	w := &workload.Workload{}
+	w.MustAddQuery(1, `for $i in collection("auction")/site/regions/namerica/item where $i/quantity > 1 return $i`)
+	w.MustAddQuery(1, `for $p in collection("auction")/site/people/person/profile where $p/@income > 1 return $p`)
+	unrelatedLUB := func(minShared int) bool {
+		set := runPipeline(t, cat, optSource(cat), w, Options{Rules: DefaultRules(), MinSharedSteps: minShared})
+		for _, c := range set.All {
+			if c.Pattern.String() == "/site/*/*/*" {
+				return true
+			}
+		}
+		return false
+	}
+	if !unrelatedLUB(DefaultMinSharedSteps) {
+		t.Fatal("fixture: LUB did not propose /site/*/*/* at the default threshold")
+	}
+	if unrelatedLUB(2) {
+		t.Error("unrelated patterns generalized to /site/*/*/* despite MinSharedSteps=2")
 	}
 }
 

@@ -24,40 +24,25 @@ type Options struct {
 	DiskBudgetPages int64
 	// Search selects the configuration search algorithm.
 	Search SearchKind
-	// Generalize enables the candidate generalization phase (§2.2).
-	Generalize bool
-	// MinSharedSteps is the minimum number of shared concrete steps two
-	// patterns need before pairwise generalization applies.
-	MinSharedSteps int
-	// MaxCandidates caps the expanded candidate set.
-	MaxCandidates int
 	// InteractionAware makes greedy search re-evaluate configurations
 	// each round instead of trusting standalone benefits (§2.3 "index
 	// interaction").
 	InteractionAware bool
-	// Enumeration selects optimizer-coupled or syntactic candidate
-	// enumeration (the coupling ablation).
-	Enumeration EnumerationMode
-	// Source, when non-nil, overrides Enumeration with a custom
-	// candidate source (a user-supplied or seeded enumerator).
+	// Source is the basic-candidate source (§2.1). nil means the
+	// optimizer's Enumerate Indexes EXPLAIN mode, the paper's tightly
+	// coupled approach; candidate.SyntacticSource{} is the loosely
+	// coupled baseline of the coupling ablation, and any other Source
+	// plugs in a user-supplied or seeded enumerator.
 	Source candidate.Source
-	// Rules, when non-empty, is the comma-separated generalization rule
-	// list ("lub,leaf,axis", "all", "none") and replaces the default
-	// rule set; Generalize=false still disables all rules.
+	// Rules is the comma-separated §2.2 generalization rule spec
+	// ("lub,leaf,axis", "all", "none"; see candidate.ParseRules). The
+	// empty string means the paper's default rules; "none" turns
+	// generalization off.
 	Rules string
 	// GenParallelism bounds concurrent per-query candidate enumerations
 	// in the pipeline; 0 means GOMAXPROCS. The candidate set is
 	// identical at every parallelism level.
 	GenParallelism int
-	// IncludeUniversal adds the universal patterns (//* and //@*) as DAG
-	// roots, the most general indexes possible. They are usually far too
-	// large to recommend, but give top-down search the full root-to-leaf
-	// range the paper describes.
-	IncludeUniversal bool
-	// RelaxAxes enables the optional axis-relaxation rule: each child
-	// step of a candidate also generalizes to a descendant step
-	// (/a/b -> /a//b), useful when future workloads move subtrees.
-	RelaxAxes bool
 
 	// Anytime makes deadline-aware strategies return the best result
 	// found so far when the context deadline expires instead of failing.
@@ -68,8 +53,6 @@ type Options struct {
 	// Parallelism bounds concurrent what-if query evaluations in the
 	// costing engine; 0 means GOMAXPROCS.
 	Parallelism int
-	// CacheShards is the what-if cache shard count (0 = default).
-	CacheShards int
 	// CacheSize caps the number of memoized per-(query, sub-config)
 	// evaluation atoms. 0 means the default cap (65536); negative means
 	// unlimited. The cache lives for the advisor's lifetime, so
@@ -94,9 +77,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Search:           SearchGreedyHeuristic,
-		Generalize:       true,
-		MinSharedSteps:   candidate.DefaultMinSharedSteps,
-		MaxCandidates:    candidate.DefaultMaxCandidates,
 		InteractionAware: true,
 	}
 }
@@ -127,24 +107,13 @@ type Advisor struct {
 	catVersions map[string]int64
 }
 
-// New creates an advisor over the catalog, costing through the
-// in-process optimizer.
+// New creates an advisor over the catalog. Candidate enumeration and
+// what-if costing both go through the in-process optimizer; the cost
+// service below the memoizing engine can be wrapped (Options.CostWrapper,
+// Options.Resilience).
 func New(cat *catalog.Catalog, opts Options) *Advisor {
 	opt := optimizer.New(cat)
-	return NewWithService(cat, opts, whatif.NewOptimizerService(opt), opt)
-}
-
-// NewWithService creates an advisor whose what-if costing goes through
-// the given service — the hook for alternative optimizer backends. The
-// optimizer is still used for candidate enumeration (and may be nil when
-// Options.Enumeration is EnumSyntactic).
-func NewWithService(cat *catalog.Catalog, opts Options, svc whatif.CostService, opt *optimizer.Optimizer) *Advisor {
-	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = candidate.DefaultMaxCandidates
-	}
-	if opts.MinSharedSteps < 0 {
-		opts.MinSharedSteps = 0
-	}
+	var svc whatif.CostService = whatif.NewOptimizerService(opt)
 	cacheSize := opts.CacheSize
 	switch {
 	case cacheSize == 0:
@@ -166,15 +135,10 @@ func NewWithService(cat *catalog.Catalog, opts Options, svc whatif.CostService, 
 	}
 	eng := whatif.NewEngine(svc, whatif.Options{
 		Workers:    opts.Parallelism,
-		Shards:     opts.CacheShards,
 		MaxEntries: cacheSize,
 	})
-	rate := optimizer.DefaultCost.MaintPerEntry
-	if opt != nil {
-		rate = opt.Cost.MaintPerEntry
-	}
 	return &Advisor{cat: cat, opt: opt, cost: eng, opts: opts, resilient: resilient,
-		maintPerEntry: rate, catVersions: map[string]int64{}}
+		maintPerEntry: opt.Cost.MaintPerEntry, catVersions: map[string]int64{}}
 }
 
 // ensureFreshCosts flushes the what-if cache if any collection the

@@ -219,7 +219,9 @@ func TestGeneralizationHelpsUnseenQueries(t *testing.T) {
 	run := func(generalize bool) float64 {
 		opts := DefaultOptions()
 		opts.Search = SearchTopDown
-		opts.Generalize = generalize
+		if !generalize {
+			opts.Rules = "none"
+		}
 		a := New(cat, opts)
 		rec, err := a.Recommend(train)
 		if err != nil {
@@ -294,7 +296,7 @@ func TestSyntacticEnumerationIsWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	optsSyn := DefaultOptions()
-	optsSyn.Enumeration = EnumSyntactic
+	optsSyn.Source = candidate.SyntacticSource{}
 	recSyn, err := New(cat, optsSyn).Recommend(w)
 	if err != nil {
 		t.Fatal(err)

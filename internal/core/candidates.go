@@ -33,56 +33,22 @@ type Candidate = candidate.Candidate
 // DAG is the candidate generalization DAG (paper §2.2, Figure 4).
 type DAG = candidate.DAG
 
-// EnumerationMode selects how basic candidates are obtained.
-type EnumerationMode uint8
-
-const (
-	// EnumOptimizer uses the Enumerate Indexes EXPLAIN mode (the
-	// paper's tightly coupled approach).
-	EnumOptimizer EnumerationMode = iota
-	// EnumSyntactic is the loosely coupled baseline for the coupling
-	// ablation: every path in the query text becomes a candidate,
-	// including extraction paths the optimizer would never serve with a
-	// value index, and with no SQL type inference (everything VARCHAR).
-	EnumSyntactic
-)
-
-// candidateSource resolves the advisor's candidate source: an explicit
-// Options.Source wins, then the Enumeration mode picks the optimizer or
-// syntactic enumerator.
+// candidateSource resolves the advisor's candidate source: the explicit
+// Options.Source, or the optimizer's Enumerate Indexes mode when nil.
 func (a *Advisor) candidateSource() candidate.Source {
 	if a.opts.Source != nil {
 		return a.opts.Source
 	}
-	if a.opts.Enumeration == EnumSyntactic {
-		return candidate.SyntacticSource{}
-	}
 	return &candidate.OptimizerSource{Opt: a.opt}
 }
 
-// candidateRules resolves the generalization rule set: Generalize=false
-// disables all rules; an explicit Options.Rules spec is parsed as-is;
-// otherwise the paper's default rules apply, extended by the RelaxAxes
-// and IncludeUniversal toggles.
+// candidateRules resolves the generalization rule set: the paper's
+// default rules for an empty Options.Rules, the parsed spec otherwise.
 func (a *Advisor) candidateRules() ([]candidate.Rule, error) {
-	if !a.opts.Generalize {
-		return nil, nil
+	if a.opts.Rules == "" {
+		return candidate.DefaultRules(), nil
 	}
-	if a.opts.Rules != "" {
-		return candidate.ParseRules(a.opts.Rules)
-	}
-	rules := candidate.DefaultRules()
-	if a.opts.RelaxAxes {
-		if r, err := candidate.RuleByName("axis"); err == nil {
-			rules = append(rules, r)
-		}
-	}
-	if a.opts.IncludeUniversal {
-		if r, err := candidate.RuleByName("universal"); err == nil {
-			rules = append(rules, r)
-		}
-	}
-	return rules, nil
+	return candidate.ParseRules(a.opts.Rules)
 }
 
 // pipeline assembles the candidate pipeline for one Recommend run.
@@ -94,7 +60,7 @@ func (a *Advisor) pipeline() (*candidate.Pipeline, error) {
 	return candidate.New(a.cat, a.candidateSource(), candidate.Options{
 		Parallelism:    a.opts.GenParallelism,
 		Rules:          rules,
-		MinSharedSteps: a.opts.MinSharedSteps,
-		MaxCandidates:  a.opts.MaxCandidates,
+		MinSharedSteps: candidate.DefaultMinSharedSteps,
+		MaxCandidates:  candidate.DefaultMaxCandidates,
 	}), nil
 }

@@ -92,7 +92,7 @@ func TestCoversBitmapMatchesContainment(t *testing.T) {
 
 func TestIncludeUniversalAddsRoots(t *testing.T) {
 	opts := DefaultOptions()
-	opts.IncludeUniversal = true
+	opts.Rules = "lub,leaf,universal"
 	rec := recommendWith(t, opts, datagen.XMarkPaperWorkload())
 	var sawUniversal bool
 	for _, r := range rec.DAG.Roots {
@@ -101,7 +101,7 @@ func TestIncludeUniversalAddsRoots(t *testing.T) {
 		}
 	}
 	if !sawUniversal {
-		t.Error("IncludeUniversal did not add //* roots")
+		t.Error("the universal rule did not add //* roots")
 	}
 	// //* must contain every same-type element candidate, so no other
 	// element-pattern node of that type may be a root.
@@ -122,7 +122,7 @@ func TestIncludeUniversalAddsRoots(t *testing.T) {
 
 func TestRelaxAxesAddsDescendantCandidates(t *testing.T) {
 	opts := DefaultOptions()
-	opts.RelaxAxes = true
+	opts.Rules = "lub,leaf,axis"
 	rec := recommendWith(t, opts, datagen.XMarkPaperWorkload())
 	found := false
 	for _, c := range rec.DAG.Nodes {
@@ -131,36 +131,7 @@ func TestRelaxAxesAddsDescendantCandidates(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("RelaxAxes produced no multi-step descendant candidates")
-	}
-}
-
-func TestGeneralizationCap(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxCandidates = 10
-	rec := recommendWith(t, opts, datagen.XMarkWorkload(15, 4))
-	if len(rec.DAG.Nodes) > 10+len(rec.Basics) {
-		t.Errorf("candidate cap ignored: %d nodes", len(rec.DAG.Nodes))
-	}
-}
-
-func TestMinSharedStepsBlocksUnrelatedLUB(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MinSharedSteps = 3
-	cat := xmarkFixture(t, 100)
-	a := New(cat, opts)
-	w := &workload.Workload{}
-	// Same shape, nothing but the root shared: LUB would be /site/*/*/*.
-	w.MustAddQuery(1, `for $i in collection("auction")/site/regions/namerica/item where $i/quantity > 1 return $i`)
-	w.MustAddQuery(1, `for $p in collection("auction")/site/people/person where $p/profile/@income > 1 return $p`)
-	rec, err := a.Recommend(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rec.DAG.Nodes {
-		if c.Pattern.String() == "/site/*/*" {
-			t.Errorf("unrelated patterns generalized despite MinSharedSteps: %s", c)
-		}
+		t.Error("the axis rule produced no multi-step descendant candidates")
 	}
 }
 

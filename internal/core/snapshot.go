@@ -59,27 +59,17 @@ func invalidf(format string, args ...any) error {
 // catalog, which is exactly what makes a snapshot portable between
 // them. Tuning knobs that do not change prepared state (parallelism,
 // cache sizing, budgets, search strategy) are deliberately excluded.
-// The trailing "noproj=false" is a fixed literal: the what-if engine
-// has one atom keying mode now, and keeping the field byte-identical
-// lets snapshots written while keying was selectable restore warm.
+// The empty rule spec renders as "default", any other spec verbatim.
+// The candidate thresholds and the trailing "noproj=false" are fixed
+// literals now; keeping them (and the rule rendering) byte-identical
+// lets snapshots written while those were selectable restore warm.
 func (a *Advisor) optionsFingerprint() string {
-	o := a.opts
-	rules := "none"
-	if o.Generalize {
-		if o.Rules != "" {
-			rules = o.Rules
-		} else {
-			rules = "default"
-			if o.RelaxAxes {
-				rules += "+axis"
-			}
-			if o.IncludeUniversal {
-				rules += "+universal"
-			}
-		}
+	rules := a.opts.Rules
+	if rules == "" {
+		rules = "default"
 	}
 	return fmt.Sprintf("v1|src=%s|rules=%s|minshared=%d|maxcand=%d|noproj=false",
-		a.candidateSource().Name(), rules, o.MinSharedSteps, o.MaxCandidates)
+		a.candidateSource().Name(), rules, candidate.DefaultMinSharedSteps, candidate.DefaultMaxCandidates)
 }
 
 // Save serializes the prepared session's full state — workload,

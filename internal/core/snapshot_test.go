@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/candidate"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/snapshot"
@@ -169,6 +170,40 @@ func TestDefaultOptionsFingerprint(t *testing.T) {
 	}
 }
 
+// TestRetiredSpellingsKeepFingerprints pins the fingerprint of every
+// rule spec and source that replaced an older option spelling to the
+// literal string the older spelling produced, so snapshots written
+// under it still restore warm.
+func TestRetiredSpellingsKeepFingerprints(t *testing.T) {
+	_, cat := xmarkStoreFixture(t, 10)
+	cases := []struct {
+		name  string
+		set   func(*Options)
+		older string // the retired spelling that wrote want
+		want  string
+	}{
+		{"default rules", func(o *Options) { o.Rules = "" }, "Generalize=true",
+			"v1|src=optimizer|rules=default|minshared=1|maxcand=400|noproj=false"},
+		{"no rules", func(o *Options) { o.Rules = "none" }, "Generalize=false",
+			"v1|src=optimizer|rules=none|minshared=1|maxcand=400|noproj=false"},
+		{"explicit spec", func(o *Options) { o.Rules = "lub,leaf,axis" }, `Rules="lub,leaf,axis"`,
+			"v1|src=optimizer|rules=lub,leaf,axis|minshared=1|maxcand=400|noproj=false"},
+		{"all rules", func(o *Options) { o.Rules = "all" }, `Rules="all"`,
+			"v1|src=optimizer|rules=all|minshared=1|maxcand=400|noproj=false"},
+		{"syntactic source", func(o *Options) { o.Source = candidate.SyntacticSource{} }, "Enumeration=EnumSyntactic",
+			"v1|src=syntactic|rules=default|minshared=1|maxcand=400|noproj=false"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.set(&opts)
+			if got := New(cat, opts).optionsFingerprint(); got != tc.want {
+				t.Errorf("fingerprint = %q, want %q (as written under %s)", got, tc.want, tc.older)
+			}
+		})
+	}
+}
+
 func TestLoadPreparedOptionsMismatch(t *testing.T) {
 	_, cat := xmarkStoreFixture(t, 120)
 	ctx := context.Background()
@@ -182,7 +217,7 @@ func TestLoadPreparedOptionsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Generalize = false
+	opts.Rules = "none"
 	b := New(cat, opts)
 	_, err = b.LoadPrepared(ctx, bytes.NewReader(buf.Bytes()))
 	if !errors.Is(err, ErrSnapshotMismatch) {

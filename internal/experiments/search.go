@@ -117,7 +117,11 @@ func E5UnseenWorkload(env *Env) (string, error) {
 		"search", "generalize", "#idx", "pages", "train benefit", "test benefit")
 	for _, strategy := range []string{"greedy-heuristic", "topdown"} {
 		for _, gen := range []bool{false, true} {
-			a := env.advisor(advisor.WithStrategy(strategy), advisor.WithGeneralize(gen))
+			rules := "none"
+			if gen {
+				rules = "" // the paper's default rules
+			}
+			a := env.advisor(advisor.WithStrategy(strategy), advisor.WithRules(rules))
 			rec, err := a.Recommend(ctx, train, advisor.RecommendRequest{})
 			if err != nil {
 				return "", err

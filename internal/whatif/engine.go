@@ -22,9 +22,6 @@ type Options struct {
 	// Workers bounds concurrent per-query cost evaluations across all
 	// callers of the engine; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the cache shard count (rounded up to a power of two);
-	// 0 means 16.
-	Shards int
 	// MaxEntries caps the number of memoized per-(query, sub-config)
 	// atoms (approximately, split across shards); 0 means unlimited.
 	MaxEntries int
@@ -146,13 +143,7 @@ func NewEngine(svc CostService, o Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nShards := 16
-	if o.Shards > 0 {
-		nShards = 1
-		for nShards < o.Shards {
-			nShards <<= 1
-		}
-	}
+	const nShards = 16 // a power of two: shard picks by hash mask
 	e := &Engine{
 		svc:       svc,
 		workers:   workers,
@@ -168,9 +159,6 @@ func NewEngine(svc CostService, o Options) *Engine {
 	}
 	if o.MaxEntries > 0 {
 		e.maxPerShard = (o.MaxEntries + nShards - 1) / nShards
-		if e.maxPerShard < 1 {
-			e.maxPerShard = 1
-		}
 	}
 	return e
 }
@@ -242,11 +230,6 @@ func shard[K string | []byte](e *Engine, key K) *cacheShard {
 		h *= 16777619
 	}
 	return e.shards[h&e.shardMask]
-}
-
-// EvaluateQuery costs one query under the configuration, uncached.
-func (e *Engine) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (QueryEval, error) {
-	return e.evalOne(ctx, q, filterConfig(config, q.Collection))
 }
 
 // atomPlan is the per-query half of an atom key, fixed at Bind time:
@@ -668,42 +651,6 @@ func completed(ent *entry) bool {
 	default:
 		return false
 	}
-}
-
-// evalOne runs one CostService call under an engine semaphore slot.
-func (e *Engine) evalOne(ctx context.Context, q *querylang.Query, svcCfg []*catalog.IndexDef) (QueryEval, error) {
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return QueryEval{}, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	if err := ctx.Err(); err != nil {
-		return QueryEval{}, err
-	}
-	charge(ctx, &e.total, &Stats{Evaluations: 1})
-	return e.callService(ctx, q, svcCfg)
-}
-
-// filterConfig restricts the configuration to one collection's indexes
-// (an optimizer ignores the others anyway; this keeps matching cheap).
-func filterConfig(config []*catalog.IndexDef, coll string) []*catalog.IndexDef {
-	n := 0
-	for _, d := range config {
-		if d.Collection == coll {
-			n++
-		}
-	}
-	if n == len(config) {
-		return config
-	}
-	out := make([]*catalog.IndexDef, 0, n)
-	for _, d := range config {
-		if d.Collection == coll {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // insert adds the entry under key, evicting the oldest completed entry

@@ -470,9 +470,17 @@ func TestFlushInvalidatesCache(t *testing.T) {
 	}
 }
 
+// singleShardEngine is NewEngine with the cache folded into one shard
+// holding MaxEntries atoms, so eviction follows one exact FIFO order.
+func singleShardEngine(svc CostService, o Options) *Engine {
+	e := NewEngine(svc, o)
+	e.shards, e.shardMask, e.maxPerShard = e.shards[:1], 0, o.MaxEntries
+	return e
+}
+
 func TestCacheEviction(t *testing.T) {
 	svc := &fakeService{}
-	e := NewEngine(svc, Options{Shards: 1, MaxEntries: 4})
+	e := singleShardEngine(svc, Options{MaxEntries: 4})
 	qs := testQueries(1)
 	for i := 0; i < 20; i++ {
 		cfg := []*catalog.IndexDef{testDef(fmt.Sprintf("I%d", i), "c", "/a")}
@@ -490,7 +498,7 @@ func TestCacheEviction(t *testing.T) {
 // the head are evicted instead.
 func TestCacheOvershootHeals(t *testing.T) {
 	svc := &fakeService{block: make(chan struct{}), blockOn: "HOT"}
-	e := NewEngine(svc, Options{Shards: 1, MaxEntries: 2, Workers: 4})
+	e := singleShardEngine(svc, Options{MaxEntries: 2, Workers: 4})
 	qs := testQueries(1)
 
 	hotDone := make(chan struct{})

@@ -61,13 +61,6 @@ type ResilienceStats struct {
 	PanicsRecovered int64 `json:"panicsRecovered,omitempty"`
 }
 
-// BreakerStater is implemented by CostServices whose health can be
-// probed (directly or through wrapping); the advisor uses it to report
-// a degraded state on /v1/healthz while a breaker is open.
-type BreakerStater interface {
-	State() BreakerState
-}
-
 // BreakerState is the circuit breaker's state.
 type BreakerState int32
 
