@@ -29,6 +29,12 @@
 // loosens the bound, never invalidates it. Descent is deterministic
 // (fixed coordinate order, exact breakpoint scans, no randomization),
 // so identical problems produce identical solutions.
+//
+// Per pass, the query prices scan per-query incidence lists held as
+// windows of one CSR slab (built once per solve, in item order), and λ
+// is found by weighted selection — a quickselect over the positive
+// densities that sums page sizes — in expected linear time, with the
+// same result a full sort would give.
 package lp
 
 import "sort"
@@ -147,15 +153,23 @@ func Solve(p *Problem, o Options) *Solution {
 		return 0
 	}
 
-	// Incidence lists: per query, the items serving it. Built in item
-	// order, so every per-query scan is deterministic.
-	byQuery := make([][]qItem, p.NumQueries)
+	// Incidence lists: per query, the items serving it, as windows of
+	// one CSR slab — a count pass sizes every window, a fill pass in
+	// item order writes it, so every per-query scan is deterministic.
+	count := make([]int, p.NumQueries)
 	for i := 0; i < n && i < len(p.Rows); i++ {
 		for _, e := range p.Rows[i] {
-			if e.Benefit <= 0 || e.Query < 0 || int(e.Query) >= p.NumQueries {
-				continue
+			if serves(e, p.NumQueries) {
+				count[e.Query]++
 			}
-			byQuery[e.Query] = append(byQuery[e.Query], qItem{item: int32(i), b: e.Benefit})
+		}
+	}
+	byQuery := windows[qItem](count)
+	for i := 0; i < n && i < len(p.Rows); i++ {
+		for _, e := range p.Rows[i] {
+			if serves(e, p.NumQueries) {
+				byQuery[e.Query] = append(byQuery[e.Query], qItem{item: int32(i), b: e.Benefit})
+			}
 		}
 	}
 
@@ -196,7 +210,6 @@ func Solve(p *Problem, o Options) *Solution {
 		return d
 	}
 
-	type density struct{ d, s float64 }
 	var scratch []density
 
 	sol := &Solution{}
@@ -277,21 +290,7 @@ func Solve(p *Problem, o Options) *Solution {
 					scratch = append(scratch, density{d: u / size[i], s: size[i]})
 				}
 			}
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a].d > scratch[b].d })
-			cum, nl := 0.0, 0.0
-			for i := 0; i < len(scratch); {
-				j, gs := i, 0.0
-				for j < len(scratch) && scratch[j].d == scratch[i].d {
-					gs += scratch[j].s
-					j++
-				}
-				if cum+gs > budget {
-					nl = scratch[i].d
-					break
-				}
-				cum += gs
-				i = j
-			}
+			nl := budgetPrice(scratch, budget)
 			if nl != old {
 				lambda = nl
 				for i := 0; i < n; i++ {
@@ -314,6 +313,78 @@ func Solve(p *Problem, o Options) *Solution {
 	sol.X = extractPrimal(p, r, size)
 	sol.Objective = primalValue(p, sol.X, byQuery, weight)
 	return sol
+}
+
+// windows carves one slab into empty windows, window i with room for
+// exactly count[i] elements: appending to a window fills the slab in
+// place, so a count pass and a fill pass build a CSR layout with two
+// allocations.
+func windows[T any](count []int) [][]T {
+	total := 0
+	for _, c := range count {
+		total += c
+	}
+	slab := make([]T, total)
+	out := make([][]T, len(count))
+	off := 0
+	for i, c := range count {
+		out[i] = slab[off : off : off+c]
+		off += c
+	}
+	return out
+}
+
+// serves reports whether a row entry joins the incidence lists: a
+// positive benefit on a query inside the column space.
+func serves(e Entry, numQueries int) bool {
+	return e.Benefit > 0 && e.Query >= 0 && int(e.Query) < numQueries
+}
+
+// density is one item's budget-price breakpoint: its reduced profit
+// per page and its size in pages.
+type density struct{ d, s float64 }
+
+// budgetPrice returns the budget price λ over the breakpoints: the
+// largest density d such that the items of density ≥ d need more than
+// budget pages, or 0 when everything fits. It is a weighted
+// quickselect — a three-way partition around the middle element, then
+// on into the side that holds the budget boundary — so a pass costs
+// expected O(n) instead of a full sort. It only compares densities and
+// adds integer page sizes, so it returns exactly what a descending
+// sort and prefix scan would. ds is reordered.
+func budgetPrice(ds []density, budget float64) float64 {
+	above := 0.0 // pages of the densities greater than all of ds
+	for len(ds) > 0 {
+		pivot := ds[len(ds)/2].d
+		// Partition: ds[:gt] > pivot, ds[gt:lt] == pivot, ds[lt:] < pivot.
+		gt, i, lt := 0, 0, len(ds)
+		gs, es := 0.0, 0.0
+		for i < lt {
+			switch d := ds[i].d; {
+			case d > pivot:
+				gs += ds[i].s
+				ds[gt], ds[i] = ds[i], ds[gt]
+				gt++
+				i++
+			case d < pivot:
+				lt--
+				ds[i], ds[lt] = ds[lt], ds[i]
+			default:
+				es += ds[i].s
+				i++
+			}
+		}
+		switch {
+		case above+gs > budget:
+			ds = ds[:gt]
+		case above+gs+es > budget:
+			return pivot
+		default:
+			above += gs + es
+			ds = ds[lt:]
+		}
+	}
+	return 0
 }
 
 // supportEps is the reduced-profit threshold below which an item is
@@ -341,7 +412,14 @@ func extractPrimal(p *Problem, r []float64, size []float64) []float64 {
 		}
 		return order[a] < order[b]
 	})
-	groupsOf := make([][]int32, n)
+	// groupsOf lists each item's groups, as windows of one slab.
+	count := make([]int, n)
+	for _, group := range p.Groups {
+		for _, it := range group {
+			count[it]++
+		}
+	}
+	groupsOf := windows[int32](count)
 	for k, group := range p.Groups {
 		for _, it := range group {
 			groupsOf[it] = append(groupsOf[it], int32(k))

@@ -1,10 +1,13 @@
 package search
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/lp"
 	"repro/internal/whatif"
@@ -104,10 +107,10 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 			rest = append(rest, pos)
 		}
 	}
-	ra := newLPRounder(sp, m, order)
+	ra := newLPRounder(sp, prob, order)
 	ra.phase(supportPos)
 	ra.phase(rest)
-	rb := newLPRounder(sp, m, order)
+	rb := newLPRounder(sp, prob, order)
 	rb.phase(allPos)
 	r, pivot := rb, "density-first"
 	if ra.surNet > rb.surNet {
@@ -159,7 +162,9 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 // wired, else one standalone what-if pass through the strategy's
 // counting evaluator, decomposed into modular terms only (no per-query
 // rows) — the LP then degenerates to a knapsack over standalone nets,
-// which is still budget-sound and repair-corrected.
+// which is still budget-sound and repair-corrected. A hook's matrix
+// must have one row per candidate, and Private and Update, when set,
+// one entry per candidate; any other shape is an error.
 func lpMatrix(ctx context.Context, sp *Space, tr *tracer) (*whatif.BenefitMatrix, error) {
 	if sp.Benefits != nil {
 		m, err := sp.Benefits(ctx)
@@ -167,6 +172,14 @@ func lpMatrix(ctx context.Context, sp *Space, tr *tracer) (*whatif.BenefitMatrix
 			return nil, err
 		}
 		if m != nil {
+			switch n := len(sp.Candidates); {
+			case len(m.Rows) != n:
+				return nil, fmt.Errorf("lp: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
+			case m.Private != nil && len(m.Private) != n:
+				return nil, fmt.Errorf("lp: benefit matrix has %d private benefits for %d candidates", len(m.Private), n)
+			case m.Update != nil && len(m.Update) != n:
+				return nil, fmt.Errorf("lp: benefit matrix has %d update costs for %d candidates", len(m.Update), n)
+			}
 			return m, nil
 		}
 	}
@@ -187,38 +200,38 @@ func lpMatrix(ctx context.Context, sp *Space, tr *tracer) (*whatif.BenefitMatrix
 }
 
 // lpOrder returns the candidates in surrogate standalone net density
-// order (content-only tie-breaks, mirroring rankByDensity).
+// order (content-only tie-breaks, mirroring rankByDensity). Each
+// candidate's density and pattern counts are computed once, before the
+// sort; keys are built only to break full ties.
 func lpOrder(cands []*Candidate, m *whatif.BenefitMatrix) []int {
-	net := make([]float64, len(cands))
-	for ci := range cands {
-		net[ci] = m.StandaloneBenefit(ci) - m.UpdateCost(ci)
+	type keyed struct {
+		ci          int
+		density     float64
+		desc, wilds int
 	}
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
+	ks := make([]keyed, len(cands))
+	for ci, c := range cands {
+		ks[ci] = keyed{ci: ci, density: ratio(m.StandaloneBenefit(ci)-m.UpdateCost(ci), c.Pages()),
+			desc: c.Pattern.DescendantCount(), wilds: c.Pattern.WildcardCount()}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := cands[order[i]], cands[order[j]]
-		ri := ratio(net[order[i]], a.Pages())
-		rj := ratio(net[order[j]], b.Pages())
-		if ri != rj {
-			return ri > rj
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Or(cmp.Compare(b.density, a.density), cmp.Compare(a.desc, b.desc), cmp.Compare(a.wilds, b.wilds)); c != 0 {
+			return c
 		}
-		if da, db := a.Pattern.DescendantCount(), b.Pattern.DescendantCount(); da != db {
-			return da < db
-		}
-		if wa, wb := a.Pattern.WildcardCount(), b.Pattern.WildcardCount(); wa != wb {
-			return wa < wb
-		}
-		return a.Key() < b.Key()
+		return strings.Compare(cands[a.ci].Key(), cands[b.ci].Key())
 	})
+	order := make([]int, len(ks))
+	for i, k := range ks {
+		order[i] = k.ci
+	}
 	return order
 }
 
 // lpProblem assembles the relaxation: weights are the modular nets
 // (private benefit minus update cost), rows the per-query benefit
 // coefficients, and every (ancestor, descendant) containment pair an
-// at-most-one group.
+// at-most-one group. Rows are windows of one backing slab, in item
+// order; the rounders read weights, sizes and rows from the result.
 func lpProblem(sp *Space, m *whatif.BenefitMatrix, order []int) *lp.Problem {
 	prob := &lp.Problem{
 		NumItems:   len(order),
@@ -228,55 +241,112 @@ func lpProblem(sp *Space, m *whatif.BenefitMatrix, order []int) *lp.Problem {
 		Rows:       make([][]lp.Entry, len(order)),
 		Budget:     sp.BudgetPages,
 	}
-	itemOf := make(map[int]int, len(order)) // candidate ID -> item index
+	slab := make([]lp.Entry, 0, m.NonZero())
 	for pos, ci := range order {
-		c := sp.Candidates[ci]
-		itemOf[c.ID] = pos
 		prob.Weight[pos] = m.PrivateBenefit(ci) - m.UpdateCost(ci)
-		prob.Size[pos] = c.Pages()
-		if ci < len(m.Rows) && len(m.Rows[ci]) > 0 {
-			row := make([]lp.Entry, len(m.Rows[ci]))
-			for i, e := range m.Rows[ci] {
-				row[i] = lp.Entry{Query: e.Query, Benefit: e.Benefit}
+		prob.Size[pos] = sp.Candidates[ci].Pages()
+		if len(m.Rows[ci]) > 0 {
+			start := len(slab)
+			for _, e := range m.Rows[ci] {
+				slab = append(slab, lp.Entry{Query: e.Query, Benefit: e.Benefit})
 			}
-			prob.Rows[pos] = row
+			prob.Rows[pos] = slab[start:len(slab):len(slab)]
 		}
 	}
 	if sp.DAG != nil {
+		itemOf := make([]int32, idSpan(sp.Candidates)) // candidate ID -> item index, -1 if none
+		for i := range itemOf {
+			itemOf[i] = -1
+		}
+		for pos, ci := range order {
+			itemOf[sp.Candidates[ci].ID] = int32(pos)
+		}
 		// Groups are emitted in item order (content-canonical), so the
-		// solver's chain-coordinate sweep is deterministic too.
-		for pos := range order {
-			c := sp.Candidates[order[pos]]
-			seen := map[int]bool{}
-			stack := append([]*Candidate(nil), c.Parents...)
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if seen[p.ID] {
-					continue
+		// solver's chain-coordinate sweep is deterministic too. Each is
+		// an (ancestor, descendant) window of one pair slab.
+		var w dagWalker
+		var pairs []int32
+		for pos, ci := range order {
+			w.walk(sp.Candidates[ci].Parents, true, func(p *Candidate) bool {
+				if p.ID < len(itemOf) && itemOf[p.ID] >= 0 {
+					pairs = append(pairs, itemOf[p.ID], int32(pos))
 				}
-				seen[p.ID] = true
-				if anc, ok := itemOf[p.ID]; ok {
-					prob.Groups = append(prob.Groups, []int32{int32(anc), int32(pos)})
-				}
-				stack = append(stack, p.Parents...)
+				return false
+			})
+		}
+		if len(pairs) > 0 {
+			prob.Groups = make([][]int32, len(pairs)/2)
+			for k := range prob.Groups {
+				prob.Groups[k] = pairs[2*k : 2*k+2 : 2*k+2]
 			}
 		}
 	}
 	return prob
 }
 
+// idSpan is one past the largest candidate ID: the length of a table
+// indexed by ID.
+func idSpan(cands []*Candidate) int {
+	n := 0
+	for _, c := range cands {
+		n = max(n, c.ID+1)
+	}
+	return n
+}
+
+// dagWalker walks the candidate DAG without allocating per walk: one
+// visited-stamp table indexed by candidate ID, grown on demand, and
+// one reused stack.
+type dagWalker struct {
+	stamp []uint32
+	epoch uint32
+	stack []*Candidate
+}
+
+// walk visits, depth first and each once, every node reachable from
+// start along parent edges (up) or child edges, stopping as soon as
+// visit returns true; it reports whether visit stopped it.
+func (w *dagWalker) walk(start []*Candidate, up bool, visit func(*Candidate) bool) bool {
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.stamp)
+		w.epoch = 1
+	}
+	w.stack = append(w.stack[:0], start...)
+	for len(w.stack) > 0 {
+		n := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if n.ID >= len(w.stamp) {
+			w.stamp = append(w.stamp, make([]uint32, n.ID+1-len(w.stamp))...)
+		}
+		if w.stamp[n.ID] == w.epoch {
+			continue
+		}
+		w.stamp[n.ID] = w.epoch
+		if visit(n) {
+			return true
+		}
+		if up {
+			w.stack = append(w.stack, n.Parents...)
+		} else {
+			w.stack = append(w.stack, n.Children...)
+		}
+	}
+	return false
+}
+
 // lpRounder is the deterministic rounding state: the growing integral
 // configuration, each query's current best surrogate benefit, and the
 // chosen-candidate set the containment-antichain check runs against.
+// Weights, sizes and rows come from the relaxation, by item position.
 type lpRounder struct {
 	sp      *Space
 	cands   []*Candidate // by item position (canonical order)
-	rows    [][]whatif.BenefitEntry
-	weights []float64
+	prob    *lp.Problem
 	curQ    []float64
-	chosen  map[int]bool // candidate ID -> chosen
-	banned  map[int]bool // dropped as unused by repair; never re-added
+	chosen  []bool // by candidate ID
+	banned  []bool // by candidate ID: dropped as unused by repair; never re-added
+	walker  dagWalker
 	config  []*Candidate
 	pages   int64
 	surNet  float64
@@ -294,22 +364,18 @@ type lpAdd struct {
 	pages  int64
 }
 
-func newLPRounder(sp *Space, m *whatif.BenefitMatrix, order []int) *lpRounder {
+func newLPRounder(sp *Space, prob *lp.Problem, order []int) *lpRounder {
+	span := idSpan(sp.Candidates)
 	r := &lpRounder{
-		sp:      sp,
-		cands:   make([]*Candidate, len(order)),
-		rows:    make([][]whatif.BenefitEntry, len(order)),
-		weights: make([]float64, len(order)),
-		curQ:    make([]float64, m.NumQueries),
-		chosen:  map[int]bool{},
-		banned:  map[int]bool{},
+		sp:     sp,
+		cands:  make([]*Candidate, len(order)),
+		prob:   prob,
+		curQ:   make([]float64, prob.NumQueries),
+		chosen: make([]bool, span),
+		banned: make([]bool, span),
 	}
 	for pos, ci := range order {
 		r.cands[pos] = sp.Candidates[ci]
-		if ci < len(m.Rows) {
-			r.rows[pos] = m.Rows[ci]
-		}
-		r.weights[pos] = m.PrivateBenefit(ci) - m.UpdateCost(ci)
 	}
 	return r
 }
@@ -318,8 +384,8 @@ func newLPRounder(sp *Space, m *whatif.BenefitMatrix, order []int) *lpRounder {
 // current configuration: its modular weight plus, per query, the
 // improvement over the query's current best server.
 func (r *lpRounder) gain(pos int) float64 {
-	g := r.weights[pos]
-	for _, e := range r.rows[pos] {
+	g := r.prob.Weight[pos]
+	for _, e := range r.prob.Rows[pos] {
 		if e.Benefit > r.curQ[e.Query] {
 			g += e.Benefit - r.curQ[e.Query]
 		}
@@ -327,33 +393,21 @@ func (r *lpRounder) gain(pos int) float64 {
 	return g
 }
 
+// density is item pos's surrogate marginal per page.
+func (r *lpRounder) density(pos int) float64 { return ratio(r.gain(pos), r.prob.Size[pos]) }
+
+// isChosen reports whether the DAG node is in the configuration; nodes
+// outside the space's candidates never are.
+func (r *lpRounder) isChosen(n *Candidate) bool { return n.ID < len(r.chosen) && r.chosen[n.ID] }
+
 // conflicts reports whether the candidate is an ancestor or descendant
 // of an already chosen one (the at-most-one-per-chain constraint the
 // LP's groups encode, enforced exactly on the integral side).
 func (r *lpRounder) conflicts(c *Candidate) bool {
-	if len(r.chosen) == 0 {
+	if len(r.config) == 0 {
 		return false
 	}
-	return r.walkConflict(c.Parents, func(n *Candidate) []*Candidate { return n.Parents }) ||
-		r.walkConflict(c.Children, func(n *Candidate) []*Candidate { return n.Children })
-}
-
-func (r *lpRounder) walkConflict(start []*Candidate, next func(*Candidate) []*Candidate) bool {
-	seen := map[int]bool{}
-	stack := append([]*Candidate(nil), start...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n.ID] {
-			continue
-		}
-		seen[n.ID] = true
-		if r.chosen[n.ID] {
-			return true
-		}
-		stack = append(stack, next(n)...)
-	}
-	return false
+	return r.walker.walk(c.Parents, true, r.isChosen) || r.walker.walk(c.Children, false, r.isChosen)
 }
 
 // add commits item pos to the configuration and updates the surrogate
@@ -363,9 +417,9 @@ func (r *lpRounder) add(pos int) float64 {
 	c := r.cands[pos]
 	r.config = append(r.config, c)
 	r.chosen[c.ID] = true
-	r.pages += c.Pages()
+	r.pages += r.prob.Size[pos]
 	r.surNet += g
-	for _, e := range r.rows[pos] {
+	for _, e := range r.prob.Rows[pos] {
 		if e.Benefit > r.curQ[e.Query] {
 			r.curQ[e.Query] = e.Benefit
 		}
@@ -384,60 +438,71 @@ type lpRoundItem struct {
 	ver int
 }
 
-// lpRoundHeap is a max-heap over (key desc, pos asc): equal marginals
-// resolve to the canonical density-rank position, the same tie the
-// greedy strategies use.
-type lpRoundHeap []*lpRoundItem
-
-func (h lpRoundHeap) Len() int { return len(h) }
-func (h lpRoundHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key > h[j].key
+// before is the rounding heap's order, a max-heap over (key desc, pos
+// asc): equal marginals resolve to the canonical density-rank
+// position, the same tie the greedy strategies use. The order is
+// total, so the pop sequence does not depend on the heap's layout.
+func (a lpRoundItem) before(b lpRoundItem) bool {
+	if a.key != b.key {
+		return a.key > b.key
 	}
-	return h[i].pos < h[j].pos
+	return a.pos < b.pos
 }
-func (h lpRoundHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lpRoundHeap) Push(x any)   { *h = append(*h, x.(*lpRoundItem)) }
-func (h *lpRoundHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+// siftDown restores the heap order below index i.
+func siftDown(h []lpRoundItem, i int) {
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[top]) {
+			top = l
+		}
+		if rt := 2*i + 2; rt < len(h) && h[rt].before(h[top]) {
+			top = rt
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 // phase runs one CELF scan over the given item positions: pop the top,
 // refresh its marginal if stale, accept it when fresh and positive.
 // Items over budget or in containment conflict are discarded for good
-// — the configuration only grows, so neither condition can clear. The
-// scan costs zero what-if evaluations; it is pure matrix arithmetic.
+// — the configuration only grows, so neither condition can clear — and
+// the scan stops once not even the phase's smallest item fits, since
+// every remaining pop would be a discard. The scan costs zero what-if
+// evaluations; it is pure matrix arithmetic.
 func (r *lpRounder) phase(positions []int) {
-	h := make(lpRoundHeap, 0, len(positions))
-	for _, pos := range positions {
-		g := r.gain(pos)
-		h = append(h, &lpRoundItem{pos: pos, key: ratio(g, r.cands[pos].Pages()), ver: r.version})
+	h := make([]lpRoundItem, len(positions))
+	minPages := int64(math.MaxInt64)
+	for i, pos := range positions {
+		h[i] = lpRoundItem{pos: pos, key: r.density(pos), ver: r.version}
+		minPages = min(minPages, r.prob.Size[pos])
 	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		top := h[0]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 && r.sp.Fits(r.pages+minPages) {
+		top := &h[0]
 		if top.key <= 0 {
 			break // keys are upper bounds: nothing below can be positive
 		}
-		c := r.cands[top.pos]
-		if !r.sp.Fits(r.pages+c.Pages()) || r.conflicts(c) {
-			heap.Pop(&h)
-			continue
+		pos := top.pos
+		if r.sp.Fits(r.pages+r.prob.Size[pos]) && !r.conflicts(r.cands[pos]) {
+			if top.ver != r.version {
+				top.key = r.density(pos)
+				top.ver = r.version
+				siftDown(h, 0)
+				continue
+			}
+			r.add(pos)
+			r.adds = append(r.adds, lpAdd{pos: pos, surNet: r.surNet, pages: r.pages})
 		}
-		if top.ver != r.version {
-			top.key = ratio(r.gain(top.pos), c.Pages())
-			top.ver = r.version
-			heap.Fix(&h, 0)
-			continue
-		}
-		heap.Pop(&h)
-		r.add(top.pos)
-		r.adds = append(r.adds, lpAdd{pos: top.pos, surNet: r.surNet, pages: r.pages})
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
 	}
 }
 
@@ -469,7 +534,7 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 		}
 		if bestK < len(r.adds) {
 			for _, c := range r.config[bestK:] {
-				delete(r.chosen, c.ID)
+				r.chosen[c.ID] = false
 			}
 			r.config = r.config[:bestK:bestK]
 			r.pages = PagesOf(r.config)
@@ -491,7 +556,7 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 				continue
 			}
 			tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under rounded config"})
-			delete(r.chosen, c.ID)
+			r.chosen[c.ID] = false
 			r.banned[c.ID] = true
 		}
 		if len(pruned) != len(r.config) {
@@ -608,10 +673,10 @@ func (r *lpRounder) extensionBurst() []int {
 		if r.chosen[c.ID] || r.banned[c.ID] {
 			continue
 		}
-		if !r.sp.Fits(r.pages+c.Pages()) || r.conflicts(c) {
+		if !r.sp.Fits(r.pages+r.prob.Size[pos]) || r.conflicts(c) {
 			continue
 		}
-		top = append(top, scored{pos: pos, key: ratio(r.gain(pos), c.Pages())})
+		top = append(top, scored{pos: pos, key: r.density(pos)})
 	}
 	sort.Slice(top, func(i, j int) bool {
 		if top[i].key != top[j].key {
@@ -639,7 +704,7 @@ func (r *lpRounder) rebuildCurQ() {
 		if !r.chosen[c.ID] {
 			continue
 		}
-		for _, e := range r.rows[pos] {
+		for _, e := range r.prob.Rows[pos] {
 			if e.Benefit > r.curQ[e.Query] {
 				r.curQ[e.Query] = e.Benefit
 			}

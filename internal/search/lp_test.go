@@ -2,7 +2,9 @@ package search_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/search"
@@ -251,6 +253,44 @@ func TestLPAliases(t *testing.T) {
 		}
 		if s.Name() != "lp" {
 			t.Fatalf("%s resolved to %s", name, s.Name())
+		}
+	}
+}
+
+// TestLPShortBenefitMatrix covers a producer bug: a Benefits hook whose
+// matrix is shorter than the candidate list — in Rows, Private or
+// Update — must make the lp strategy fail with an error naming both
+// lengths, not index past the matrix.
+func TestLPShortBenefitMatrix(t *testing.T) {
+	ctx := context.Background()
+	lpS, err := search.Lookup("lp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := search.NewSyntheticSpace(50, 7)
+	n := len(base.Candidates)
+	for _, tc := range []struct {
+		what    string
+		shorten func(m *whatif.BenefitMatrix)
+	}{
+		{"rows", func(m *whatif.BenefitMatrix) { m.Rows = m.Rows[:10] }},
+		{"private benefits", func(m *whatif.BenefitMatrix) { m.Private = m.Private[:10] }},
+		{"update costs", func(m *whatif.BenefitMatrix) { m.Update = m.Update[:10] }},
+	} {
+		sp := base.WithBudget(base.BudgetPages)
+		sp.Benefits = func(ctx context.Context) (*whatif.BenefitMatrix, error) {
+			m, err := base.Benefits(ctx)
+			if err != nil {
+				return nil, err
+			}
+			short := *m
+			tc.shorten(&short)
+			return &short, nil
+		}
+		_, err := lpS.Search(ctx, sp)
+		want := fmt.Sprintf("benefit matrix has 10 %s for %d candidates", tc.what, n)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("short %s: got error %v, want one containing %q", tc.what, err, want)
 		}
 	}
 }
