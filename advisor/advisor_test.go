@@ -49,8 +49,9 @@ func maskRuntime(report string) string {
 
 // TestFacadeParity pins the facade to the core pipeline: on the
 // xmark/tpox/paper workloads, recommendations served through the public
-// advisor package are byte-identical to core.Advisor output —
-// same DDL, same per-query analysis, same benefits.
+// advisor package carry exactly the core.Advisor output — same DDL,
+// same benefits and size, same per-query analysis, same candidate
+// space.
 func TestFacadeParity(t *testing.T) {
 	env, workloads := testWorkloads(t)
 	ctx := context.Background()
@@ -71,8 +72,29 @@ func TestFacadeParity(t *testing.T) {
 			if got, want := resp.DDL(), coreRec.DDL; !reflect.DeepEqual(got, want) {
 				t.Errorf("DDL mismatch:\nfacade: %v\ncore:   %v", got, want)
 			}
-			if got, want := maskRuntime(resp.Report()), maskRuntime(coreRec.Report()); got != want {
-				t.Errorf("report mismatch:\nfacade:\n%s\ncore:\n%s", got, want)
+			if resp.QueryBenefit != coreRec.QueryBenefit || resp.UpdateCost != coreRec.UpdateCost ||
+				resp.NetBenefit != coreRec.NetBenefit || resp.TotalPages != coreRec.TotalPages {
+				t.Errorf("benefits: facade %v/%v/%v in %d pages, core %v/%v/%v in %d pages",
+					resp.QueryBenefit, resp.UpdateCost, resp.NetBenefit, resp.TotalPages,
+					coreRec.QueryBenefit, coreRec.UpdateCost, coreRec.NetBenefit, coreRec.TotalPages)
+			}
+			if len(resp.PerQuery) != len(coreRec.PerQuery) {
+				t.Fatalf("facade has %d per-query rows, core %d", len(resp.PerQuery), len(coreRec.PerQuery))
+			}
+			for i, qa := range coreRec.PerQuery {
+				want := advisor.QueryCost{ID: qa.ID, Text: qa.Text, Weight: qa.Weight, CostNoIndexes: qa.CostNoIndexes,
+					CostRecommended: qa.CostRecommended, CostOvertrained: qa.CostOvertrained, IndexesUsed: qa.IndexesUsed}
+				if got := resp.PerQuery[i]; !reflect.DeepEqual(got, want) {
+					t.Errorf("per-query row %d:\nfacade: %+v\ncore:   %+v", i, got, want)
+				}
+			}
+			want := advisor.CandidateSummary{Basics: len(coreRec.Basics), Total: len(coreRec.DAG.Nodes),
+				DAGNodes: len(coreRec.DAG.Nodes), DAGEdges: coreRec.DAG.Edges(), DAGRoots: len(coreRec.DAG.Roots)}
+			for _, c := range coreRec.Basics {
+				want.BasicsPages += c.Pages()
+			}
+			if resp.Candidates != want {
+				t.Errorf("candidates: facade %+v, core %+v", resp.Candidates, want)
 			}
 		})
 	}
@@ -380,6 +402,12 @@ func TestEvaluateOnAndMaterialize(t *testing.T) {
 	}
 	if len(resp.Indexes) == 0 {
 		t.Fatal("no indexes recommended")
+	}
+	rep := resp.Report()
+	for _, want := range []string{"recommendation", "CREATE INDEX", "overtrained", "net:"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("report missing %q:\n%s", want, rep)
+		}
 	}
 	noIdx, withIdx, err := adv.EvaluateOn(ctx, w, resp.Indexes)
 	if err != nil {

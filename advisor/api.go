@@ -272,8 +272,8 @@ func (r *RecommendResponse) DDL() []string {
 }
 
 // Report renders the recommendation as text: configuration, DDL,
-// benefits, and the per-query analysis table — the same screen
-// core.Recommendation.Report prints.
+// benefits, and the per-query analysis table (the paper's Figure 5
+// screen).
 func (r *RecommendResponse) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== XML Index Advisor recommendation ===\n")

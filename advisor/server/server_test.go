@@ -341,6 +341,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"timeoutMs overflowing duration", post(recommendURL, `{"timeoutMs":18446744073710}`), http.StatusBadRequest},
 		{"missing workload", post(ts.URL+"/v1/sessions", `{"name":"empty"}`), http.StatusBadRequest},
 		{"unparseable workload", post(ts.URL+"/v1/sessions", `{"workload":"q|notaweight|x"}`), http.StatusBadRequest},
+		{"NaN workload weight", post(ts.URL+"/v1/sessions", `{"workload":"q|NaN|for $i in collection(\"auction\")/site/regions/namerica/item where $i/quantity > 5 return $i/name"}`), http.StatusBadRequest},
 		{"bad session apiVersion", post(ts.URL+"/v1/sessions", `{"apiVersion":"v9","workload":"q|1|x"}`), http.StatusBadRequest},
 		{"unknown session", post(ts.URL+"/v1/sessions/nope/recommend", `{}`), http.StatusNotFound},
 	}

@@ -213,7 +213,7 @@ func (s *Session) response(rec *core.Recommendation, strategy string, budgetPage
 		Cache:          rec.Cache,
 		Kernel:         rec.Kernel,
 		Relevance:      rec.Relevance,
-		Evaluations:    int64(rec.Evaluations),
+		Evaluations:    rec.Cache.Evaluations,
 		ElapsedMS:      int64(rec.Elapsed / time.Millisecond),
 	}
 	for i, c := range rec.Config {

@@ -217,12 +217,14 @@ func BenchmarkExecutorIndexScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a.Materialize(rec); err != nil {
-		b.Fatal(err)
+	for i, c := range rec.Config {
+		if _, err := cat.CreateIndex(rec.Names[i], c.Collection, c.Pattern, c.Type); err != nil {
+			b.Fatal(err)
+		}
 	}
 	defer func() {
-		for i := range rec.Config {
-			cat.DropIndex("XIA_IDX" + string(rune('1'+i)))
+		for _, name := range rec.Names {
+			cat.DropIndex(name)
 		}
 	}()
 	opt := optimizer.New(cat)

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/advisor"
-	"repro/internal/candidate"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/executor"
@@ -536,9 +535,9 @@ func (s *shell) cmdWhatIf(rest string) error {
 	return nil
 }
 
-// cmdCandidates parses "<workload-file> [rules]" and runs the candidate
-// pipeline (enumeration + generalization) over the current catalog,
-// dumping the pipeline stats and the containment DAG without running the
+// cmdCandidates parses "<workload-file> [rules]" and opens an advisor
+// session over the current catalog, dumping the candidate pipeline
+// stats and the containment DAG it built without running the
 // configuration search.
 func (s *shell) cmdCandidates(rest string) error {
 	fields := strings.Fields(rest)
@@ -553,29 +552,22 @@ func (s *shell) cmdCandidates(rest string) error {
 	if err != nil {
 		return err
 	}
-	if len(w.Queries) == 0 {
-		return fmt.Errorf("workload has no queries")
-	}
-	rules := candidate.DefaultRules()
+	spec := ""
 	if len(fields) == 2 {
-		if rules, err = candidate.ParseRules(fields[1]); err != nil {
-			return err
-		}
+		spec = fields[1]
 	}
-	// Mirror the advisor's default thresholds so the dump shows the
-	// candidate space Recommend actually searches.
-	pipe := candidate.New(s.cat, &candidate.OptimizerSource{Opt: s.opt}, candidate.Options{
-		Rules:          rules,
-		MinSharedSteps: candidate.DefaultMinSharedSteps,
-		MaxCandidates:  candidate.DefaultMaxCandidates,
-	})
-	set, err := pipe.Run(context.Background(), w)
+	adv, err := advisor.New(s.cat, advisor.WithRules(spec), advisor.WithParallelism(s.parallel))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(s.out, set.Stats.String())
+	sess, err := adv.Open(context.Background(), w)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	fmt.Fprintln(s.out, sess.Pipeline().String())
 	fmt.Fprintln(s.out, pattern.Stats().String())
-	fmt.Fprint(s.out, set.DAG.Render())
+	fmt.Fprint(s.out, sess.DAGText())
 	return nil
 }
 

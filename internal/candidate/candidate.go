@@ -7,9 +7,8 @@
 //
 //   - Source is the pluggable per-query enumerator of basic candidates
 //     (§2.1): OptimizerSource wraps the optimizer's Enumerate Indexes
-//     EXPLAIN mode, SyntacticSource is the loosely coupled baseline that
-//     scrapes paths from the query text, and StaticSource injects a
-//     user-supplied (seeded) candidate list.
+//     EXPLAIN mode, and SyntacticSource is the loosely coupled baseline
+//     that scrapes paths from the query text.
 //   - Rule is one named §2.2 generalization rewrite (pairwise LUB,
 //     wildcard substitution, descendant-leaf relaxation, axis
 //     relaxation, universal roots). Rules are individually toggleable
@@ -108,36 +107,6 @@ type Set struct {
 	Stats Stats
 }
 
-// RelevantCounts returns, per workload query index in [0, numQueries),
-// how many candidates in All can serve the query at all: a candidate
-// counts for query q when its coverage includes a basic candidate
-// enumerated from q (same type, containing pattern — straight from the
-// containment matrix). This is the candidate-space view of the what-if
-// engine's relevance projection: the counts bound how many of a
-// configuration's members can ever appear in one query's projected
-// sub-config, which is what makes per-(query, sub-config) memoization
-// pay off.
-func (s *Set) RelevantCounts(numQueries int) []int {
-	out := make([]int, numQueries)
-	// mark[q] is the last candidate counted for q, so a candidate
-	// covering several of q's basics is counted once.
-	mark := make([]int, numQueries)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for ci, c := range s.All {
-		for _, b := range c.Covers() {
-			for _, q := range s.Basics[b].FromQueries {
-				if q >= 0 && q < numQueries && mark[q] != ci {
-					mark[q] = ci
-					out[q]++
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Bitset is a simple fixed-capacity bitmap over basic-candidate indices.
 type Bitset []uint64
 
@@ -217,9 +186,6 @@ func (s CoverSet) Get(i int) bool {
 	}
 	return lo < len(s) && int(s[lo]) == i
 }
-
-// Count returns the number of covered basics.
-func (s CoverSet) Count() int { return len(s) }
 
 // SubsetOf reports whether every covered index is already set in the
 // dense accumulator b.

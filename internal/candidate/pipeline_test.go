@@ -215,41 +215,6 @@ func TestPipelineRuleToggle(t *testing.T) {
 	}
 }
 
-func TestStaticAndMergedSources(t *testing.T) {
-	cat, w := fixture(t)
-	seed := Raw{Pattern: mustPattern(t, "/site/regions/namerica/item/name"), Type: sqltype.Varchar}
-	static := &StaticSource{ByCollection: map[string][]Raw{"auction": {seed}}}
-
-	set := runPipeline(t, cat, static, w, Options{})
-	if len(set.Basics) != 1 {
-		t.Fatalf("static source produced %d basics, want 1", len(set.Basics))
-	}
-	b := set.Basics[0]
-	if b.Pattern.String() != "/site/regions/namerica/item/name" || b.Type != sqltype.Varchar {
-		t.Errorf("unexpected seeded candidate %s", b)
-	}
-	// Every query enumerates the seed; dedup keeps one tagged with all.
-	if len(b.FromQueries) != len(w.Queries) {
-		t.Errorf("FromQueries = %v, want all %d queries", b.FromQueries, len(w.Queries))
-	}
-
-	merged := Merged{optSource(cat), static}
-	if merged.Name() != "optimizer+static" {
-		t.Errorf("merged name = %q", merged.Name())
-	}
-	mset := runPipeline(t, cat, merged, w, Options{})
-	keys := map[string]bool{}
-	for _, c := range mset.Basics {
-		keys[c.Pattern.String()] = true
-	}
-	if !keys["/site/regions/namerica/item/name"] {
-		t.Error("merged source lost the static seed")
-	}
-	if !keys["/site/regions/namerica/item/quantity"] {
-		t.Error("merged source lost the optimizer candidates")
-	}
-}
-
 func TestDAGRenderDeterministic(t *testing.T) {
 	cat, w := fixture(t)
 	base := runPipeline(t, cat, optSource(cat), w, Options{Rules: AllRules()}).DAG.Render()

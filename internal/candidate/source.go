@@ -71,52 +71,6 @@ func (SyntacticSource) Enumerate(q *querylang.Query) ([]Raw, error) {
 	return DedupeRaw(out), nil
 }
 
-// StaticSource is a user-supplied (seeded) candidate source: every query
-// of a collection receives the same fixed proposals. It models an
-// external advisor or DBA seeding the search space, and composes with
-// another source via Merged.
-type StaticSource struct {
-	// ByCollection maps a collection name to its seeded proposals.
-	ByCollection map[string][]Raw
-}
-
-// Name implements Source.
-func (s *StaticSource) Name() string { return "static" }
-
-// Enumerate implements Source with the collection's fixed seed list.
-func (s *StaticSource) Enumerate(q *querylang.Query) ([]Raw, error) {
-	return s.ByCollection[q.Collection], nil
-}
-
-// Merged fans one query across several sources and concatenates their
-// proposals in source order (the Pipeline deduplicates by key).
-type Merged []Source
-
-// Name implements Source.
-func (m Merged) Name() string {
-	name := ""
-	for i, s := range m {
-		if i > 0 {
-			name += "+"
-		}
-		name += s.Name()
-	}
-	return name
-}
-
-// Enumerate implements Source.
-func (m Merged) Enumerate(q *querylang.Query) ([]Raw, error) {
-	var out []Raw
-	for _, s := range m {
-		raws, err := s.Enumerate(q)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, raws...)
-	}
-	return DedupeRaw(out), nil
-}
-
 // DedupeRaw removes duplicate proposals by Key in a single pass over a
 // map, preserving the order of first occurrence.
 func DedupeRaw(raws []Raw) []Raw {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,8 +28,7 @@ type Options struct {
 	// Source is the basic-candidate source (§2.1). nil means the
 	// optimizer's Enumerate Indexes EXPLAIN mode, the paper's tightly
 	// coupled approach; candidate.SyntacticSource{} is the loosely
-	// coupled baseline of the coupling ablation, and any other Source
-	// plugs in a user-supplied or seeded enumerator.
+	// coupled baseline of the coupling ablation.
 	Source candidate.Source
 	// Rules is the comma-separated §2.2 generalization rule spec
 	// ("lub,leaf,axis", "all", "none"; see candidate.ParseRules). The
@@ -234,15 +230,10 @@ type Recommendation struct {
 	// TraceEvents is the structured search trace (typed events with
 	// round, action, candidate key, benefit, pages, and cache counts).
 	TraceEvents search.Trace
-	// Trace is TraceEvents rendered to text, one line per event.
-	Trace []string
 	// Search holds the strategy's run stats: rounds, wall time, cache
 	// counts, and — for the race portfolio — the winner and
 	// per-member stats.
 	Search search.Stats
-	// Evaluations counts per-query what-if evaluations issued during
-	// this run (cache misses only; hits cost nothing).
-	Evaluations int
 	// Relevance summarizes, per workload query, how many candidates of
 	// the whole space can serve the query at all (the engine's
 	// projection view): the distribution that determines how much of a
@@ -268,16 +259,10 @@ type Recommendation struct {
 	DegradedReason string
 }
 
-// Recommend runs the full index recommendation pipeline on the workload.
+// Recommend runs the full index recommendation pipeline on the workload
+// with the advisor's default strategy and budget.
 func (a *Advisor) Recommend(w *workload.Workload) (*Recommendation, error) {
-	return a.RecommendContext(context.Background(), w)
-}
-
-// RecommendContext is Recommend with cancellation: the context is
-// threaded through every what-if evaluation, so a cancelled or expired
-// context aborts the search promptly.
-func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload) (*Recommendation, error) {
-	rec, _, err := a.RecommendFull(ctx, w, a.opts.Search, a.opts.DiskBudgetPages, nil)
+	rec, _, err := a.RecommendFull(context.Background(), w, a.opts.Search, a.opts.DiskBudgetPages, nil)
 	return rec, err
 }
 
@@ -309,20 +294,10 @@ func catalogDDL(name string, c *Candidate) string {
 	return d.DDL()
 }
 
-// EvaluateOn measures the recommended configuration's benefit on another
+// EvaluateDefs measures an index-definition configuration on a
 // workload (the unseen-queries analysis of the demo, Figure 5's "add
-// more queries" feature). It returns total weighted cost without
-// indexes, with the configuration, and the benefit.
-func (a *Advisor) EvaluateOn(w *workload.Workload, config []*Candidate) (noIdx, withIdx float64, err error) {
-	defs := make([]*catalog.IndexDef, len(config))
-	for i, c := range config {
-		defs[i] = c.Def
-	}
-	return a.EvaluateDefs(context.Background(), w, defs)
-}
-
-// EvaluateDefs is EvaluateOn for an arbitrary index-definition
-// configuration — the hook the public facade uses to cost
+// more queries" feature): total weighted cost without indexes and with
+// the configuration. It is the hook the public facade uses to cost
 // configurations that arrived as DTOs (possibly from another process).
 func (a *Advisor) EvaluateDefs(ctx context.Context, w *workload.Workload, defs []*catalog.IndexDef) (noIdx, withIdx float64, err error) {
 	if err := a.ensureFreshCosts(w); err != nil {
@@ -337,97 +312,4 @@ func (a *Advisor) EvaluateDefs(ctx context.Context, w *workload.Workload, defs [
 		withIdx += e.Weight * res.Queries[qi].Cost
 	}
 	return noIdx, withIdx, nil
-}
-
-// evalWorkload costs an arbitrary workload under a candidate
-// configuration through the what-if engine.
-func (a *Advisor) evalWorkload(ctx context.Context, w *workload.Workload, config []*Candidate) (*whatif.ConfigEval, error) {
-	if err := a.ensureFreshCosts(w); err != nil {
-		return nil, err
-	}
-	defs := make([]*catalog.IndexDef, len(config))
-	for i, c := range config {
-		defs[i] = c.Def
-	}
-	return a.cost.EvaluateConfig(ctx, w.QueryList(), defs)
-}
-
-// AnalyzeConfig re-runs the per-query analysis for a user-modified
-// configuration — the demo's Figure 5 feature of adding/removing indexes
-// from the recommendation and seeing the effect on every query.
-func (a *Advisor) AnalyzeConfig(w *workload.Workload, config []*Candidate) ([]QueryAnalysis, error) {
-	names := map[string]string{}
-	for i, c := range config {
-		names[c.Def.Name] = fmt.Sprintf("XIA_IDX%d", i+1)
-	}
-	res, err := a.evalWorkload(context.Background(), w, config)
-	if err != nil {
-		return nil, err
-	}
-	var out []QueryAnalysis
-	for qi, e := range w.Queries {
-		qe := res.Queries[qi]
-		qa := QueryAnalysis{
-			ID:              e.Query.ID,
-			Text:            e.Query.Text,
-			Weight:          e.Weight,
-			CostNoIndexes:   qe.CostNoIndexes,
-			CostRecommended: qe.Cost,
-		}
-		for _, n := range qe.UsedIndexes {
-			qa.IndexesUsed = append(qa.IndexesUsed, names[n])
-		}
-		sort.Strings(qa.IndexesUsed)
-		out = append(out, qa)
-	}
-	return out, nil
-}
-
-// WithoutIndex returns config minus the candidate at index i, for
-// what-if removal analysis.
-func WithoutIndex(config []*Candidate, i int) []*Candidate {
-	if i < 0 || i >= len(config) {
-		return config
-	}
-	out := make([]*Candidate, 0, len(config)-1)
-	out = append(out, config[:i]...)
-	return append(out, config[i+1:]...)
-}
-
-// Materialize creates the recommended indexes as real (physical) indexes
-// in the catalog, returning their names — the demo's final "create the
-// recommended configuration" step.
-func (a *Advisor) Materialize(rec *Recommendation) ([]string, error) {
-	var names []string
-	for i, c := range rec.Config {
-		name := fmt.Sprintf("XIA_IDX%d", i+1)
-		if _, err := a.cat.CreateIndex(name, c.Collection, c.Pattern, c.Type); err != nil {
-			return names, err
-		}
-		names = append(names, name)
-	}
-	return names, nil
-}
-
-// Report renders the recommendation as text: configuration, DDL,
-// benefits, and the per-query analysis table.
-func (rec *Recommendation) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "=== XML Index Advisor recommendation ===\n")
-	fmt.Fprintf(&sb, "candidates: %d basic, %d total (DAG: %d edges, %d roots)\n",
-		len(rec.Basics), len(rec.DAG.Nodes), rec.DAG.Edges(), len(rec.DAG.Roots))
-	fmt.Fprintf(&sb, "recommended configuration: %d indexes, %d pages\n", len(rec.Config), rec.TotalPages)
-	for _, ddl := range rec.DDL {
-		fmt.Fprintf(&sb, "  %s\n", ddl)
-	}
-	fmt.Fprintf(&sb, "estimated query benefit: %.1f   update cost: %.1f   net: %.1f\n",
-		rec.QueryBenefit, rec.UpdateCost, rec.NetBenefit)
-	fmt.Fprintf(&sb, "\n%-6s %10s %12s %12s  %s\n", "query", "no-index", "recommended", "overtrained", "indexes used")
-	for _, qa := range rec.PerQuery {
-		fmt.Fprintf(&sb, "%-6s %10.1f %12.1f %12.1f  %s\n",
-			qa.ID, qa.CostNoIndexes, qa.CostRecommended, qa.CostOvertrained, strings.Join(qa.IndexesUsed, ","))
-	}
-	fmt.Fprintf(&sb, "\nadvisor runtime: %v (%d what-if evaluations, %d cache hits)\n",
-		rec.Elapsed.Round(time.Millisecond), rec.Evaluations, rec.Cache.Hits)
-	return sb.String()
 }

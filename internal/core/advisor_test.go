@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -227,7 +228,7 @@ func TestGeneralizationHelpsUnseenQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noIdx, withIdx, err := a.EvaluateOn(test, rec.Config)
+		noIdx, withIdx, err := a.EvaluateDefs(context.Background(), test, defsOfCandidates(rec.Config))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,14 +252,12 @@ func TestMaterializeAndExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := a.Materialize(rec)
-	if err != nil {
-		t.Fatal(err)
+	for i, c := range rec.Config {
+		if _, err := cat.CreateIndex(rec.Names[i], c.Collection, c.Pattern, c.Type); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(names) != len(rec.Config) {
-		t.Fatalf("materialized %d of %d", len(names), len(rec.Config))
-	}
-	for _, n := range names {
+	for _, n := range rec.Names {
 		def := cat.Index(n)
 		if def == nil || def.Phys == nil {
 			t.Fatalf("index %s not physically built", n)
@@ -339,7 +338,7 @@ func TestRecommendationIdenticalAcrossGenParallelism(t *testing.T) {
 	cat := xmarkFixture(t, 200)
 	w := datagen.XMarkWorkload(10, 12)
 	fingerprint := func(rec *Recommendation) string {
-		return strings.Join(rec.DDL, "\n") + "\n" + rec.DAG.Render() + strings.Join(rec.Trace, "\n")
+		return strings.Join(rec.DDL, "\n") + "\n" + rec.DAG.Render() + strings.Join(rec.TraceEvents.Strings(), "\n")
 	}
 	var base string
 	for _, par := range []int{1, 4, 8} {
@@ -404,18 +403,16 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := rec.Report()
-	for _, want := range []string{"recommendation", "CREATE INDEX", "overtrained", "net:"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
-	}
 	dag := rec.DAG.Render()
 	if !strings.Contains(dag, "roots") {
 		t.Errorf("DAG render:\n%s", dag)
 	}
 }
 
+// TestAnalyzeConfigWhatIf removes one index from the recommendation
+// and re-prices the workload on the advisor's what-if engine: no
+// query's cost may drop, and the full configuration must price every
+// query as the recommendation's own table does.
 func TestAnalyzeConfigWhatIf(t *testing.T) {
 	cat := xmarkFixture(t, 200)
 	a := New(cat, DefaultOptions())
@@ -427,24 +424,26 @@ func TestAnalyzeConfigWhatIf(t *testing.T) {
 	if len(rec.Config) < 2 {
 		t.Skip("config too small for removal analysis")
 	}
-	full, err := a.AnalyzeConfig(w, rec.Config)
+	defs := defsOfCandidates(rec.Config)
+	ctx := context.Background()
+	full, err := a.CostEngine().EvaluateConfig(ctx, w.QueryList(), defs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := a.AnalyzeConfig(w, WithoutIndex(rec.Config, 0))
+	reduced, err := a.CostEngine().EvaluateConfig(ctx, w.QueryList(), defs[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != len(w.Queries) || len(reduced) != len(w.Queries) {
+	if len(full.Queries) != len(w.Queries) || len(reduced.Queries) != len(w.Queries) {
 		t.Fatal("analysis row count wrong")
 	}
 	var fullTot, redTot float64
-	for i := range full {
-		fullTot += full[i].Weight * full[i].CostRecommended
-		redTot += reduced[i].Weight * reduced[i].CostRecommended
+	for i, e := range w.Queries {
+		fullTot += e.Weight * full.Queries[i].Cost
+		redTot += e.Weight * reduced.Queries[i].Cost
 		// Removing an index can only increase (or keep) each cost.
-		if reduced[i].CostRecommended+1e-9 < full[i].CostRecommended {
-			t.Errorf("%s: cost dropped after removing an index", full[i].ID)
+		if reduced.Queries[i].Cost+1e-9 < full.Queries[i].Cost {
+			t.Errorf("%s: cost dropped after removing an index", e.Query.ID)
 		}
 	}
 	if redTot < fullTot {
@@ -452,11 +451,8 @@ func TestAnalyzeConfigWhatIf(t *testing.T) {
 	}
 	// The full analysis must agree with the recommendation's own table.
 	for i, qa := range rec.PerQuery {
-		if d := qa.CostRecommended - full[i].CostRecommended; d > 1e-6 || d < -1e-6 {
-			t.Errorf("%s: AnalyzeConfig %f != recommendation %f", qa.ID, full[i].CostRecommended, qa.CostRecommended)
+		if d := qa.CostRecommended - full.Queries[i].Cost; d > 1e-6 || d < -1e-6 {
+			t.Errorf("%s: what-if %f != recommendation %f", qa.ID, full.Queries[i].Cost, qa.CostRecommended)
 		}
-	}
-	if got := WithoutIndex(rec.Config, -1); len(got) != len(rec.Config) {
-		t.Error("WithoutIndex out of range should be a no-op")
 	}
 }

@@ -5,7 +5,8 @@
 //
 // The pipeline follows Figure 1 of the paper, with each stage behind its
 // own package boundary; this package is the thin orchestration layer
-// that wires them together and derives the recommendation report:
+// that wires them together and assembles the recommendation (the public
+// advisor package presents it):
 //
 //  1. internal/candidate enumerates the basic candidate patterns for
 //     every workload query (§2.1, the Enumerate Indexes EXPLAIN mode via

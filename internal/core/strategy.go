@@ -51,17 +51,6 @@ func (k SearchKind) String() string {
 	return string(k)
 }
 
-// ParseSearchKind resolves a search strategy name or alias against the
-// search registry. Unknown names fail with an error enumerating the
-// valid strategies.
-func ParseSearchKind(s string) (SearchKind, error) {
-	name, err := search.Canonical(s)
-	if err != nil {
-		return "", err
-	}
-	return SearchKind(name), nil
-}
-
 // Prepared is one advisor run stopped just before configuration search:
 // the candidate pipeline has run and the what-if evaluator is bound to
 // the workload. Repeated searches over it — different strategies,
@@ -142,11 +131,6 @@ func defsOfCandidates(cands []*Candidate) []*catalog.IndexDef {
 	}
 	return defs
 }
-
-// RelevanceStats summarizes per-query relevant-candidate counts over
-// the prepared space — how many candidates can serve each workload
-// query at all, as the what-if engine's projection sees it.
-func (p *Prepared) RelevanceStats() whatif.RelevanceStats { return p.relevance }
 
 // BenefitMatrix returns the standalone per-(query, candidate) benefit
 // matrix over the prepared space, rows aligned with Space().Candidates:
@@ -291,7 +275,6 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 		DAG:         p.set.DAG,
 		Gen:         p.set.Stats,
 		TraceEvents: res.Trace,
-		Trace:       res.Trace.Strings(),
 		Search:      res.Stats,
 		Degraded:    res.Degraded,
 	}
@@ -369,7 +352,6 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	}
 	rec.Relevance = p.relevance
 	rec.Cache = tally.Stats()
-	rec.Evaluations = int(rec.Cache.Evaluations)
 	rec.Kernel = pattern.Stats().Sub(kernelBefore)
 	rec.Elapsed = time.Since(start)
 	return rec, nil

@@ -40,9 +40,6 @@ func (c *TPoXConfig) fill() {
 	}
 }
 
-// TPoXCollections names the three generated collections.
-var TPoXCollections = []string{"security", "order", "custacc"}
-
 // GenerateTPoX populates the three TPoX collections in st.
 func GenerateTPoX(st *store.Store, cfg TPoXConfig) error {
 	cfg.fill()

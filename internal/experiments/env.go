@@ -13,7 +13,6 @@ import (
 	"repro/advisor"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -112,11 +111,6 @@ func (e *Env) advisor(opts ...advisor.Option) *advisor.Advisor {
 // optimizer builds an optimizer over a fresh catalog.
 func (e *Env) optimizer() *optimizer.Optimizer {
 	return optimizer.New(e.freshCatalog())
-}
-
-// executorOn returns an executor over the given catalog.
-func executorOn(cat *catalog.Catalog) *executor.Executor {
-	return executor.New(cat)
 }
 
 // table is a tiny fixed-width table builder for experiment output.

@@ -229,14 +229,6 @@ func (lc *legCollector) collectBool(e xpath.BoolExpr, prefix pattern.Pattern, di
 	}
 }
 
-// Parse parses query text in the given language.
-func Parse(lang Lang, text string) (*Query, error) {
-	if lang == LangSQLXML {
-		return ParseSQLXML(text)
-	}
-	return ParseXQuery(text)
-}
-
 // ParseAuto guesses the language from the text: SELECT ... means SQL/XML,
 // anything else XQuery.
 func ParseAuto(text string) (*Query, error) {

@@ -312,15 +312,6 @@ func (b *Bound) learn(d *catalog.IndexDef) *defMemo {
 	return prev.(*defMemo)
 }
 
-// Queries returns the bound query list (in evaluation order).
-func (b *Bound) Queries() []*querylang.Query {
-	out := make([]*querylang.Query, len(b.atoms))
-	for i := range b.atoms {
-		out[i] = b.atoms[i].q
-	}
-	return out
-}
-
 // RelevantCounts returns, per bound query, the size of the
 // configuration's projected sub-config: how many definitions can serve
 // the query at all. No CostService calls.

@@ -172,9 +172,6 @@ func NewFaultService(inner CostService, sched FaultSchedule) *FaultService {
 // running, so FailAfter/PanicOn are absolute call numbers.
 func (s *FaultService) SetSchedule(sched FaultSchedule) { s.sched.Store(&sched) }
 
-// Schedule returns the current schedule.
-func (s *FaultService) Schedule() FaultSchedule { return *s.sched.Load() }
-
 // Calls returns how many EvaluateQuery calls arrived so far.
 func (s *FaultService) Calls() int64 { return s.calls.Load() }
 

@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -218,9 +219,11 @@ func Parse(name, text string) (*Workload, error) {
 		if !ok {
 			return nil, fmt.Errorf("workload: line %d: missing weight separator", ln+1)
 		}
+		// ParseFloat accepts NaN and ±Inf; a weight must be finite and
+		// positive, or every benefit it scales becomes NaN or infinite.
 		weight, err := strconv.ParseFloat(strings.TrimSpace(weightStr), 64)
-		if err != nil || weight <= 0 {
-			return nil, fmt.Errorf("workload: line %d: bad weight %q", ln+1, weightStr)
+		if err != nil || weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
+			return nil, fmt.Errorf("workload: line %d: bad weight %q (want a finite positive number)", ln+1, weightStr)
 		}
 		switch strings.TrimSpace(kind) {
 		case "q":

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,28 @@ func TestParseErrors(t *testing.T) {
 	for _, line := range bad {
 		if _, err := Parse("bad", line); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", line)
+		}
+	}
+}
+
+// TestParseRejectsNonFiniteWeights pins the weight check at the parse
+// boundary: NaN and infinite weights are refused on every record kind,
+// while the same records with a finite weight parse.
+func TestParseRejectsNonFiniteWeights(t *testing.T) {
+	records := map[string]string{
+		"q": `q|%s|for $i in collection("c")/a/b where $i/c > 5 return $i`,
+		"i": `i|%s|c|<a><b><c>7</c></b></a>`,
+		"d": `d|%s|c|/a/b[c > 5]`,
+	}
+	for kind, format := range records {
+		if _, err := Parse("ok", fmt.Sprintf(format, "2")); err != nil {
+			t.Fatalf("%s record with weight 2: %v", kind, err)
+		}
+		for _, weight := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+			line := fmt.Sprintf(format, weight)
+			if _, err := Parse("bad", line); err == nil {
+				t.Errorf("Parse(%q) succeeded, want error", line)
+			}
 		}
 	}
 }

@@ -62,15 +62,6 @@ type Node struct {
 	Attrs    []*Node // attribute nodes, in document order
 }
 
-// IsElement reports whether the node is an element.
-func (n *Node) IsElement() bool { return n.Kind == KindElement }
-
-// IsAttr reports whether the node is an attribute.
-func (n *Node) IsAttr() bool { return n.Kind == KindAttribute }
-
-// IsText reports whether the node is a text node.
-func (n *Node) IsText() bool { return n.Kind == KindText }
-
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
 	for _, a := range n.Attrs {
