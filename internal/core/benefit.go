@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/catalog"
 	"repro/internal/pattern"
 	"repro/internal/search"
 	"repro/internal/sqltype"
@@ -32,6 +31,10 @@ type evaluator struct {
 	baseCost []float64
 	// insertDocs caches, per update index, the parsed sample document.
 	insertDocs []*xmldoc.Document
+	// deleteDocs holds, per update index, the document count of a
+	// delete's collection, read once: a Prepared assumes fixed
+	// statistics for its lifetime. 0 means the delete is not charged.
+	deleteDocs []int64
 
 	// entryMu guards the memoized per-(update, candidate) state behind
 	// updateCost, shared across concurrent evals: entryCount holds
@@ -67,14 +70,21 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 	}
 	for _, u := range w.Updates {
 		var d *xmldoc.Document
-		if u.Kind == workload.UpdateInsert {
+		var docs int64
+		switch u.Kind {
+		case workload.UpdateInsert:
 			var err error
 			d, err = xmldoc.ParseString(u.DocXML)
 			if err != nil {
 				return nil, fmt.Errorf("core: update document: %w", err)
 			}
+		case workload.UpdateDelete:
+			if st, err := a.cat.Stats(u.Collection); err == nil {
+				docs = st.Docs
+			}
 		}
 		ev.insertDocs = append(ev.insertDocs, d)
+		ev.deleteDocs = append(ev.deleteDocs, docs)
 	}
 	return ev, nil
 }
@@ -159,57 +169,6 @@ func candidateNamed(cfg []*Candidate, name string) (int, bool) {
 	return 0, false
 }
 
-// searchEvaluator adapts the advisor's evaluator to the search layer's
-// Evaluator interface: configuration evaluations become the
-// workload-level aggregates strategies rank by. It is safe for
-// concurrent use (the evaluator is).
-type searchEvaluator struct {
-	ev *evaluator
-}
-
-// Evaluate prices the configuration for the search layer.
-func (s searchEvaluator) Evaluate(ctx context.Context, cfg []*Candidate) (*search.Eval, error) {
-	res, err := s.ev.bound.EvaluateConfig(ctx, defsOfCandidates(cfg))
-	if err != nil {
-		return nil, err
-	}
-	e := s.ev.aggregate(res, cfg)
-	return &e, nil
-}
-
-// EvaluateBatch prices base+{c} for a whole burst of candidates in one
-// whatif-engine dispatch — the search layer's BatchEvaluator fast path.
-// Results are in cands order.
-func (s searchEvaluator) EvaluateBatch(ctx context.Context, base, cands []*search.Candidate) ([]*search.Eval, error) {
-	// Every configuration is base+{c}: build them all in one backing
-	// array each, candidates and definitions.
-	w := len(base) + 1
-	cfgs := make([]*Candidate, 0, len(cands)*w)
-	defs := make([]*catalog.IndexDef, 0, len(cands)*w)
-	configs := make([][]*catalog.IndexDef, len(cands))
-	for i, c := range cands {
-		cfgs = append(append(cfgs, base...), c)
-		for _, b := range cfgs[i*w:] {
-			defs = append(defs, b.Def)
-		}
-		configs[i] = defs[i*w : (i+1)*w : (i+1)*w]
-	}
-	results, err := s.ev.bound.EvaluateConfigBatch(ctx, configs)
-	if err != nil {
-		return nil, err
-	}
-	evals := make([]search.Eval, len(cands))
-	out := make([]*search.Eval, len(cands))
-	for i, res := range results {
-		evals[i] = s.ev.aggregate(res, cfgs[i*w:(i+1)*w:(i+1)*w])
-		out[i] = &evals[i]
-	}
-	return out, nil
-}
-
-// Workers is the what-if engine's evaluation parallelism.
-func (s searchEvaluator) Workers() int { return s.ev.a.cost.Workers() }
-
 // updateCost charges each update statement for the index entries it
 // would add or remove in every configuration index (paper §1: "taking
 // into account the cost of updating the index on data modification").
@@ -239,11 +198,10 @@ func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
 				// index; estimate with the index's average entries per
 				// document, restricted to docs the delete path selects
 				// (approximated by full overlap when patterns intersect).
-				st, err := ev.a.cat.Stats(u.Collection)
-				if err != nil || st.Docs == 0 {
+				if ev.deleteDocs[ui] == 0 {
 					continue
 				}
-				perDoc := float64(c.Def.EstEntries) / float64(st.Docs)
+				perDoc := float64(c.Def.EstEntries) / float64(ev.deleteDocs[ui])
 				if u.Path != nil && !ev.deleteOverlaps(ui, deleteScope, c) {
 					continue
 				}

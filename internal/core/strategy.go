@@ -72,12 +72,10 @@ type Prepared struct {
 	relevance whatif.RelevanceStats
 
 	// benefitMu guards the lazily built standalone benefit matrix
-	// behind the space's Benefits hook; benefitsBuilt marks it done
+	// behind the space's Benefits hook; nil until a build succeeds
 	// (restore seeds it from a snapshot, Save reads it concurrently).
-	benefitMu     sync.Mutex
-	benefitsBuilt bool
-	benefits      *whatif.BenefitMatrix
-	benefitErr    error
+	benefitMu sync.Mutex
+	benefits  *whatif.BenefitMatrix
 }
 
 // Prepare runs the candidate pipeline on the workload and binds the
@@ -113,7 +111,7 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		Candidates:       set.All,
 		DAG:              set.DAG,
 		BudgetPages:      a.opts.DiskBudgetPages,
-		Eval:             searchEvaluator{ev},
+		Eval:             search.BoundEvaluator{Bound: ev.bound, Derive: ev.aggregate, Parallel: a.cost.Workers()},
 		InteractionAware: a.opts.InteractionAware,
 		Anytime:          a.opts.Anytime,
 	}
@@ -139,15 +137,15 @@ func defsOfCandidates(cands []*Candidate) []*catalog.IndexDef {
 // cost (no optimizer calls — the update model is local). Built once on
 // first call — one standalone what-if evaluation per candidate, batched
 // through the engine (atoms already cached by a prior search are free)
-// — and memoized; row sums equal the standalone QueryBenefit the search
-// evaluator reports, which the cross-check test pins. This is the
-// decomposed benefit model the CoPhy-style LP strategy seam
-// (search.Space.Benefits) exposes.
+// — and memoized once built; a failed build (a cancelled request, an
+// open breaker) is not memoized, so the next call retries. Row sums
+// equal the standalone QueryBenefit the search evaluator reports, which
+// the cross-check test pins. This is the decomposed benefit model the
+// CoPhy-style LP strategy seam (search.Space.Benefits) exposes.
 func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, error) {
 	p.benefitMu.Lock()
 	defer p.benefitMu.Unlock()
-	if !p.benefitsBuilt {
-		p.benefitsBuilt = true
+	if p.benefits == nil {
 		m := &whatif.BenefitMatrix{
 			NumQueries: len(p.w.Queries),
 			Rows:       make([][]whatif.BenefitEntry, len(p.set.All)),
@@ -160,7 +158,6 @@ func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, er
 		}
 		results, err := p.ev.bound.EvaluateConfigBatch(ctx, configs)
 		if err != nil {
-			p.benefitErr = err
 			return nil, err
 		}
 		for ci, res := range results {
@@ -174,7 +171,7 @@ func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, er
 		}
 		p.benefits = m
 	}
-	return p.benefits, p.benefitErr
+	return p.benefits, nil
 }
 
 // builtBenefits returns the benefit matrix only if it has already been
@@ -182,17 +179,13 @@ func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, er
 func (p *Prepared) builtBenefits() *whatif.BenefitMatrix {
 	p.benefitMu.Lock()
 	defer p.benefitMu.Unlock()
-	if p.benefitsBuilt && p.benefitErr == nil {
-		return p.benefits
-	}
-	return nil
+	return p.benefits
 }
 
 // seedBenefits installs a restored benefit matrix so the first
 // BenefitMatrix call is free.
 func (p *Prepared) seedBenefits(m *whatif.BenefitMatrix) {
 	p.benefitMu.Lock()
-	p.benefitsBuilt = true
 	p.benefits = m
 	p.benefitMu.Unlock()
 }

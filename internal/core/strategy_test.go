@@ -195,3 +195,38 @@ func TestCompressedWorkloadSameRecommendation(t *testing.T) {
 		t.Errorf("compression increased evaluations: %d vs %d", recSmall.Cache.Evaluations, recBig.Cache.Evaluations)
 	}
 }
+
+// TestBenefitMatrixRetriesAfterFailedBuild pins that a failed benefit
+// matrix build is not memoized: an lp search whose request was
+// cancelled while the matrix was being built must not make every later
+// lp search on the same session fail, and the retry must recommend
+// what a fresh session does.
+func TestBenefitMatrixRetriesAfterFailedBuild(t *testing.T) {
+	cat := xmarkFixture(t, 100)
+	w := datagen.XMarkWorkload(10, 1)
+	prep, err := New(cat, DefaultOptions()).Prepare(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := prep.RecommendWith(ctx, "lp", 0); err == nil {
+		t.Fatal("lp on a cancelled context succeeded")
+	}
+	got, err := prep.RecommendWith(context.Background(), "lp", 0)
+	if err != nil {
+		t.Fatalf("lp after a cancelled request: %v", err)
+	}
+	fresh, err := New(cat, DefaultOptions()).Prepare(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RecommendWith(context.Background(), "lp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got.DDL, "\n") != strings.Join(want.DDL, "\n") || got.NetBenefit != want.NetBenefit {
+		t.Errorf("lp after a cancelled request recommends %v (net %.3f), a fresh session %v (net %.3f)",
+			got.DDL, got.NetBenefit, want.DDL, want.NetBenefit)
+	}
+}

@@ -3,8 +3,11 @@
 // candidate) benefit coefficients, per-candidate modular net weights,
 // sizes, a disk budget, and at-most-one side constraints over
 // containment chains, it computes a fractional installation vector and
-// a certified upper bound on every feasible configuration's surrogate
-// net benefit.
+// an upper bound on every feasible configuration's surrogate net
+// benefit. The surrogate is this LP's objective, in which each query is
+// served by at most one index; it bounds a cost model only as far as
+// that model agrees with it, and a model whose plans combine several
+// indexes can exceed it.
 //
 // The LP, with x_c the installed fraction of candidate c and y_qc the
 // fraction of query q served by c:
@@ -95,9 +98,11 @@ type Solution struct {
 	// Objective is the primal value of X (a lower bound on the LP
 	// optimum).
 	Objective float64
-	// Bound is the dual objective at the final iterate: a certified
-	// upper bound on the LP optimum, and therefore on the surrogate
-	// net benefit of every feasible integral configuration.
+	// Bound is the dual objective at the final iterate: an upper bound
+	// on the LP optimum, and therefore on the surrogate net benefit of
+	// every feasible integral configuration (one serving index per
+	// query). It is not a bound on a net priced by a cost model whose
+	// plans use several indexes per query.
 	Bound float64
 	// Passes is the number of coordinate-descent passes performed.
 	Passes int

@@ -57,7 +57,7 @@ func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 			if best != nil && density <= bestRatio {
 				break
 			}
-			evals, err := evalEach(ctx, tr.ev, config, []*Candidate{c})
+			evals, err := tr.ev.EvaluateBatch(ctx, config, []*Candidate{c})
 			if err != nil {
 				return nil, err
 			}
@@ -105,5 +105,5 @@ func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 		}
 		remaining = rest
 	}
-	return finish(ctx, sp, tr, config, curEval)
+	return tr.finish(ctx, config, curEval)
 }

@@ -25,10 +25,7 @@ func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, g.Name(), sp)
 	alone, err := standalone(ctx, tr.ev, sp.Candidates)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, nil, nil)
 	}
 	order := rankByDensity(sp.Candidates, alone)
 	var config []*Candidate
@@ -46,7 +43,7 @@ func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
 		tr.round++
 		tr.emit(TraceEvent{Action: ActionAdd, Candidate: c.Key(), Benefit: alone[c.ID].Net, Pages: pages})
 	}
-	return finish(ctx, sp, tr, config, nil)
+	return tr.finish(ctx, config, nil)
 }
 
 // greedyHeuristic is the paper's greedy search with heuristics:
@@ -78,10 +75,7 @@ func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error)
 	// without it would be quadratic in optimizer calls.
 	alone, err := standalone(ctx, tr.ev, sp.Candidates)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, nil, nil)
 	}
 	var positive []*Candidate
 	for _, c := range sp.Candidates {
@@ -125,12 +119,9 @@ func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *trac
 		best.Covers().OrInto(covered)
 		bestEval, err := tr.ev.Evaluate(ctx, config)
 		if err != nil {
-			if sp.degradable(err) {
-				// The newest member was never evaluated; degrade to
-				// the configuration the last evaluation priced.
-				return degrade(sp, tr, config[:len(config)-1], curEval, err), nil
-			}
-			return nil, err
+			// The newest member was never evaluated; degrade to the
+			// configuration the last evaluation priced.
+			return tr.fail(err, config[:len(config)-1], curEval)
 		}
 		curEval = bestEval
 		tr.round++
@@ -141,12 +132,9 @@ func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *trac
 			config = pruned
 			curEval, err = tr.ev.Evaluate(ctx, config)
 			if err != nil {
-				if sp.degradable(err) {
-					// Reclaimed members were unused, so the pre-prune
-					// evaluation still prices this configuration.
-					return degrade(sp, tr, config, bestEval, err), nil
-				}
-				return nil, err
+				// Reclaimed members were unused, so the pre-prune
+				// evaluation still prices this configuration.
+				return tr.fail(err, config, bestEval)
 			}
 			covered = coverage(width, config)
 		}
@@ -159,7 +147,7 @@ func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *trac
 		}
 		remaining = rest
 	}
-	return finish(ctx, sp, tr, config, curEval)
+	return tr.finish(ctx, config, curEval)
 }
 
 // reclaim returns the members of config that some plan uses under ev,

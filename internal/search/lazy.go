@@ -45,19 +45,6 @@ func (h *lazyHeap) Pop() any {
 	return it
 }
 
-// lazyBurst is how many stale heap tops one refresh step re-evaluates.
-// It is the canonical CELF burst of one, and deliberately NOT derived
-// from the evaluator's worker count: the cost model is not perfectly
-// submodular (index interactions can grow a marginal, so a stale key is
-// not always a true upper bound), which makes the selection sensitive
-// to how many tops get speculatively refreshed — a runtime-dependent
-// burst would make the recommendation depend on the parallelism setting
-// (E12 pins that it does not), and any burst beyond the top itself both
-// wastes speculative evaluations and surfaces grown marginals an eager
-// scan resolves differently. Parallel workers still serve the
-// standalone seeding pass.
-const lazyBurst = 1
-
 // lazy is the submodular lazy-evaluation form of the interaction-aware
 // greedy heuristic (the CELF trick): keep candidates in a max-heap
 // keyed by their last-known marginal benefit density — initialized from
@@ -71,6 +58,13 @@ const lazyBurst = 1
 // locally (index interactions), so equality with an eager scan oracle is
 // additionally pinned empirically by property tests on the shipped
 // workloads.
+//
+// Each step refreshes one stale top, the canonical CELF step. Refreshing
+// several tops at once would make the selection depend on how many got
+// refreshed (a grown marginal can surface early), and a burst sized by
+// the worker count would make recommendations depend on the parallelism
+// setting, which E12 pins they do not. Parallel workers still serve the
+// standalone seeding pass.
 //
 // Two situations fall back to first principles: a candidate that fails
 // the budget or redundancy filter is parked for the round and re-tried
@@ -86,10 +80,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 
 	curEval, err := tr.ev.Evaluate(ctx, nil)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, nil, nil)
 	}
 	// Round 1 keys are exact, not just bounds: against the empty
 	// configuration the marginal IS the standalone net, so the first
@@ -106,54 +97,28 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 		pages := PagesOf(config)
 		parked = parked[:0]
 		var selected *lazyItem
-		for {
-			// Collect a burst of stale tops, parking tops that fail the
-			// round's budget/redundancy filters along the way.
-			var batch []*lazyItem
-			for len(h) > 0 && len(batch) < lazyBurst {
-				top := h[0]
-				if top.key <= 0 {
-					// Keys are upper bounds: nothing below the top can
-					// have a positive marginal, fresh or not.
-					break
-				}
-				if !sp.Fits(pages+top.c.Pages()) || top.c.Covers().SubsetOf(covered) {
-					heap.Pop(&h)
-					parked = append(parked, top)
-					continue
-				}
-				if top.round == round {
-					break // fresh: no stale key above it can compete
-				}
-				heap.Pop(&h)
-				batch = append(batch, top)
+		// Keys are upper bounds: once the top's is not positive, nothing
+		// below it can have a positive marginal, fresh or not.
+		for len(h) > 0 && h[0].key > 0 {
+			top := heap.Pop(&h).(*lazyItem)
+			if !sp.Fits(pages+top.c.Pages()) || top.c.Covers().SubsetOf(covered) {
+				parked = append(parked, top)
+				continue
 			}
-			if len(batch) == 0 {
-				if len(h) == 0 || h[0].key <= 0 {
-					break // nothing eligible with a positive marginal
-				}
-				// The collection stopped on a fresh, positive top: the
+			if top.round == round {
+				// Fresh: no stale key above it can compete, so it is the
 				// exact argmax of this round's marginals.
-				selected = heap.Pop(&h).(*lazyItem)
+				selected = top
 				break
 			}
-			cands := make([]*Candidate, len(batch))
-			for i, it := range batch {
-				cands[i] = it.c
-			}
-			evals, err := evalEach(ctx, tr.ev, config, cands)
+			evals, err := tr.ev.EvaluateBatch(ctx, config, []*Candidate{top.c})
 			if err != nil {
-				if sp.degradable(err) {
-					return degrade(sp, tr, config, curEval, err), nil
-				}
-				return nil, err
+				return tr.fail(err, config, curEval)
 			}
-			for i, it := range batch {
-				it.key = ratio(evals[i].Net-curEval.Net, it.c.Pages())
-				it.round = round
-				it.eval = evals[i]
-				heap.Push(&h, it)
-			}
+			top.key = ratio(evals[0].Net-curEval.Net, top.c.Pages())
+			top.round = round
+			top.eval = evals[0]
+			heap.Push(&h, top)
 		}
 		// Parked items stay candidates for later rounds: the budget
 		// filter can pass again after reclamation shrinks the
@@ -177,12 +142,9 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 			config = pruned
 			curEval, err = tr.ev.Evaluate(ctx, config)
 			if err != nil {
-				if sp.degradable(err) {
-					// Reclaimed members were unused, so the selection's
-					// evaluation still prices this configuration.
-					return degrade(sp, tr, config, selected.eval, err), nil
-				}
-				return nil, err
+				// Reclaimed members were unused, so the selection's
+				// evaluation still prices this configuration.
+				return tr.fail(err, config, selected.eval)
 			}
 			covered = coverage(width, config)
 			// The configuration shrank, so marginals may have grown:
@@ -197,5 +159,5 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 		}
 		round++
 	}
-	return finish(ctx, sp, tr, config, curEval)
+	return tr.finish(ctx, config, curEval)
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -16,21 +17,22 @@ import (
 // The lp strategy is the CoPhy-style relaxation search: instead of
 // pricing configurations one what-if call at a time, it solves the
 // fractional index-selection LP over the space's standalone benefit
-// matrix (Space.Benefits) — per-(query, candidate) benefit
-// coefficients, modular private benefits and update costs, the page
-// budget as a knapsack row, and at-most-one side constraints over
+// matrix (Space.Benefits, which lp requires) — per-(query, candidate)
+// benefit coefficients, modular private benefits and update costs, the
+// page budget as a knapsack row, and at-most-one side constraints over
 // containment chains from the DAG — then deterministically rounds the
 // fractional solution and repairs it with a bounded number of real
-// what-if evaluations. The dual bound certified by the solver upper
-// bounds every feasible configuration's surrogate net (Stats.LP.Bound).
+// what-if evaluations. The relaxation is a single-server surrogate:
+// each query is served by at most one index. Its dual value
+// (Stats.LP.Bound) upper bounds every configuration's surrogate net,
+// not its real what-if net, which can be higher when plans AND
+// several indexes.
 //
 // What-if evaluations are spent only on the rounded configuration and
-// the repair pass (plus one standalone pass per candidate when the
-// space has no Benefits hook), so at 10k-50k candidates the strategy
-// runs orders of magnitude fewer evaluations than lazy greedy while
-// the benefit matrix — memoized by its producer and free of optimizer
-// calls on engine-backed spaces after the first build — carries the
-// model.
+// the repair pass, so at 10k-50k candidates the strategy runs orders
+// of magnitude fewer evaluations than lazy greedy while the benefit
+// matrix — memoized by its producer and free of optimizer calls on
+// engine-backed spaces after the first build — carries the model.
 func init() { Register(lpStrategy{}) }
 
 // lpRepairRounds caps the what-if repair rounds after rounding. Each
@@ -51,12 +53,9 @@ func (lpStrategy) Name() string { return "lp" }
 func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, "lp", sp)
 
-	m, err := lpMatrix(ctx, sp, tr)
+	m, err := lpMatrix(ctx, sp)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, nil, nil)
 	}
 
 	// Canonical item order: surrogate standalone net density, densest
@@ -125,10 +124,7 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 
 	curEval, err := tr.ev.Evaluate(ctx, r.config)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, r.config, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, r.config, nil)
 	}
 	tr.emit(TraceEvent{Action: ActionRounded, Benefit: curEval.Net, Pages: r.pages,
 		Note: fmt.Sprintf("rounded net %.1f vs lp objective %.1f (bound %.1f)", curEval.Net, sol.Objective, sol.Bound)})
@@ -137,9 +133,8 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	// burst of surrogate-promising extensions priced by real marginal
 	// evaluations — the matrix proposes, the what-if service disposes.
 	repairBase := tr.ev.calls.Load()
-	curEval, res, err := r.repair(ctx, sp, tr, curEval)
-	if err != nil || res != nil {
-		return res, err
+	if curEval, err = r.repair(ctx, tr, curEval); err != nil {
+		return tr.fail(err, r.config, curEval)
 	}
 	tr.lp.RepairEvals = tr.ev.calls.Load() - repairBase
 
@@ -150,51 +145,33 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 			Note: "rounded configuration nets negative; reverting to the empty configuration"})
 		r.config, curEval = nil, nil
 	}
-	if tr.lp != nil {
-		if curEval != nil {
-			tr.lp.RoundedNet = curEval.Net
-		}
+	if curEval != nil {
+		tr.lp.RoundedNet = curEval.Net
 	}
-	return finish(ctx, sp, tr, r.config, curEval)
+	return tr.finish(ctx, r.config, curEval)
 }
 
-// lpMatrix obtains the benefit model: the space's Benefits hook when
-// wired, else one standalone what-if pass through the strategy's
-// counting evaluator, decomposed into modular terms only (no per-query
-// rows) — the LP then degenerates to a knapsack over standalone nets,
-// which is still budget-sound and repair-corrected. A hook's matrix
-// must have one row per candidate, and Private and Update, when set,
-// one entry per candidate; any other shape is an error.
-func lpMatrix(ctx context.Context, sp *Space, tr *tracer) (*whatif.BenefitMatrix, error) {
-	if sp.Benefits != nil {
-		m, err := sp.Benefits(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			switch n := len(sp.Candidates); {
-			case len(m.Rows) != n:
-				return nil, fmt.Errorf("lp: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
-			case m.Private != nil && len(m.Private) != n:
-				return nil, fmt.Errorf("lp: benefit matrix has %d private benefits for %d candidates", len(m.Private), n)
-			case m.Update != nil && len(m.Update) != n:
-				return nil, fmt.Errorf("lp: benefit matrix has %d update costs for %d candidates", len(m.Update), n)
-			}
-			return m, nil
-		}
+// lpMatrix obtains the benefit model from the space's Benefits hook,
+// which lp requires. The matrix must have one row per candidate, and
+// Private and Update, when set, one entry per candidate; any other
+// shape is an error.
+func lpMatrix(ctx context.Context, sp *Space) (*whatif.BenefitMatrix, error) {
+	if sp.Benefits == nil {
+		return nil, errors.New("lp: the space has no benefit model (Space.Benefits is nil)")
 	}
-	evals, err := evalEach(ctx, tr.ev, nil, sp.Candidates)
+	m, err := sp.Benefits(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m := &whatif.BenefitMatrix{
-		Rows:    make([][]whatif.BenefitEntry, len(sp.Candidates)),
-		Private: make([]float64, len(sp.Candidates)),
-		Update:  make([]float64, len(sp.Candidates)),
-	}
-	for i, e := range evals {
-		m.Private[i] = e.QueryBenefit
-		m.Update[i] = e.UpdateCost
+	switch n := len(sp.Candidates); {
+	case m == nil:
+		return nil, errors.New("lp: Space.Benefits returned no matrix")
+	case len(m.Rows) != n:
+		return nil, fmt.Errorf("lp: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
+	case m.Private != nil && len(m.Private) != n:
+		return nil, fmt.Errorf("lp: benefit matrix has %d private benefits for %d candidates", len(m.Private), n)
+	case m.Update != nil && len(m.Update) != n:
+		return nil, fmt.Errorf("lp: benefit matrix has %d update costs for %d candidates", len(m.Update), n)
 	}
 	return m, nil
 }
@@ -509,43 +486,10 @@ func (r *lpRounder) phase(positions []int) {
 // repair runs the bounded what-if repair loop: per round, drop
 // configuration members no plan uses, then price a burst of the most
 // surrogate-promising extensions with real marginal evaluations and
-// add the best positive one. It returns the repaired evaluation, or a
-// terminal (degraded) result when the backend goes away mid-repair.
-func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *Eval) (*Eval, *Result, error) {
-	// Rescue: a rounded configuration that nets negative means the
-	// surrogate badly overestimated (typically the modular-only
-	// fallback matrix, which double-counts shared queries). The
-	// rounding order is a greedy density order, so price its doubling
-	// prefixes — O(log n) evaluations — and restart repair from the
-	// best one instead of handing the net<0 guard a wholesale revert.
-	if curEval.Net < 0 && len(r.adds) > 1 {
-		bestEval, bestK := curEval, len(r.adds)
-		for k := 1; k < len(r.adds); k *= 2 {
-			e, err := tr.ev.Evaluate(ctx, r.config[:k])
-			if err != nil {
-				if sp.degradable(err) {
-					return nil, degrade(sp, tr, r.config, curEval, err), nil
-				}
-				return nil, nil, err
-			}
-			if e.Net > bestEval.Net {
-				bestEval, bestK = e, k
-			}
-		}
-		if bestK < len(r.adds) {
-			for _, c := range r.config[bestK:] {
-				r.chosen[c.ID] = false
-			}
-			r.config = r.config[:bestK:bestK]
-			r.pages = PagesOf(r.config)
-			r.rebuildCurQ()
-			r.version++
-			curEval = bestEval
-			tr.emit(TraceEvent{Action: ActionDrop, Benefit: curEval.Net, Pages: r.pages,
-				Note: fmt.Sprintf("rescue: rounded net was negative; truncated to the best %d-member prefix", bestK)})
-		}
-	}
-
+// add the best positive one. It returns the repaired evaluation. On a
+// what-if error it returns the error with the last complete evaluation
+// of r.config (nil when none prices it), for the failure exit.
+func (r *lpRounder) repair(ctx context.Context, tr *tracer, curEval *Eval) (*Eval, error) {
 	for round := 0; round < lpRepairRounds; round++ {
 		changed := false
 
@@ -564,12 +508,8 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 			r.pages = PagesOf(pruned)
 			r.rebuildCurQ()
 			var err error
-			curEval, err = tr.ev.Evaluate(ctx, r.config)
-			if err != nil {
-				if sp.degradable(err) {
-					return nil, degrade(sp, tr, r.config, nil, err), nil
-				}
-				return nil, nil, err
+			if curEval, err = tr.ev.Evaluate(ctx, r.config); err != nil {
+				return nil, err
 			}
 			changed = true
 		}
@@ -580,12 +520,9 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 			for i, pos := range batch {
 				cands[i] = r.cands[pos]
 			}
-			evals, err := evalEach(ctx, tr.ev, r.config, cands)
+			evals, err := tr.ev.EvaluateBatch(ctx, r.config, cands)
 			if err != nil {
-				if sp.degradable(err) {
-					return nil, degrade(sp, tr, r.config, curEval, err), nil
-				}
-				return nil, nil, err
+				return curEval, err
 			}
 			// CELF over the burst's real marginals: accept the freshest
 			// best positive extension, mark the survivors stale, and
@@ -612,12 +549,9 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 					continue
 				}
 				if !top.fresh {
-					re, err := evalEach(ctx, tr.ev, r.config, []*Candidate{top.c})
+					re, err := tr.ev.EvaluateBatch(ctx, r.config, []*Candidate{top.c})
 					if err != nil {
-						if sp.degradable(err) {
-							return nil, degrade(sp, tr, r.config, curEval, err), nil
-						}
-						return nil, nil, err
+						return curEval, err
 					}
 					top.eval = re[0]
 					top.key = ratio(re[0].Net-curEval.Net, top.c.Pages())
@@ -641,7 +575,7 @@ func (r *lpRounder) repair(ctx context.Context, sp *Space, tr *tracer, curEval *
 			break
 		}
 	}
-	return curEval, nil, nil
+	return curEval, nil
 }
 
 // lpExt is one repair-burst entry: the extension candidate, its latest

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/pattern"
 	"repro/internal/sqltype"
+	"repro/internal/whatif"
 )
 
 func TestRegistryNamesAndAliases(t *testing.T) {
@@ -130,7 +131,7 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		cands, ev := build(perm)
-		alone, err := standalone(context.Background(), ev, cands)
+		alone, err := standalone(context.Background(), &countingEvaluator{inner: ev}, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,10 @@ func TestTraceRendering(t *testing.T) {
 func TestRaceAbortsOnDeadContext(t *testing.T) {
 	cands := []*Candidate{testCand(t, 0, "/a/b", 1)}
 	ev := flatEval{net: map[int]float64{0: 5}}
-	sp := &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, Eval: ev}
+	sp := &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, Eval: ev,
+		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) {
+			return &whatif.BenefitMatrix{Rows: make([][]whatif.BenefitEntry, 1), Private: []float64{5}}, nil
+		}}
 	strat, err := Lookup("race")
 	if err != nil {
 		t.Fatal(err)

@@ -193,51 +193,36 @@ func TestSyntheticSpaceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceCapTruncates checks the per-strategy trace buffer cap: the
-// buffer ends with the truncation marker, Stats.Truncated counts the
-// dropped events, and a streaming observer still receives the full
-// stream.
+// TestTraceCapTruncates checks the per-strategy trace buffer cap:
+// greedy-basic over a 10k-candidate synthetic space emits an add or an
+// over-budget skip per positive candidate, far more than
+// DefaultTraceCap, so the buffer holds DefaultTraceCap events and ends
+// with the truncation marker, Stats.Truncated counts the dropped
+// events, and a streaming observer still receives the full stream.
 func TestTraceCapTruncates(t *testing.T) {
-	sp := search.NewSyntheticSpace(2000, 5)
-	strat, err := search.Lookup("topdown")
+	sp := search.NewSyntheticSpace(10000, 5)
+	strat, err := search.Lookup("greedy-basic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cap = 16
-	capped := sp.WithBudget(sp.BudgetPages)
-	capped.TraceCap = cap
 	var observed int
-	capped.Observer = func(search.TraceEvent) { observed++ }
-	res, err := strat.Search(context.Background(), capped)
+	sp.Observer = func(search.TraceEvent) { observed++ }
+	res, err := strat.Search(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Truncated == 0 {
-		t.Fatalf("topdown over 2000 candidates emitted only %d events; expected the %d-event cap to truncate",
-			len(res.Trace), cap)
+		t.Fatalf("greedy-basic over 10k candidates emitted only %d events; expected the %d-event cap to truncate",
+			len(res.Trace), search.DefaultTraceCap)
 	}
-	if len(res.Trace) != cap+1 {
-		t.Fatalf("capped trace holds %d events, want %d (cap) + 1 marker", len(res.Trace), cap)
+	if len(res.Trace) != search.DefaultTraceCap+1 {
+		t.Fatalf("capped trace holds %d events, want %d (cap) + 1 marker", len(res.Trace), search.DefaultTraceCap)
 	}
 	last := res.Trace[len(res.Trace)-1]
 	if last.Action != search.ActionTruncated {
 		t.Errorf("capped trace ends with %q, want %q", last.Action, search.ActionTruncated)
 	}
-	if observed != cap+res.Stats.Truncated {
-		t.Errorf("observer saw %d events, want the full stream of %d", observed, cap+res.Stats.Truncated)
-	}
-
-	// Unlimited cap: the same search keeps everything.
-	unlimited := sp.WithBudget(sp.BudgetPages)
-	unlimited.TraceCap = -1
-	res2, err := strat.Search(context.Background(), unlimited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.Truncated != 0 {
-		t.Errorf("unlimited trace reported %d truncated events", res2.Stats.Truncated)
-	}
-	if len(res2.Trace) != cap+res.Stats.Truncated {
-		t.Errorf("unlimited trace holds %d events, capped run emitted %d", len(res2.Trace), cap+res.Stats.Truncated)
+	if observed != search.DefaultTraceCap+res.Stats.Truncated {
+		t.Errorf("observer saw %d events, want the full stream of %d", observed, search.DefaultTraceCap+res.Stats.Truncated)
 	}
 }

@@ -14,13 +14,23 @@
 // added with Register without touching internal/core.
 //
 // Every search produces a structured trace (typed TraceEvents rendered
-// to text or JSON) and per-strategy stats (rounds, wall time, what-if
-// cache counts). Each strategy evaluates under a context carrying its
-// own whatif.Tally, which the what-if engine charges directly, so the
-// counts are exact even while other searches share the engine. A Space
-// can be re-budgeted with WithBudget so budget sweeps reuse the
-// candidate set and the warm cache instead of re-running the whole
-// advisor per budget point.
+// to text or JSON, at most DefaultTraceCap buffered per strategy) and
+// per-strategy stats (rounds, wall time, what-if cache counts). Each
+// strategy evaluates under a context carrying its own whatif.Tally,
+// which the what-if engine charges directly, so the counts are exact
+// even while other searches share the engine. A Space can be
+// re-budgeted with WithBudget so budget sweeps reuse the candidate set
+// and the warm cache instead of re-running the whole advisor per
+// budget point.
+//
+// The search contract is one shape for every strategy. A Space carries
+// its benefit model (Space.Benefits), which lp requires. Strategies
+// price configurations only through their tracer's counting evaluator,
+// which batches through the Evaluator's EvaluateBatch when it has one
+// (BoundEvaluator, the adaptor over a whatif.Bound, does) and fans out
+// otherwise. And every strategy fails through one exit: under
+// Space.Anytime an open circuit breaker becomes a Degraded best-so-far
+// result, and any other error fails the search.
 package search
 
 import (
@@ -32,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/candidate"
+	"repro/internal/catalog"
 	"repro/internal/whatif"
 )
 
@@ -70,8 +81,9 @@ type Evaluator interface {
 // base+{c} for a whole burst of candidates as one unit, so the backend
 // can dispatch the burst to its worker pool in one call instead of
 // paying per-candidate call and synchronization overhead. Results are
-// in cands order. Strategies use it through evalEach, which falls back
-// to per-candidate fan-out when the evaluator does not implement it.
+// in cands order. Strategies reach it only through their tracer's
+// countingEvaluator, which falls back to per-candidate fan-out when
+// the evaluator does not implement it.
 type BatchEvaluator interface {
 	Evaluator
 	EvaluateBatch(ctx context.Context, base, cands []*Candidate) ([]*Eval, error)
@@ -96,7 +108,7 @@ func (c *countingEvaluator) Workers() int { return c.inner.Workers() }
 
 // EvaluateBatch counts the whole burst and forwards it to the inner
 // evaluator's batch entry point when it has one, else to the shared
-// fan-out.
+// fan-out. It is the only way strategies price a burst.
 func (c *countingEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Candidate) ([]*Eval, error) {
 	c.calls.Add(int64(len(cands)))
 	if be, ok := c.inner.(BatchEvaluator); ok {
@@ -104,6 +116,67 @@ func (c *countingEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Ca
 	}
 	return fanOutEach(ctx, c.inner, base, cands)
 }
+
+// BoundEvaluator is the Evaluator over a what-if Bound: the engine
+// costs every bound query under a configuration, and Derive folds
+// those per-query costs into the workload evaluation strategies rank
+// by. A burst of base+{c} configurations goes to the engine as one
+// dispatch, so identical projected sub-configurations inside it are
+// scheduled once. It is safe for concurrent use when Derive is.
+type BoundEvaluator struct {
+	Bound *whatif.Bound
+	// Derive turns the engine's per-query costs of cfg into its
+	// workload evaluation.
+	Derive func(res *whatif.ConfigEval, cfg []*Candidate) Eval
+	// Parallel is the useful concurrency Workers reports.
+	Parallel int
+}
+
+// Evaluate prices one configuration through the engine.
+func (b BoundEvaluator) Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, error) {
+	defs := make([]*catalog.IndexDef, len(cfg))
+	for i, c := range cfg {
+		defs[i] = c.Def
+	}
+	res, err := b.Bound.EvaluateConfig(ctx, defs)
+	if err != nil {
+		return nil, err
+	}
+	e := b.Derive(res, cfg)
+	return &e, nil
+}
+
+// EvaluateBatch prices base+{c} for every candidate in one engine
+// dispatch. Results are in cands order.
+func (b BoundEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Candidate) ([]*Eval, error) {
+	// Every configuration is base+{c}: build them all in one backing
+	// array each, candidates and definitions.
+	w := len(base) + 1
+	cfgs := make([]*Candidate, 0, len(cands)*w)
+	defs := make([]*catalog.IndexDef, 0, len(cands)*w)
+	configs := make([][]*catalog.IndexDef, len(cands))
+	for i, c := range cands {
+		cfgs = append(append(cfgs, base...), c)
+		for _, m := range cfgs[i*w:] {
+			defs = append(defs, m.Def)
+		}
+		configs[i] = defs[i*w : (i+1)*w : (i+1)*w]
+	}
+	results, err := b.Bound.EvaluateConfigBatch(ctx, configs)
+	if err != nil {
+		return nil, err
+	}
+	evals := make([]Eval, len(cands))
+	out := make([]*Eval, len(cands))
+	for i, res := range results {
+		evals[i] = b.Derive(res, cfgs[i*w:(i+1)*w:(i+1)*w])
+		out[i] = &evals[i]
+	}
+	return out, nil
+}
+
+// Workers reports Parallel.
+func (b BoundEvaluator) Workers() int { return b.Parallel }
 
 // Counters are the what-if cache counts of one search, threaded into
 // traces and stats so every search step carries its cache cost.
@@ -134,12 +207,13 @@ type Space struct {
 	// each round instead of trusting standalone benefits (§2.3 "index
 	// interaction").
 	InteractionAware bool
-	// Benefits, when non-nil, produces the standalone per-(query,
-	// candidate) benefit matrix, rows aligned with Candidates order —
-	// the decomposed benefit model a CoPhy-style LP strategy optimizes
-	// over. Producers memoize: the first call may cost one standalone
-	// what-if evaluation per candidate (deduplicated through the
-	// engine's atom cache), repeat calls are free.
+	// Benefits produces the standalone per-(query, candidate) benefit
+	// matrix, rows aligned with Candidates order: the decomposed
+	// benefit model the CoPhy-style lp strategy optimizes over. lp
+	// requires it and fails on a space without one; the other
+	// strategies ignore it. Producers memoize: the first call may cost
+	// one standalone what-if evaluation per candidate (deduplicated
+	// through the engine's atom cache), repeat calls are free.
 	Benefits func(ctx context.Context) (*whatif.BenefitMatrix, error)
 	// Observer, when non-nil, receives every trace event as it is
 	// emitted — the streaming-progress hook. Events still accumulate in
@@ -153,12 +227,6 @@ type Space struct {
 	// deadline still compete and the best finished member wins; only
 	// when no member finished does the deadline surface as an error.
 	Anytime bool
-	// TraceCap bounds the per-strategy trace event buffer: 0 means
-	// DefaultTraceCap, negative means unlimited. When the cap is hit
-	// the buffer ends with an ActionTruncated marker and
-	// Stats.Truncated counts the dropped events; streaming Observers
-	// always receive the full stream.
-	TraceCap int
 }
 
 // WithBudget returns a view of the space under a different disk budget,
@@ -268,20 +336,9 @@ func rankByDensity(cands []*Candidate, alone map[int]*Eval) []*Candidate {
 	return order
 }
 
-// evalEach evaluates base+{c} for every candidate in cands as one
-// burst: through the evaluator's batch entry point when it has one,
-// else by per-candidate fan-out bounded by the worker count. Results
-// are in cands order.
-func evalEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]*Eval, error) {
-	if be, ok := ev.(BatchEvaluator); ok {
-		return be.EvaluateBatch(ctx, base, cands)
-	}
-	return fanOutEach(ctx, ev, base, cands)
-}
-
-// fanOutEach is the per-candidate fallback of evalEach: one Evaluate
-// call per candidate, concurrently, bounded by the evaluator's worker
-// count.
+// fanOutEach is countingEvaluator's batch path for an evaluator
+// without one: one Evaluate call per candidate, concurrently, bounded
+// by the evaluator's worker count.
 func fanOutEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]*Eval, error) {
 	out := make([]*Eval, len(cands))
 	var (
@@ -324,9 +381,9 @@ func fanOutEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]
 }
 
 // standalone returns each candidate's evaluation alone, keyed by
-// candidate ID. Candidates are evaluated concurrently.
-func standalone(ctx context.Context, ev Evaluator, cands []*Candidate) (map[int]*Eval, error) {
-	evals, err := evalEach(ctx, ev, nil, cands)
+// candidate ID, priced as one burst.
+func standalone(ctx context.Context, ev *countingEvaluator, cands []*Candidate) (map[int]*Eval, error) {
+	evals, err := ev.EvaluateBatch(ctx, nil, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -337,57 +394,51 @@ func standalone(ctx context.Context, ev Evaluator, cands []*Candidate) (map[int]
 	return out, nil
 }
 
-// degradable reports whether a search may answer err with a degraded
-// best-so-far result instead of failing: the caller opted into partial
-// results (Anytime) and the error is the circuit breaker cutting the
-// what-if backend off — a transient infrastructure condition, not a
-// wrong answer.
-func (s *Space) degradable(err error) bool {
-	return s.Anytime && errors.Is(err, whatif.ErrCircuitOpen)
-}
-
-// degrade assembles a best-so-far Result after the what-if backend
-// became unavailable mid-search: the configuration the strategy had
-// fully built, its last complete evaluation (nil means the empty
-// configuration's zero evaluation), and the Degraded flag that flows
-// through the race winner pick up into the v1 response.
-func degrade(sp *Space, tr *tracer, config []*Candidate, cur *Eval, cause error) *Result {
-	if cur == nil {
-		cur = &Eval{}
+// fail is every strategy's one failure exit. When the caller opted into
+// partial results (Space.Anytime) and err is the circuit breaker
+// cutting the what-if backend off — a transient infrastructure
+// condition, not a wrong answer — the search answers with a degraded
+// best-so-far result: config is what the strategy had fully built,
+// last its last complete evaluation (nil means the empty
+// configuration's zero evaluation), and the Degraded flag flows
+// through the race winner pick up into the v1 response. Any other
+// error fails the search.
+func (t *tracer) fail(err error, config []*Candidate, last *Eval) (*Result, error) {
+	if !t.sp.Anytime || !errors.Is(err, whatif.ErrCircuitOpen) {
+		return nil, err
 	}
-	tr.degraded = true
-	tr.emit(TraceEvent{Action: ActionDegraded, Benefit: cur.Net, Pages: PagesOf(config),
-		Note: fmt.Sprintf("best-so-far: %v", cause)})
+	if last == nil {
+		last = &Eval{}
+	}
+	t.degraded = true
+	t.emit(TraceEvent{Action: ActionDegraded, Benefit: last.Net, Pages: PagesOf(config),
+		Note: fmt.Sprintf("best-so-far: %v", err)})
 	return &Result{
-		Strategy: tr.strategy,
+		Strategy: t.strategy,
 		Config:   config,
 		Pages:    PagesOf(config),
-		Eval:     cur,
-		Trace:    tr.events,
-		Stats:    tr.stats(),
+		Eval:     last,
+		Trace:    t.events,
+		Stats:    t.stats(),
 		Degraded: true,
-	}
+	}, nil
 }
 
 // finish evaluates the final configuration and assembles the Result.
-// fallback is the last complete evaluation the strategy holds (nil when
-// it has none): if the final evaluation itself hits an open circuit
-// breaker under the anytime contract, the result degrades to it rather
-// than failing a fully built configuration at the finish line.
-func finish(ctx context.Context, sp *Space, tr *tracer, config []*Candidate, fallback *Eval) (*Result, error) {
-	final, err := tr.ev.Evaluate(ctx, config)
+// last is the last complete evaluation the strategy holds (nil when it
+// has none): the failure exit falls back to it if the final evaluation
+// itself fails.
+func (t *tracer) finish(ctx context.Context, config []*Candidate, last *Eval) (*Result, error) {
+	final, err := t.ev.Evaluate(ctx, config)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, config, fallback, err), nil
-		}
-		return nil, err
+		return t.fail(err, config, last)
 	}
 	return &Result{
-		Strategy: tr.strategy,
+		Strategy: t.strategy,
 		Config:   config,
 		Pages:    PagesOf(config),
 		Eval:     final,
-		Trace:    tr.events,
-		Stats:    tr.stats(),
+		Trace:    t.events,
+		Stats:    t.stats(),
 	}, nil
 }

@@ -74,80 +74,29 @@ func (b *SyntheticBackend) serves(id, qi int) bool {
 	return false
 }
 
-// synthWhatifEval adapts a whatif.Bound over a SyntheticBackend to the
-// search Evaluator: per-query engine costs are folded back into the
-// model's workload aggregates (modular private benefit and update cost
-// added outside the engine, exactly as synthEval computes them), so the
-// whatif-backed space chooses the same configurations as the plain
-// synthetic space — with every evaluation flowing through the engine's
-// atom cache.
-type synthWhatifEval struct {
-	model  *synthEval
-	byName map[string]int
-	bound  *whatif.Bound
-}
-
-func (s *synthWhatifEval) derive(res *whatif.ConfigEval, cfg []*Candidate) *Eval {
-	out := &Eval{Used: map[int]bool{}}
+// derive folds the engine's per-query costs back into the
+// synthetic model's workload aggregates, adding the modular private
+// benefit and update cost outside the engine exactly as synthEval
+// computes them, so the whatif-backed space chooses the same
+// configurations as the plain synthetic space.
+func (b *SyntheticBackend) derive(res *whatif.ConfigEval, cfg []*Candidate) Eval {
+	out := Eval{Used: map[int]bool{}}
 	for _, qe := range res.Queries {
 		out.QueryBenefit += qe.CostNoIndexes - qe.Cost
 		for _, name := range qe.UsedIndexes {
-			out.Used[s.byName[name]] = true
+			out.Used[b.byName[name]] = true
 		}
 	}
 	for _, c := range cfg {
-		out.QueryBenefit += s.model.base[c.ID]
-		out.UpdateCost += s.model.upd[c.ID]
-		if s.model.base[c.ID] > 0 {
+		out.QueryBenefit += b.model.base[c.ID]
+		out.UpdateCost += b.model.upd[c.ID]
+		if b.model.base[c.ID] > 0 {
 			out.Used[c.ID] = true
 		}
 	}
 	out.Net = out.QueryBenefit - out.UpdateCost
 	return out
 }
-
-func defsOf(cfg []*Candidate) []*catalog.IndexDef {
-	defs := make([]*catalog.IndexDef, len(cfg))
-	for i, c := range cfg {
-		defs[i] = c.Def
-	}
-	return defs
-}
-
-// Evaluate prices one configuration through the what-if engine.
-func (s *synthWhatifEval) Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, error) {
-	res, err := s.bound.EvaluateConfig(ctx, defsOf(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return s.derive(res, cfg), nil
-}
-
-// EvaluateBatch prices base+{c} for the burst in one engine dispatch —
-// identical projected sub-configs inside the burst are scheduled once.
-func (s *synthWhatifEval) EvaluateBatch(ctx context.Context, base, cands []*Candidate) ([]*Eval, error) {
-	configs := make([][]*catalog.IndexDef, len(cands))
-	cfgs := make([][]*Candidate, len(cands))
-	baseDefs := defsOf(base)
-	for i, c := range cands {
-		defs := make([]*catalog.IndexDef, 0, len(base)+1)
-		configs[i] = append(append(defs, baseDefs...), c.Def)
-		cfg := make([]*Candidate, 0, len(base)+1)
-		cfgs[i] = append(append(cfg, base...), c)
-	}
-	results, err := s.bound.EvaluateConfigBatch(ctx, configs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Eval, len(cands))
-	for i, res := range results {
-		out[i] = s.derive(res, cfgs[i])
-	}
-	return out, nil
-}
-
-// Workers matches the plain synthetic space's fixed parallelism.
-func (s *synthWhatifEval) Workers() int { return synWorkers }
 
 // NewSyntheticWhatIfSpace is NewSyntheticSpace with a real what-if
 // engine in the evaluation path: the same deterministic candidates,
@@ -182,6 +131,6 @@ func NewSyntheticWhatIfSpace(n int, seed uint64, o whatif.Options) (*Space, *wha
 		o.Workers = synWorkers
 	}
 	eng := whatif.NewEngine(backend, o)
-	sp.Eval = &synthWhatifEval{model: model, byName: byName, bound: eng.Bind(queries)}
+	sp.Eval = BoundEvaluator{Bound: eng.Bind(queries), Derive: backend.derive, Parallel: synWorkers}
 	return sp, eng
 }

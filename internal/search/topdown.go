@@ -26,10 +26,7 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, t.Name(), sp)
 	alone, err := standalone(ctx, tr.ev, sp.DAG.Nodes)
 	if err != nil {
-		if sp.degradable(err) {
-			return degrade(sp, tr, nil, nil, err), nil
-		}
-		return nil, err
+		return tr.fail(err, nil, nil)
 	}
 	// Start configuration: all roots with positive standalone benefit.
 	var config []*Candidate
@@ -80,13 +77,10 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 	if len(config) > 0 {
 		full, err := tr.ev.Evaluate(ctx, config)
 		if err != nil {
-			if sp.degradable(err) {
-				// The descent itself never priced the configuration;
-				// degrade to it with the zero evaluation rather than
-				// overclaiming a benefit nothing measured.
-				return degrade(sp, tr, config, nil, err), nil
-			}
-			return nil, err
+			// The descent itself never priced the configuration; degrade
+			// to it with the zero evaluation rather than overclaiming a
+			// benefit nothing measured.
+			return tr.fail(err, config, nil)
 		}
 		lastEval = full
 		kept := config[:0:0]
@@ -99,5 +93,5 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		}
 		config = kept
 	}
-	return finish(ctx, sp, tr, config, lastEval)
+	return tr.finish(ctx, config, lastEval)
 }

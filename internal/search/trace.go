@@ -35,10 +35,12 @@ const (
 	ActionMember Action = "member"
 	// ActionPick records the portfolio winner (race).
 	ActionPick Action = "pick"
-	// ActionTruncated marks the point where the per-strategy trace
-	// buffer hit its cap (Space.TraceCap); it is the buffer's final
-	// event, and Stats.Truncated counts the events dropped after it.
-	// Streaming observers still receive every event.
+	// ActionTruncated marks the point where a strategy's own trace
+	// buffer hit DefaultTraceCap: it is the last event that strategy
+	// records, and Stats.Truncated counts the events dropped after it.
+	// A race trace can hold events after it, because the race appends
+	// its member and pick events to the winner's buffer. Streaming
+	// observers still receive every event.
 	ActionTruncated Action = "truncated"
 	// ActionDegraded records a search falling back to its best-so-far
 	// configuration because the what-if backend became unavailable
@@ -151,7 +153,7 @@ type Stats struct {
 	// over all members.
 	Evals int64 `json:"evals"`
 	// Truncated counts trace events dropped after the per-strategy
-	// buffer hit its cap (Space.TraceCap); 0 when the full trace fit.
+	// buffer hit DefaultTraceCap; 0 when the full trace fit.
 	Truncated int `json:"truncatedEvents,omitempty"`
 	// Degraded marks a run that fell back to its best-so-far
 	// configuration because the what-if backend became unavailable
@@ -166,13 +168,18 @@ type Stats struct {
 }
 
 // LPStats summarize one lp-strategy run: the relaxation's objective
-// and certified upper bound next to the net benefit the rounded
-// configuration actually achieved, plus the solve's shape.
+// and dual value next to the net benefit the rounded configuration
+// actually achieved, plus the solve's shape. The relaxation is a
+// single-server surrogate (each query is served by at most one index),
+// so Objective and Bound describe the surrogate, not the what-if cost
+// model: real plans AND several indexes, and a configuration's real
+// net can exceed Bound.
 type LPStats struct {
 	// Objective is the primal value of the fractional solution.
 	Objective float64 `json:"objective"`
-	// Bound is the dual upper bound on any feasible configuration's
-	// surrogate net benefit.
+	// Bound is the dual value: an upper bound on any feasible
+	// configuration's surrogate net benefit. It does not bound the real
+	// what-if net.
 	Bound float64 `json:"bound"`
 	// RoundedNet is the what-if net benefit of the final rounded (and
 	// repaired) configuration.
@@ -217,10 +224,9 @@ func (s Stats) String() string {
 	return sb.String()
 }
 
-// DefaultTraceCap is the per-strategy trace buffer cap used when
-// Space.TraceCap is 0: generous enough for every real workload while
-// keeping a 50k-candidate synthetic run from accumulating hundreds of
-// thousands of events.
+// DefaultTraceCap is the per-strategy trace buffer cap: generous
+// enough for every real workload while keeping a 50k-candidate
+// synthetic run from accumulating hundreds of thousands of events.
 const DefaultTraceCap = 4096
 
 // tracer accumulates trace events and run stats for one search. It also
@@ -236,7 +242,6 @@ type tracer struct {
 	tally     *whatif.Tally
 	start     time.Time
 	round     int
-	cap       int
 	truncated int
 	degraded  bool
 	lp        *LPStats
@@ -249,15 +254,8 @@ type tracer struct {
 // a portfolio member).
 func newTracer(ctx context.Context, strategy string, sp *Space) (context.Context, *tracer) {
 	ctx, tally := whatif.WithTally(ctx)
-	cap := sp.TraceCap
-	switch {
-	case cap == 0:
-		cap = DefaultTraceCap
-	case cap < 0:
-		cap = int(^uint(0) >> 1) // unlimited
-	}
 	return ctx, &tracer{strategy: strategy, sp: sp, ev: &countingEvaluator{inner: sp.Eval},
-		tally: tally, start: time.Now(), cap: cap}
+		tally: tally, start: time.Now()}
 }
 
 // cache reads the search's what-if counts so far.
@@ -277,13 +275,13 @@ func (t *tracer) emit(e TraceEvent) {
 	e.Cache = t.cache()
 	e.Evals = t.ev.calls.Load()
 	switch {
-	case len(t.events) < t.cap:
+	case len(t.events) < DefaultTraceCap:
 		t.events = append(t.events, e)
 	case t.truncated == 0:
 		t.truncated++
 		t.events = append(t.events, TraceEvent{Round: e.Round, Action: ActionTruncated,
 			Strategy: t.strategy, Cache: e.Cache, Evals: e.Evals,
-			Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", t.cap)})
+			Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", DefaultTraceCap)})
 	default:
 		t.truncated++
 	}
