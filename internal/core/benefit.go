@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/pattern"
 	"repro/internal/search"
-	"repro/internal/sqltype"
 	"repro/internal/whatif"
 	"repro/internal/workload"
+	"repro/internal/xindex"
 	"repro/internal/xmldoc"
 )
 
@@ -29,12 +29,18 @@ type evaluator struct {
 	bound *whatif.Bound
 	// baseCost[qi] is the document-scan cost of query qi.
 	baseCost []float64
-	// insertDocs caches, per update index, the parsed sample document.
-	insertDocs []*xmldoc.Document
+	// insertNodes holds, per update index, an insert's sample document
+	// as the nodes an index can hold (parsed root-path word and raw
+	// value), built once per session so pricing a candidate only matches
+	// and casts; nil for a delete.
+	insertNodes [][]xindex.DocNode
 	// deleteDocs holds, per update index, the document count of a
 	// delete's collection, read once: a Prepared assumes fixed
 	// statistics for its lifetime. 0 means the delete is not charged.
 	deleteDocs []int64
+	// deleteScope holds, per update index, the document-root scope of a
+	// path-restricted delete (zero otherwise).
+	deleteScope []pattern.Pattern
 
 	// entryMu guards the memoized per-(update, candidate) state behind
 	// updateCost, shared across concurrent evals: entryCount holds
@@ -69,22 +75,27 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 		ev.baseCost = append(ev.baseCost, qe.CostNoIndexes)
 	}
 	for _, u := range w.Updates {
-		var d *xmldoc.Document
+		var nodes []xindex.DocNode
 		var docs int64
+		var scope pattern.Pattern
 		switch u.Kind {
 		case workload.UpdateInsert:
-			var err error
-			d, err = xmldoc.ParseString(u.DocXML)
+			d, err := xmldoc.ParseString(u.DocXML)
 			if err != nil {
 				return nil, fmt.Errorf("core: update document: %w", err)
 			}
+			nodes = xindex.DocNodes(d)
 		case workload.UpdateDelete:
 			if st, err := a.cat.Stats(u.Collection); err == nil {
 				docs = st.Docs
 			}
+			if u.Path != nil {
+				scope = docScope(u.Path.LinearPattern())
+			}
 		}
-		ev.insertDocs = append(ev.insertDocs, d)
+		ev.insertNodes = append(ev.insertNodes, nodes)
 		ev.deleteDocs = append(ev.deleteDocs, docs)
+		ev.deleteScope = append(ev.deleteScope, scope)
 	}
 	return ev, nil
 }
@@ -179,19 +190,12 @@ func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
 	perEntry := ev.a.maintPerEntry
 	var total float64
 	for ui, u := range ev.w.Updates {
-		var deleteScope pattern.Pattern
-		if u.Kind == workload.UpdateDelete && u.Path != nil {
-			deleteScope = docScope(u.Path.LinearPattern())
-		}
 		for _, c := range cfg {
 			if c.Collection != u.Collection {
 				continue
 			}
 			switch u.Kind {
 			case workload.UpdateInsert:
-				if ev.insertDocs[ui] == nil {
-					continue
-				}
 				total += u.Weight * float64(ev.docEntries(ui, c)) * perEntry
 			case workload.UpdateDelete:
 				// Deleting a document removes its entries from every
@@ -202,7 +206,7 @@ func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
 					continue
 				}
 				perDoc := float64(c.Def.EstEntries) / float64(ev.deleteDocs[ui])
-				if u.Path != nil && !ev.deleteOverlaps(ui, deleteScope, c) {
+				if u.Path != nil && !ev.deleteOverlaps(ui, c) {
 					continue
 				}
 				total += u.Weight * perDoc * perEntry
@@ -215,9 +219,9 @@ func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
 // deleteOverlaps is the memoized per-(update, candidate) decision of
 // whether update ui's delete scope shares a document root with
 // candidate c's pattern; updateCost runs once per configuration
-// evaluation, so the docScope rendering and kernel lookup are paid at
-// most once per pair.
-func (ev *evaluator) deleteOverlaps(ui int, scope pattern.Pattern, c *Candidate) bool {
+// evaluation, so the candidate's docScope and the kernel lookup are paid
+// at most once per pair.
+func (ev *evaluator) deleteOverlaps(ui int, c *Candidate) bool {
 	key := [2]int{ui, c.ID}
 	ev.entryMu.Lock()
 	v, ok := ev.delOverlap[key]
@@ -225,14 +229,14 @@ func (ev *evaluator) deleteOverlaps(ui int, scope pattern.Pattern, c *Candidate)
 	if ok {
 		return v
 	}
-	v = pattern.OverlapsCached(scope, docScope(c.Pattern))
+	v = pattern.OverlapsCached(ev.deleteScope[ui], docScope(c.Pattern))
 	ev.entryMu.Lock()
 	ev.delOverlap[key] = v
 	ev.entryMu.Unlock()
 	return v
 }
 
-// docEntries is the memoized entry count of update ui's sample document
+// docEntries is the memoized entry count of insert ui's sample document
 // in candidate c's index.
 func (ev *evaluator) docEntries(ui int, c *Candidate) int {
 	key := [2]int{ui, c.ID}
@@ -242,7 +246,7 @@ func (ev *evaluator) docEntries(ui int, c *Candidate) int {
 	if ok {
 		return n
 	}
-	n = docEntriesFor(ev.insertDocs[ui], c)
+	n = docEntriesFor(ev.insertNodes[ui], c)
 	ev.entryMu.Lock()
 	ev.entryCount[key] = n
 	ev.entryMu.Unlock()
@@ -258,25 +262,17 @@ func docScope(p pattern.Pattern) pattern.Pattern {
 	return p.Prefix(1)
 }
 
-// docEntriesFor counts the index entries document d would contribute to
-// candidate c — exact maintenance work for an insert of d.
-func docEntriesFor(d *xmldoc.Document, c *Candidate) int {
+// docEntriesFor counts the index entries a document, given as its
+// xindex.DocNodes, would contribute to candidate c: exact maintenance
+// work for an insert of it. The rule is the physical index's own
+// (DocNode.Key), so the charge is what xindex.InsertDoc would add.
+func docEntriesFor(nodes []xindex.DocNode, c *Candidate) int {
 	m := pattern.InternedMatcher(c.Pattern)
 	n := 0
-	d.Walk(func(nd *xmldoc.Node) bool {
-		var raw string
-		switch nd.Kind {
-		case xmldoc.KindElement:
-			raw = nd.Text()
-		default:
-			raw = nd.Value
+	for i := range nodes {
+		if _, ok := nodes[i].Key(m, c.Type); ok {
+			n++
 		}
-		if m.MatchPath(nd.RootPath()) {
-			if _, ok := sqltype.Cast(c.Type, raw); ok {
-				n++
-			}
-		}
-		return true
-	})
+	}
 	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/sqltype"
 	"repro/internal/workload"
+	"repro/internal/xindex"
 	"repro/internal/xmldoc"
 )
 
@@ -29,24 +31,7 @@ func referenceUpdateCost(t *testing.T, a *Advisor, w *workload.Workload, cfg []*
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := pattern.Compile(c.Pattern)
-				entries := 0
-				d.Walk(func(nd *xmldoc.Node) bool {
-					var raw string
-					switch nd.Kind {
-					case xmldoc.KindElement:
-						raw = nd.Text()
-					default:
-						raw = nd.Value
-					}
-					if m.MatchPath(nd.RootPath()) {
-						if _, ok := sqltype.Cast(c.Type, raw); ok {
-							entries++
-						}
-					}
-					return true
-				})
-				total += u.Weight * float64(entries) * a.maintPerEntry
+				total += u.Weight * float64(oracleDocEntries(d, c)) * a.maintPerEntry
 			case workload.UpdateDelete:
 				st, err := a.cat.Stats(u.Collection)
 				if err != nil || st.Docs == 0 {
@@ -61,6 +46,122 @@ func referenceUpdateCost(t *testing.T, a *Advisor, w *workload.Workload, cfg []*
 		}
 	}
 	return total
+}
+
+// oracleDocEntries counts the entries document d contributes to
+// candidate c's index node by node: render each node's root path, match
+// it with a freshly compiled matcher, and cast the node's text.
+func oracleDocEntries(d *xmldoc.Document, c *Candidate) int {
+	m := pattern.Compile(c.Pattern)
+	entries := 0
+	d.Walk(func(nd *xmldoc.Node) bool {
+		var raw string
+		switch nd.Kind {
+		case xmldoc.KindElement:
+			raw = nd.Text()
+		default:
+			raw = nd.Value
+		}
+		if m.MatchPath(nd.RootPath()) {
+			if _, ok := sqltype.Cast(c.Type, raw); ok {
+				entries++
+			}
+		}
+		return true
+	})
+	return entries
+}
+
+// TestInsertEntriesParity checks, for every candidate of the xmark and
+// tpox spaces (every rule's generalizations and the overtrained basics)
+// plus outsider definitions no workload produces, that the entry count
+// the evaluator charges for each insert's sample document equals the
+// per-node oracle and the entries xindex.InsertDoc adds to an empty
+// physical index. The inserts go into auction and order, so attribute
+// and text() paths and double and date casts are all exercised.
+func TestInsertEntriesParity(t *testing.T) {
+	cat := coldUpdateCatalog(t)
+	xm := datagen.XMarkWorkload(20, 1)
+	datagen.XMarkUpdates(xm, 10, 1)
+	datagen.XMarkUpdates(xm, 10, 2)
+	tp := datagen.TPoXWorkload(18, 1, coldUpdateSecurities)
+	datagen.TPoXUpdates(tp, 10, 1, coldUpdateSecurities)
+	datagen.TPoXUpdates(tp, 10, 2, coldUpdateSecurities)
+	outsiders := []struct {
+		pat string
+		typ sqltype.Type
+	}{
+		{"//text()", sqltype.Varchar},
+		{"//@*", sqltype.Double},
+		{"//*", sqltype.Date},
+		{"/site//item/*", sqltype.Double},
+		{"/FIXML/Order/@*", sqltype.Varchar},
+	}
+	// covered counts entries by the feature that produced them, so the
+	// test fails if the inputs stop reaching attributes, text() legs or
+	// the double and date casts.
+	covered := map[string]int{}
+	pairs := 0
+	for _, w := range []*workload.Workload{xm, tp} {
+		for _, rules := range []string{"", "all"} {
+			opts := DefaultOptions()
+			opts.Rules = rules
+			a := New(cat, opts)
+			ctx := context.Background()
+			p, err := a.Prepare(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The space holds the basics (the overtrained configuration)
+			// and every generalization.
+			cands := append([]*Candidate(nil), p.Space().Candidates...)
+			for i, o := range outsiders {
+				cands = append(cands, &Candidate{ID: 1_000_000 + i, Pattern: pattern.MustParse(o.pat), Type: o.typ})
+			}
+			ev, err := a.newEvaluator(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ui, u := range w.Updates {
+				if u.Kind != workload.UpdateInsert {
+					continue
+				}
+				d, err := xmldoc.ParseString(u.DocXML)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cands {
+					got := ev.docEntries(ui, c)
+					want := oracleDocEntries(d, c)
+					phys := xindex.New("PARITY", c.Pattern, c.Type).InsertDoc(d)
+					if got != want || got != phys {
+						t.Fatalf("%s rules=%q insert %d, %s %s: evaluator %d entries, per-node oracle %d, physical index %d",
+							w.Name, rules, ui, c.Pattern, c.Type, got, want, phys)
+					}
+					pairs++
+					last := c.Pattern.Steps[len(c.Pattern.Steps)-1]
+					switch {
+					case last.Kind == pattern.TestAttr:
+						covered["attribute"] += got
+					case last.Kind == pattern.TestText:
+						covered["text()"] += got
+					}
+					switch c.Type {
+					case sqltype.Double:
+						covered["double"] += got
+					case sqltype.Date:
+						covered["date"] += got
+					}
+				}
+			}
+		}
+	}
+	for _, f := range []string{"attribute", "text()", "double", "date"} {
+		if covered[f] == 0 {
+			t.Errorf("no (insert, candidate) pair counted a %s entry; coverage %v", f, covered)
+		}
+	}
+	t.Logf("%d (insert, candidate) pairs agree; entries by feature %v", pairs, covered)
 }
 
 // TestUpdateBenefitUnchangedByKernelCache checks the kernel-cached
@@ -99,4 +200,34 @@ func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 	if rec2.UpdateCost != rec.UpdateCost {
 		t.Fatalf("update cost changed on warm kernel: %v vs %v", rec2.UpdateCost, rec.UpdateCost)
 	}
+}
+
+// BenchmarkUpdateCost prices every candidate of a prepared xmark space
+// whose workload inserts a document, each on its own, on a fresh
+// evaluator per iteration: the per-session document preparation plus one
+// maintenance charge per candidate, as the benefit matrix's Update row
+// computes it.
+func BenchmarkUpdateCost(b *testing.B) {
+	cat := xmarkFixture(b, 250)
+	w := datagen.XMarkWorkload(20, 1)
+	datagen.XMarkUpdates(w, w.TotalQueryWeight()/5, 1)
+	ctx := context.Background()
+	a := New(cat, DefaultOptions())
+	p, err := a.Prepare(ctx, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := p.Space().Candidates
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := a.newEvaluator(ctx, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cands {
+			ev.updateCost([]*Candidate{c})
+		}
+	}
+	b.ReportMetric(float64(len(cands)), "candidates")
 }

@@ -105,7 +105,7 @@ func (e *Executor) runIndexPlan(q *querylang.Query, col *store.Collection, plan 
 			// Index ORing: union the member scans' document sets.
 			docs = map[xmldoc.DocID]bool{}
 			for _, m := range a.Members {
-				mdocs, err := e.scanAccess(col, &m, res)
+				mdocs, err := e.scanAccess(&m, res)
 				if err != nil {
 					return nil, err
 				}
@@ -115,7 +115,7 @@ func (e *Executor) runIndexPlan(q *querylang.Query, col *store.Collection, plan 
 			}
 		} else {
 			var err error
-			docs, err = e.scanAccess(col, &a, res)
+			docs, err = e.scanAccess(&a, res)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +158,7 @@ func (e *Executor) runIndexPlan(q *querylang.Query, col *store.Collection, plan 
 
 // scanAccess runs one index scan with residual path verification and
 // returns the set of matching document IDs.
-func (e *Executor) scanAccess(col *store.Collection, a *optimizer.LegAccess, res *Result) (map[xmldoc.DocID]bool, error) {
+func (e *Executor) scanAccess(a *optimizer.LegAccess, res *Result) (map[xmldoc.DocID]bool, error) {
 	def := e.Cat.Index(a.Index.Name)
 	if def == nil || def.Phys == nil {
 		return nil, fmt.Errorf("executor: plan uses index %q which is not physically built", a.Index.Name)
@@ -171,20 +171,23 @@ func (e *Executor) scanAccess(col *store.Collection, a *optimizer.LegAccess, res
 	res.Metrics.IndexLeaves += scan.LeavesRead
 	res.Metrics.IndexEntries += len(scan.Entries)
 
-	// Verify entry paths when the index is more general than the leg.
+	// Verify entry paths when the index is more general than the leg,
+	// deciding each distinct indexed path once per scan.
 	var m *pattern.Matcher
+	var pathOK map[int32]bool
 	if a.ResidualPathCheck {
 		m = pattern.InternedMatcher(a.Leg.Pattern)
+		pathOK = map[int32]bool{}
 	}
 	docs := map[xmldoc.DocID]bool{}
 	for _, entry := range scan.Entries {
 		if m != nil {
-			d := col.Get(entry.Doc)
-			if d == nil {
-				continue
+			ok, seen := pathOK[entry.Path]
+			if !seen {
+				ok = m.MatchWord(def.Phys.PathWord(entry.Path))
+				pathOK[entry.Path] = ok
 			}
-			n := d.Node(entry.Node)
-			if n == nil || !m.MatchPath(n.RootPath()) {
+			if !ok {
 				continue
 			}
 		}

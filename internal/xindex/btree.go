@@ -13,11 +13,14 @@ import (
 )
 
 // Entry is one index entry: a typed key plus the (document, node) it came
-// from — the XML analogue of a RID.
+// from — the XML analogue of a RID. Path names the node's root path in
+// the owning Index's path table (Index.PathWord); it takes no part in
+// ordering, since a (document, node) pair has one path.
 type Entry struct {
 	Key  sqltype.Value
 	Doc  xmldoc.DocID
 	Node xmldoc.NodeID
+	Path int32
 }
 
 // compareEntries orders entries by key, then doc, then node, making every

@@ -21,6 +21,11 @@ type Index struct {
 	matcher *pattern.Matcher
 	tree    *BTree
 	order   int
+
+	// paths is the table of distinct root-path words of indexed nodes,
+	// which Entry.Path indexes; pathIDs finds a rendered path's slot.
+	paths   [][]pattern.Sym
+	pathIDs map[string]int32
 }
 
 // New creates an empty physical index.
@@ -32,6 +37,7 @@ func New(name string, p pattern.Pattern, t sqltype.Type) *Index {
 		matcher: pattern.InternedMatcher(p),
 		tree:    NewBTree(DefaultOrder),
 		order:   DefaultOrder,
+		pathIDs: map[string]int32{},
 	}
 }
 
@@ -51,22 +57,72 @@ func Build(name string, p pattern.Pattern, t sqltype.Type, c *store.Collection) 
 // docEntries extracts the index entries a document contributes.
 func (ix *Index) docEntries(d *xmldoc.Document) []Entry {
 	var out []Entry
+	for _, n := range DocNodes(d) {
+		if v, ok := n.Key(ix.matcher, ix.Type); ok {
+			out = append(out, Entry{Key: v, Doc: d.ID, Node: n.ID, Path: ix.pathID(&n)})
+		}
+	}
+	return out
+}
+
+// pathID returns n's slot in the path table, adding its word on first
+// sight.
+func (ix *Index) pathID(n *DocNode) int32 {
+	id, ok := ix.pathIDs[n.Path]
+	if !ok {
+		id = int32(len(ix.paths))
+		ix.paths = append(ix.paths, n.Word)
+		ix.pathIDs[n.Path] = id
+	}
+	return id
+}
+
+// PathWord returns the root-path word of the entries whose Path is id,
+// so a scan can check a residual path once per distinct path instead of
+// once per entry.
+func (ix *Index) PathWord(id int32) []pattern.Sym { return ix.paths[id] }
+
+// DocNode is one node of a document as a value index sees it: the node's
+// root path, rendered and parsed into a word, and the raw value the index
+// casts to its key type (an element's text content, an attribute's or a
+// text node's value).
+type DocNode struct {
+	ID   xmldoc.NodeID
+	Path string
+	Word []pattern.Sym
+	Raw  string
+}
+
+// DocNodes lists, in document order, every node of d an index can hold.
+// Nodes whose root path does not parse as a concrete path word are left
+// out: no pattern matches them. Callers that key many indexes from one
+// document compute the list once and run Key per index.
+func DocNodes(d *xmldoc.Document) []DocNode {
+	var out []DocNode
 	d.Walk(func(n *xmldoc.Node) bool {
-		var raw string
-		switch n.Kind {
-		case xmldoc.KindElement:
+		path := n.RootPath()
+		word, err := pattern.ParseWord(path)
+		if err != nil {
+			return true
+		}
+		raw := n.Value
+		if n.Kind == xmldoc.KindElement {
 			raw = n.Text()
-		case xmldoc.KindAttribute, xmldoc.KindText:
-			raw = n.Value
 		}
-		if ix.matcher.MatchPath(n.RootPath()) {
-			if v, ok := sqltype.Cast(ix.Type, raw); ok {
-				out = append(out, Entry{Key: v, Doc: d.ID, Node: n.ID})
-			}
-		}
+		out = append(out, DocNode{ID: n.ID, Path: path, Word: word, Raw: raw})
 		return true
 	})
 	return out
+}
+
+// Key is the entry key n contributes to an index whose pattern compiles
+// to m and whose type is t; ok is false when the pattern does not match
+// n's path or n's value does not cast to t.
+func (n *DocNode) Key(m *pattern.Matcher, t sqltype.Type) (sqltype.Value, bool) {
+	if !m.MatchWord(n.Word) {
+		return sqltype.Value{}, false
+	}
+	return sqltype.Cast(t, n.Raw)
 }
 
 // InsertDoc adds a document's entries (index maintenance on insert). It

@@ -125,6 +125,44 @@ func TestInsertDeleteDocMaintenance(t *testing.T) {
 	}
 }
 
+// TestEntryPathsNameTheNodePath checks that every entry's path-table
+// word, after a bulk build and an incremental insert, is the parsed root
+// path of the node the entry points at, and that nodes sharing a path
+// share a slot.
+func TestEntryPathsNameTheNodePath(t *testing.T) {
+	c := testCollection(t, 12)
+	ix := Build("ANY", pattern.MustParse("/site/regions/*/item/*"), sqltype.Varchar, c)
+	id, err := c.InsertXML(`<site><regions><europe><item id="x"><quantity>4</quantity><name>n</name></item></europe></regions></site>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.InsertDoc(c.Get(id)) != 2 {
+		t.Fatal("insert added the wrong number of entries")
+	}
+	slots := map[string]int32{}
+	n := 0
+	ix.Tree().All(func(e Entry) bool {
+		n++
+		path := c.Get(e.Doc).Node(e.Node).RootPath()
+		want, err := pattern.ParseWord(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.PathWord(e.Path); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("entry (%d, %d): path word %v, node path %s", e.Doc, e.Node, got, path)
+		}
+		if prev, ok := slots[path]; ok && prev != e.Path {
+			t.Errorf("path %s has slots %d and %d", path, prev, e.Path)
+		}
+		slots[path] = e.Path
+		return true
+	})
+	// quantity and name under three regions.
+	if n != 26 || len(slots) != 6 {
+		t.Fatalf("%d entries over %d paths, want 26 over 6", n, len(slots))
+	}
+}
+
 func TestScanNeAndContains(t *testing.T) {
 	c := testCollection(t, 14)
 	ix := Build("IQ", pattern.MustParse("//quantity"), sqltype.Double, c)

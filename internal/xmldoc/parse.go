@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -81,10 +82,15 @@ func (p *parser) skipSpace() {
 	}
 }
 
+// at reports whether the unread input starts with prefix.
+func (p *parser) at(prefix string) bool {
+	return len(p.src)-p.pos >= len(prefix) && string(p.src[p.pos:p.pos+len(prefix)]) == prefix
+}
+
 // skipUntil advances past the first occurrence of marker, returning an
 // error if it is never found.
 func (p *parser) skipUntil(marker string) error {
-	idx := strings.Index(string(p.src[p.pos:]), marker)
+	idx := bytes.Index(p.src[p.pos:], []byte(marker))
 	if idx < 0 {
 		return p.errf("unterminated construct: missing %q", marker)
 	}
@@ -109,7 +115,7 @@ func (p *parser) parseDocument() (*Node, error) {
 				}
 				continue
 			case '!':
-				if strings.HasPrefix(string(p.src[p.pos:]), "<!--") {
+				if p.at("<!--") {
 					if err := p.skipUntil("-->"); err != nil {
 						return nil, err
 					}
@@ -132,11 +138,11 @@ func (p *parser) parseDocument() (*Node, error) {
 	p.skipSpace()
 	for !p.eof() {
 		// Trailing comments / PIs are permitted.
-		if strings.HasPrefix(string(p.src[p.pos:]), "<!--") {
+		if p.at("<!--") {
 			if err := p.skipUntil("-->"); err != nil {
 				return nil, err
 			}
-		} else if strings.HasPrefix(string(p.src[p.pos:]), "<?") {
+		} else if p.at("<?") {
 			if err := p.skipUntil("?>"); err != nil {
 				return nil, err
 			}
@@ -251,9 +257,8 @@ func (p *parser) parseElement() (*Node, error) {
 			return nil, p.errf("unterminated element <%s>", name)
 		}
 		if p.peek() == '<' {
-			rest := string(p.src[p.pos:])
 			switch {
-			case strings.HasPrefix(rest, "</"):
+			case p.at("</"):
 				p.pos += 2
 				ename, err := p.parseName()
 				if err != nil {
@@ -268,13 +273,13 @@ func (p *parser) parseElement() (*Node, error) {
 				}
 				p.pos++
 				return el, nil
-			case strings.HasPrefix(rest, "<!--"):
+			case p.at("<!--"):
 				if err := p.skipUntil("-->"); err != nil {
 					return nil, err
 				}
-			case strings.HasPrefix(rest, "<![CDATA["):
+			case p.at("<![CDATA["):
 				p.pos += len("<![CDATA[")
-				idx := strings.Index(string(p.src[p.pos:]), "]]>")
+				idx := bytes.Index(p.src[p.pos:], []byte("]]>"))
 				if idx < 0 {
 					return nil, p.errf("unterminated CDATA section")
 				}
@@ -283,7 +288,7 @@ func (p *parser) parseElement() (*Node, error) {
 				if text != "" {
 					el.AppendChild(NewText(text))
 				}
-			case strings.HasPrefix(rest, "<?"):
+			case p.at("<?"):
 				if err := p.skipUntil("?>"); err != nil {
 					return nil, err
 				}
