@@ -113,7 +113,6 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown strategy", advisor.WithStrategy("simulated-annealing"), "WithStrategy"},
 		{"bad rules", advisor.WithRules("lub,bogus"), "WithRules"},
 		{"negative parallelism", advisor.WithParallelism(-2), "WithParallelism"},
-		{"negative gen parallelism", advisor.WithGenParallelism(-2), "WithGenParallelism"},
 		{"negative budget KB", advisor.WithBudgetKB(-1), "WithBudgetKB"},
 		{"budget KB overflowing bytes", advisor.WithBudgetKB(1<<53 + 1), "WithBudgetKB"},
 		{"negative deadline", advisor.WithDeadline(-1), "WithDeadline"},

@@ -95,9 +95,10 @@ type RecommendRequest struct {
 	// configuration even when the advisor has a default budget;
 	// exclusive with BudgetPages and BudgetKB.
 	UnlimitedBudget bool `json:"unlimitedBudget,omitempty"`
-	// TimeoutMS bounds the recommendation's wall-clock; with the race
-	// strategy in anytime mode, an expired timeout returns the best
-	// configuration any member finished instead of failing.
+	// TimeoutMS bounds the recommendation's wall-clock (0 = the
+	// advisor's WithDeadline); with the race strategy, an expired
+	// timeout returns the best configuration any member finished
+	// instead of failing.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 	// IncludeTrace attaches the structured search trace to the
 	// response.
@@ -227,9 +228,9 @@ type RecommendResponse struct {
 	UpdateCost   float64 `json:"updateCost"`
 	NetBenefit   float64 `json:"netBenefit"`
 	// Degraded marks a best-so-far response: the what-if cost service
-	// became unavailable mid-run (circuit breaker open) and the anytime
-	// contract returned the best configuration evaluated before the
-	// outage instead of failing. DegradedReason says what gave out.
+	// became unavailable mid-run (circuit breaker open) and the run
+	// returned the best configuration evaluated before the outage
+	// instead of failing. DegradedReason says what gave out.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
 	// PerQuery is the recommendation analysis (Figure 5).

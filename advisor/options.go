@@ -136,12 +136,6 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.core.Parallelism = n }
 }
 
-// WithGenParallelism bounds concurrent per-query candidate enumerations
-// (0 = GOMAXPROCS). The candidate set is identical at every level.
-func WithGenParallelism(n int) Option {
-	return func(c *config) { c.core.GenParallelism = n }
-}
-
 // WithCacheSize caps the number of memoized what-if atoms, one per
 // (query, projected sub-configuration) pair (0 = the default cap of
 // 65536, negative = unlimited).
@@ -150,32 +144,22 @@ func WithCacheSize(n int) Option {
 }
 
 // WithDeadline bounds every recommendation that does not carry its own
-// request timeout, and turns on anytime mode: when the deadline
-// expires, the race portfolio returns the best configuration any
-// member finished instead of failing (requests that still have no
-// finished member fail with the context error).
+// request timeout (RecommendRequest.TimeoutMS). At the deadline, the
+// race portfolio returns the best configuration any member finished
+// instead of failing; a race with no finished member, or any other
+// search the deadline cuts off, fails with the context error.
 func WithDeadline(d time.Duration) Option {
-	return func(c *config) {
-		c.deadline = d
-		c.core.Anytime = true
-	}
-}
-
-// WithAnytime toggles anytime mode independently of WithDeadline, for
-// callers that put deadlines on the context themselves.
-func WithAnytime(on bool) Option {
-	return func(c *config) { c.core.Anytime = on }
+	return func(c *config) { c.deadline = d }
 }
 
 // WithResilience wraps the what-if cost service in the resilience
 // middleware, directly below the memoizing engine: per-call timeouts,
 // bounded retries with exponential backoff and deterministic jitter,
 // and a circuit breaker that fails fast (ErrCircuitOpen) while the
-// backend is down — cached evaluations keep serving throughout. With
-// anytime mode on, a breaker opening mid-search degrades the
-// recommendation to best-so-far (RecommendResponse.Degraded) instead
-// of failing it. The zero ResilienceOptions value selects production
-// defaults.
+// backend is down — cached evaluations keep serving throughout. A
+// breaker opening mid-search degrades the recommendation to
+// best-so-far (RecommendResponse.Degraded) instead of failing it. The
+// zero ResilienceOptions value selects production defaults.
 func WithResilience(o ResilienceOptions) Option {
 	return func(c *config) { ro := o; c.core.Resilience = &ro }
 }
@@ -225,10 +209,6 @@ func (c *config) validate() error {
 	}
 	if c.core.Parallelism < 0 {
 		return &OptionError{Option: "WithParallelism", Value: c.core.Parallelism,
-			Reason: "worker count must be >= 0 (0 = GOMAXPROCS)"}
-	}
-	if c.core.GenParallelism < 0 {
-		return &OptionError{Option: "WithGenParallelism", Value: c.core.GenParallelism,
 			Reason: "worker count must be >= 0 (0 = GOMAXPROCS)"}
 	}
 	if c.deadline < 0 {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,6 @@ func newChaosServer(t *testing.T, ropts advisor.ResilienceOptions, sopts server.
 	}
 	var fs *whatif.FaultService
 	adv, err := advisor.New(catalog.New(env.Store),
-		advisor.WithAnytime(true),
 		advisor.WithParallelism(1),
 		advisor.WithResilience(ropts),
 		advisor.WithCostWrapper(func(svc advisor.CostService) advisor.CostService {
@@ -305,6 +305,42 @@ func startBlockedRecommend(t *testing.T, ctx context.Context, url string, stream
 		}
 	}()
 	return done
+}
+
+// TestDefaultRaceDeadlineReturnsBestFinished pins best-so-far as the
+// serving default: on an advisor built with no options, a race request
+// whose timeout cuts off a member answers 200 with the best finished
+// member's configuration, and its pick note names the deadline.
+func TestDefaultRaceDeadlineReturnsBestFinished(t *testing.T) {
+	testleak.Check(t)
+	ts, _, wl := newTestServer(t, server.Options{})
+	info := openSession(t, ts, wl)
+	url := ts.URL + "/v1/sessions/" + info.ID + "/recommend"
+
+	// Race the real members to completion first: the reference winner,
+	// and a warm cache so they finish long before the deadline below.
+	var want advisor.RecommendResponse
+	decodeJSON(t, postJSON(t, url, advisor.RecommendRequest{Strategy: "race"}), http.StatusOK, &want)
+
+	search.Register(blockingStrategy{})
+	defer search.Unregister("test-block")
+	var got advisor.RecommendResponse
+	decodeJSON(t, postJSON(t, url, advisor.RecommendRequest{Strategy: "race", TimeoutMS: 500, IncludeTrace: true}),
+		http.StatusOK, &got)
+	if got.Search.Winner != want.Search.Winner || got.NetBenefit != want.NetBenefit {
+		t.Errorf("deadline race won by %s (net %v), want %s (net %v)",
+			got.Search.Winner, got.NetBenefit, want.Search.Winner, want.NetBenefit)
+	}
+	if !reflect.DeepEqual(got.Indexes, want.Indexes) {
+		t.Errorf("deadline race picked %+v, want %+v", got.Indexes, want.Indexes)
+	}
+	if len(got.Trace) == 0 {
+		t.Fatal("no trace returned")
+	}
+	pick := got.Trace[len(got.Trace)-1]
+	if pick.Action != search.ActionPick || !strings.Contains(pick.Note, "deadline:") {
+		t.Errorf("last trace event %s %q, want a pick naming the deadline", pick.Action, pick.Note)
+	}
 }
 
 // TestMaxInFlightAdmission pins admission control: with MaxInFlight 1

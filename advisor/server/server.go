@@ -48,11 +48,6 @@ type Options struct {
 	// with a Retry-After header instead of queueing — searches are CPU-
 	// bound, so admission control beats an unbounded backlog.
 	MaxInFlight int
-	// RequestTimeout bounds each recommend request's wall clock on the
-	// server side (0 = none), independent of the advisor's own deadline
-	// options. With anytime mode on, an expired timeout degrades to
-	// best-so-far instead of failing.
-	RequestTimeout time.Duration
 	// Now is the clock (nil = time.Now), a test hook for eviction.
 	Now func() time.Time
 }
@@ -70,6 +65,9 @@ type Server struct {
 	// evictedPersisted counts sessions persisted to disk on eviction
 	// (only ever non-zero with a snapshot directory configured).
 	evictedPersisted atomic.Int64
+
+	// sweepMu serializes EvictIdle sweeps.
+	sweepMu sync.Mutex
 
 	mu       sync.Mutex
 	seq      int64
@@ -181,22 +179,48 @@ func (s *Server) Janitor(ctx context.Context, interval time.Duration) {
 // request on its ID resumes it warm instead of finding a 404; a session
 // that fails to persist is still evicted — eviction is the memory
 // bound, durability is best effort.
+//
+// Victims are chosen under the server lock but persisted outside it,
+// so creates, lookups and recommends on other sessions never wait on
+// snapshot I/O. Each victim is re-checked under the lock afterwards: one
+// touched meanwhile stays, and one DELETEd meanwhile loses the ID file
+// the persist may have written back. Sweeps run one at a time, so an
+// entry missing at the re-check was deleted, not evicted by a
+// concurrent sweep.
 func (s *Server) EvictIdle() int {
 	if s.opts.IdleTTL <= 0 {
 		return 0
 	}
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
 	cutoff := s.opts.Now().Add(-s.opts.IdleTTL)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for id, e := range s.sessions {
+	var victims []*session
+	for _, e := range s.sessions {
 		if e.idleSince(cutoff) {
-			if err := s.persistSession(e); err == nil && s.snapshotsOn() {
+			victims = append(victims, e)
+		}
+	}
+	s.mu.Unlock()
+	n := 0
+	for _, e := range victims {
+		persisted := s.persistSession(e) == nil && s.snapshotsOn()
+		s.mu.Lock()
+		cur := s.sessions[e.id]
+		evict := cur == e && e.idleSince(cutoff)
+		if evict {
+			delete(s.sessions, e.id)
+		}
+		s.mu.Unlock()
+		switch {
+		case evict:
+			if persisted {
 				s.evictedPersisted.Add(1)
 			}
 			e.sess.Close()
-			delete(s.sessions, id)
 			n++
+		case cur != e:
+			s.removeSessionSnapshot(e.id)
 		}
 	}
 	return n
@@ -429,11 +453,6 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req advisor.RecommendRequest
 	if !s.decode(w, r, &req) {
 		return
-	}
-	if s.opts.RequestTimeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
 	}
 	if r.URL.Query().Get("stream") != "" {
 		s.recommendStream(w, r, e, req)

@@ -30,7 +30,7 @@ func newTestServer(t *testing.T, opts server.Options) (*httptest.Server, *server
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := advisor.New(catalog.New(env.Store), advisor.WithAnytime(true))
+	adv, err := advisor.New(catalog.New(env.Store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +367,27 @@ func TestMalformedRequests(t *testing.T) {
 	})
 }
 
-// TestRequestTimeoutAnytime exercises the anytime deadline over the
-// wire: a recommend with a very tight timeout on the race strategy
+// TestMalformedInsertDocumentIs400 pins the insert check at the
+// session boundary: a workload whose insert document does not parse is
+// a client error naming the line, not a failure inside the advisor.
+func TestMalformedInsertDocumentIs400(t *testing.T) {
+	testleak.Check(t)
+	ts, srv, _ := newTestServer(t, server.Options{})
+	var e server.Error
+	decodeJSON(t, postJSON(t, ts.URL+"/v1/sessions", server.CreateSessionRequest{
+		Name:     "bad-insert",
+		Workload: "q|1|for $i in collection(\"auction\")/site/regions/namerica/item return $i/name\ni|1|auction|<site><open>",
+	}), http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error.Message, "line 2") {
+		t.Errorf("error %q does not name line 2", e.Error.Message)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Errorf("%d sessions open after a rejected create", n)
+	}
+}
+
+// TestRequestTimeoutAnytime exercises the best-so-far deadline over
+// the wire: a recommend with a very tight timeout on the race strategy
 // either returns a best-so-far result or a timeout status — never a
 // hang, never a malformed response.
 func TestRequestTimeoutAnytime(t *testing.T) {

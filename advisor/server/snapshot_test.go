@@ -1,10 +1,12 @@
 package server_test
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/advisor/server"
 	"repro/internal/catalog"
 	"repro/internal/experiments"
+	"repro/internal/search"
 	"repro/internal/testleak"
 )
 
@@ -25,8 +28,7 @@ func newDurableServer(t *testing.T, dir string, opts server.Options) (*httptest.
 		t.Fatal(err)
 	}
 	build := func() (*httptest.Server, *server.Server) {
-		adv, err := advisor.New(catalog.New(env.Store),
-			advisor.WithAnytime(true), advisor.WithSnapshotDir(dir))
+		adv, err := advisor.New(catalog.New(env.Store), advisor.WithSnapshotDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,6 +187,120 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 		t.Errorf("snapshot file survives DELETE: %v", err)
 	}
 	getJSON(t, ts.URL+"/v1/sessions/"+info.ID, http.StatusNotFound, nil)
+}
+
+// TestEvictIdleConcurrentWithRecommendAndDelete stresses the sweep's
+// persist-outside-the-lock window: two sweeps run over many idle
+// durable sessions while other sessions are acquired by parked
+// recommends or DELETEd. A session touched while the sweep persisted it
+// must stay in memory with its request, a DELETEd session must not get
+// its ID file back, and an untouched session must be evicted with its
+// file intact even though a second sweep ran alongside.
+func TestEvictIdleConcurrentWithRecommendAndDelete(t *testing.T) {
+	testleak.Check(t)
+	search.Register(blockingStrategy{})
+	defer search.Unregister("test-block")
+	var clockMu sync.Mutex
+	now := time.Now()
+	clock := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}
+	dir := t.TempDir()
+	ts, srv, _, _ := newDurableServer(t, dir, server.Options{IdleTTL: time.Minute, Now: clock})
+	wl := "q|1|for $i in collection(\"auction\")/site/regions/namerica/item where $i/quantity > 5 return $i/name"
+
+	const perGroup = 6
+	var touched, deleted, idle []string
+	for i := 0; i < 3*perGroup; i++ {
+		id := openSession(t, ts, wl).ID
+		switch i % 3 {
+		case 0:
+			touched = append(touched, id)
+		case 1:
+			deleted = append(deleted, id)
+		default:
+			idle = append(idle, id)
+		}
+	}
+	snapshotFile := func(id string) string { return filepath.Join(dir, "session-"+id+".xsnap") }
+	clockMu.Lock()
+	now = now.Add(2 * time.Minute)
+	clockMu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	evicted := make(chan int, 2)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evicted <- srv.EvictIdle()
+		}()
+	}
+	var parked []<-chan struct{}
+	for _, id := range touched {
+		parked = append(parked, startBlockedRecommend(t, ctx, ts.URL+"/v1/sessions/"+id+"/recommend", false))
+	}
+	deleteStatus := make([]int, len(deleted))
+	for i, id := range deleted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res.Body.Close()
+			deleteStatus[i] = res.StatusCode
+		}()
+	}
+	wg.Wait()
+	close(evicted)
+	total := 0
+	for n := range evicted {
+		total += n
+	}
+	if total < len(idle) || total > 3*perGroup {
+		t.Errorf("sweeps evicted %d sessions, want between %d and %d", total, len(idle), 3*perGroup)
+	}
+
+	// Every parked recommend holds its session: the entry it touched is
+	// the one in memory, so the session reports one active request. An
+	// entry evicted after its touch would be resumed here with none.
+	for _, id := range touched {
+		waitFor(t, "parked recommend on "+id, func() bool {
+			var info server.SessionInfo
+			getJSON(t, ts.URL+"/v1/sessions/"+id, http.StatusOK, &info)
+			return info.Active == 1
+		})
+	}
+	for i, id := range deleted {
+		if deleteStatus[i] != http.StatusNoContent {
+			t.Errorf("DELETE %s = %d, want 204", id, deleteStatus[i])
+		}
+		if _, err := os.Stat(snapshotFile(id)); !os.IsNotExist(err) {
+			t.Errorf("deleted session %s has an ID file after the sweep: %v", id, err)
+		}
+		getJSON(t, ts.URL+"/v1/sessions/"+id, http.StatusNotFound, nil)
+	}
+	for _, id := range idle {
+		if _, err := os.Stat(snapshotFile(id)); err != nil {
+			t.Errorf("evicted session %s lost its ID file: %v", id, err)
+		}
+	}
+	cancel()
+	for _, done := range parked {
+		<-done
+	}
 }
 
 // TestResumeRejectsCrookedIDs: lazy resume never touches the filesystem

@@ -32,12 +32,11 @@ func TestFaultInjectionSoak(t *testing.T) {
 		iters = n
 	}
 
-	clean, err := advisor.New(catalog.New(env.Store), advisor.WithAnytime(true))
+	clean, err := advisor.New(catalog.New(env.Store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulted, err := advisor.New(catalog.New(env.Store),
-		advisor.WithAnytime(true),
 		advisor.WithResilience(advisor.ResilienceOptions{
 			RetryBase:        100 * time.Microsecond,
 			RetryMax:         time.Millisecond,

@@ -8,7 +8,12 @@
 //	xia -gen xmark:500:1 -workload data/xmark.workload -search race -trace-json
 //	xia -load auction=data/auction -workload data/xmark.workload -dag -trace
 //	xia -gen xmark:500:1 -workload data/xmark.workload -parallel 8 -cache-size 4096 -timeout 30s
-//	xia -gen xmark:500:1 -workload data/xmark.workload -gen-parallel 8 -rules lub,leaf,axis
+//	xia -gen xmark:500:1 -workload data/xmark.workload -rules lub,leaf,axis
+//	xia -gen xmark:500:1 -workload data/xmark.workload -search race -timeout 2s
+//
+// With -timeout, a race search cut off by the deadline returns the best
+// configuration any member finished; a deadline that expires before
+// the search, or in any other strategy, fails the run.
 //
 // The -materialize flag additionally builds the recommended indexes and
 // reruns the workload to report actual execution times (the demo's final
@@ -39,14 +44,13 @@ func main() {
 	budgetKB := flag.Int64("budget-kb", 0, "disk budget in KB (0 = unlimited)")
 	searchName := flag.String("search", "greedy", "search strategy: "+strings.Join(advisor.Strategies(), " | "))
 	rules := flag.String("rules", "", "generalization rules: comma-separated lub,wildcard,leaf,axis,universal | all | none (default: paper rules)")
-	genParallel := flag.Int("gen-parallel", 0, "concurrent candidate enumerations (0 = GOMAXPROCS)")
 	showDAG := flag.Bool("dag", false, "print the candidate DAG")
 	showTrace := flag.Bool("trace", false, "print the search trace")
 	traceJSON := flag.Bool("trace-json", false, "print the structured search trace as JSON")
 	materialize := flag.Bool("materialize", false, "build recommended indexes and report actual execution times")
 	parallel := flag.Int("parallel", 0, "concurrent what-if evaluations (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 0, "max memoized what-if atoms, one per (query, projected sub-configuration) (0 = default 65536, negative = unlimited)")
-	timeout := flag.Duration("timeout", 0, "abort the advisor after this duration (0 = none)")
+	timeout := flag.Duration("timeout", 0, "deadline for the whole run; a race search cut off by it returns its best finished member, anything else fails (0 = none)")
 	flag.Parse()
 
 	if *wpath == "" {
@@ -73,7 +77,6 @@ func main() {
 		advisor.WithStrategy(*searchName),
 		advisor.WithBudgetKB(*budgetKB),
 		advisor.WithRules(*rules),
-		advisor.WithGenParallelism(*genParallel),
 		advisor.WithParallelism(*parallel),
 		advisor.WithCacheSize(*cacheSize),
 	)

@@ -14,9 +14,11 @@
 //	curl -s -X POST localhost:8080/v1/sessions/s1/recommend -d '{"strategy":"race","budgetKB":256}'
 //	curl -N -X POST 'localhost:8080/v1/sessions/s1/recommend?stream=1' -d '{"strategy":"race"}'
 //
-// Request timeouts (-request-timeout or per-request timeoutMs) run the
-// race portfolio in anytime mode: at the deadline the best
-// configuration any member finished is returned instead of an error.
+// Recommendations are best-so-far: at a request deadline
+// (-request-timeout or per-request timeoutMs) the race portfolio
+// returns the best configuration any member finished instead of an
+// error, and an open costing circuit breaker degrades a search to the
+// best configuration it had evaluated ("degraded": true).
 //
 // With -snapshot-dir, sessions are durable: idle-evicted sessions and
 // every session open at graceful shutdown are persisted as versioned
@@ -65,7 +67,7 @@ func run(args []string) int {
 	searchName := fs.String("search", "", "default search strategy: "+strings.Join(advisor.Strategies(), " | "))
 	parallel := fs.Int("parallel", 0, "concurrent what-if evaluations (0 = GOMAXPROCS)")
 	cacheSize := fs.Int("cache-size", 0, "max memoized what-if atoms, one per (query, projected sub-configuration) (0 = default 65536, negative = unlimited)")
-	reqTimeout := fs.Duration("request-timeout", 0, "default per-recommendation deadline; anytime race returns best-so-far (0 = none)")
+	reqTimeout := fs.Duration("request-timeout", 0, "default per-recommendation deadline; race returns best-so-far (0 = none)")
 	sessionTTL := fs.Duration("session-ttl", 15*time.Minute, "evict sessions idle for this long (0 = never)")
 	maxSessions := fs.Int("max-sessions", 0, "max concurrently open sessions (0 = unlimited)")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrently served recommendations; excess answers 429 (0 = unlimited)")
@@ -89,7 +91,6 @@ func run(args []string) int {
 	opts := []advisor.Option{
 		advisor.WithParallelism(*parallel),
 		advisor.WithCacheSize(*cacheSize),
-		advisor.WithAnytime(true),
 		advisor.WithResilience(advisor.ResilienceOptions{
 			CallTimeout:      *whatifTimeout,
 			MaxRetries:       *whatifRetries,

@@ -29,7 +29,7 @@ func main() {
 	if _, err := datagen.GenerateXMark(st, datagen.XMarkConfig{Docs: 300, Seed: 9}); err != nil {
 		log.Fatal(err)
 	}
-	adv, err := advisor.New(catalog.New(st), advisor.WithAnytime(true))
+	adv, err := advisor.New(catalog.New(st))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configure the advisor.
+// Options configure the advisor. Best-so-far is not an option: a race
+// cut off by an expired context deadline returns its best finished
+// member, and an open circuit breaker (Resilience) degrades a search
+// to the best configuration it had evaluated.
 type Options struct {
 	// DiskBudgetPages bounds the total size of the recommended
 	// configuration; 0 means unlimited.
@@ -35,16 +38,6 @@ type Options struct {
 	// empty string means the paper's default rules; "none" turns
 	// generalization off.
 	Rules string
-	// GenParallelism bounds concurrent per-query candidate enumerations
-	// in the pipeline; 0 means GOMAXPROCS. The candidate set is
-	// identical at every parallelism level.
-	GenParallelism int
-
-	// Anytime makes deadline-aware strategies return the best result
-	// found so far when the context deadline expires instead of failing.
-	// Today the race portfolio honors it: members that completed before
-	// the deadline still compete and the best finished member wins.
-	Anytime bool
 
 	// Parallelism bounds concurrent what-if query evaluations in the
 	// costing engine; 0 means GOMAXPROCS.
@@ -252,9 +245,9 @@ type Recommendation struct {
 	// Elapsed is the advisor runtime.
 	Elapsed time.Duration
 	// Degraded marks a best-so-far recommendation: the what-if backend
-	// became unavailable mid-run (circuit breaker open) and the anytime
-	// contract returned the best fully evaluated configuration instead
-	// of failing. DegradedReason says what gave out.
+	// became unavailable mid-run (circuit breaker open) and the run
+	// returned the best fully evaluated configuration instead of
+	// failing. DegradedReason says what gave out.
 	Degraded       bool
 	DegradedReason string
 }

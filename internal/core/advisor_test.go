@@ -334,29 +334,6 @@ func TestAdvisorRefreshesCostsAfterDataChange(t *testing.T) {
 	}
 }
 
-func TestRecommendationIdenticalAcrossGenParallelism(t *testing.T) {
-	cat := xmarkFixture(t, 200)
-	w := datagen.XMarkWorkload(10, 12)
-	fingerprint := func(rec *Recommendation) string {
-		return strings.Join(rec.DDL, "\n") + "\n" + rec.DAG.Render() + strings.Join(rec.TraceEvents.Strings(), "\n")
-	}
-	var base string
-	for _, par := range []int{1, 4, 8} {
-		opts := DefaultOptions()
-		opts.GenParallelism = par
-		rec, err := New(cat, opts).Recommend(w)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		fp := fingerprint(rec)
-		if base == "" {
-			base = fp
-		} else if fp != base {
-			t.Errorf("recommendation changed at enumeration parallelism %d:\n%s\nvs\n%s", par, base, fp)
-		}
-	}
-}
-
 func TestCustomSourceOverridesEnumeration(t *testing.T) {
 	cat := xmarkFixture(t, 150)
 	opts := DefaultOptions()

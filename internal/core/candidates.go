@@ -59,7 +59,6 @@ func (a *Advisor) pipeline() (*candidate.Pipeline, error) {
 		return nil, err
 	}
 	return candidate.New(a.cat, a.candidateSource(), candidate.Options{
-		Parallelism:    a.opts.GenParallelism,
 		Rules:          rules,
 		MinSharedSteps: candidate.DefaultMinSharedSteps,
 		MaxCandidates:  candidate.DefaultMaxCandidates,

@@ -113,7 +113,6 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		BudgetPages:      a.opts.DiskBudgetPages,
 		Eval:             search.BoundEvaluator{Bound: ev.bound, Derive: ev.aggregate, Parallel: a.cost.Workers()},
 		InteractionAware: a.opts.InteractionAware,
-		Anytime:          a.opts.Anytime,
 	}
 	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp}
 	sp.Benefits = p.BenefitMatrix
@@ -249,14 +248,14 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	if err != nil {
 		return nil, err
 	}
-	// Anytime mode delivered a best-so-far result at an expired
-	// deadline; assembling the recommendation below needs a few more
-	// what-if evaluations (the final and overtrained configurations),
-	// which must not be killed by the deadline that already fired — the
-	// whole point was to return something useful at the deadline.
-	// Explicit cancellation is not softened: the search itself would
-	// have failed, so we never get here with a cancelled context.
-	if sp.Anytime && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+	// The search delivered a best-so-far result at an expired deadline;
+	// assembling the recommendation below needs a few more what-if
+	// evaluations (the final and overtrained configurations), which must
+	// not be killed by the deadline that already fired — the whole point
+	// was to return something useful at the deadline. Explicit
+	// cancellation is not softened: the search itself would have failed,
+	// so we never get here with a cancelled context.
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		ctx = context.WithoutCancel(ctx)
 	}
 
@@ -277,19 +276,15 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	sort.Slice(rec.Config, func(i, j int) bool { return rec.Config[i].Key() < rec.Config[j].Key() })
 	rec.TotalPages = search.PagesOf(rec.Config)
 
-	// degradedFallback decides whether an assembly-time evaluation error
-	// may be absorbed into a degraded best-so-far recommendation instead
-	// of failing the run: only a circuit-breaker rejection qualifies, and
-	// only when the search itself already degraded or the caller opted
-	// into the anytime contract. Normally these evaluations are pure
-	// cache hits (the search priced the winning configuration), so this
-	// fires only when the breaker opened with atoms still uncached.
-	degradedFallback := func(err error) bool {
-		return (rec.Degraded || sp.Anytime) && errors.Is(err, whatif.ErrCircuitOpen)
-	}
+	// A circuit-breaker rejection at assembly is absorbed into a
+	// degraded best-so-far recommendation instead of failing the run;
+	// any other evaluation error fails it. Normally these evaluations
+	// are pure cache hits (the search priced the winning configuration),
+	// so this fires only when the breaker opened with atoms still
+	// uncached.
 	finalEval, err := p.ev.eval(ctx, rec.Config)
 	if err != nil {
-		if !degradedFallback(err) {
+		if !errors.Is(err, whatif.ErrCircuitOpen) {
 			return nil, err
 		}
 		// Per-query detail is unavailable; fall back to document-scan
@@ -311,7 +306,7 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	// budget — the maximum achievable benefit for this workload.
 	overEval, err := p.ev.eval(ctx, p.set.Basics)
 	if err != nil {
-		if !degradedFallback(err) {
+		if !errors.Is(err, whatif.ErrCircuitOpen) {
 			return nil, err
 		}
 		overEval = p.ev.degradedEval(p.set.Basics)

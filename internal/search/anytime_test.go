@@ -24,11 +24,12 @@ func (blockingStrategy) Search(ctx context.Context, sp *search.Space) (*search.R
 	return nil, ctx.Err()
 }
 
-// TestRaceAnytimeDeadline pins the anytime contract: with
-// Space.Anytime, a race whose deadline cuts off a member still returns
-// the best configuration among the members that finished; without it,
-// the deadline surfaces as the context error. The blocking member
-// guarantees the deadline fires while fast members have completed.
+// TestRaceAnytimeDeadline pins the best-so-far contract at a deadline:
+// a race whose deadline cuts off a member still returns the best
+// configuration among the members that finished, while an explicit
+// cancellation, or a deadline no member beat, surfaces as the context
+// error. The blocking member guarantees the deadline fires while fast
+// members have completed.
 func TestRaceAnytimeDeadline(t *testing.T) {
 	search.Register(blockingStrategy{})
 	defer func() {
@@ -57,12 +58,11 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 
 	t.Run("anytime returns best finished member", func(t *testing.T) {
 		sp := prep.Space().WithBudget(0)
-		sp.Anytime = true
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
 		res, err := race.Search(ctx, sp)
 		if err != nil {
-			t.Fatalf("anytime race failed at deadline: %v", err)
+			t.Fatalf("race failed at deadline: %v", err)
 		}
 		if len(res.Members) == 0 {
 			t.Fatal("no member finished before the deadline")
@@ -72,11 +72,11 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 				t.Error("blocking member reported as finished")
 			}
 		}
-		// The three real strategies all finished (they are orders of
-		// magnitude faster than the deadline), so the anytime winner
-		// must be at least as good as the heuristic result.
+		// The real strategies all finished (they are orders of magnitude
+		// faster than the deadline), so the winner must be at least as
+		// good as the heuristic result.
 		if res.Eval.Net < heuristic.NetBenefit {
-			t.Errorf("anytime winner net %.3f < heuristic net %.3f", res.Eval.Net, heuristic.NetBenefit)
+			t.Errorf("winner net %.3f < heuristic net %.3f", res.Eval.Net, heuristic.NetBenefit)
 		}
 		pick := res.Trace[len(res.Trace)-1]
 		if pick.Action != search.ActionPick {
@@ -84,17 +84,6 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 		}
 		if !strings.Contains(pick.Note, "deadline:") {
 			t.Errorf("pick note %q does not mention the deadline", pick.Note)
-		}
-	})
-
-	t.Run("without anytime the deadline is an error", func(t *testing.T) {
-		sp := prep.Space().WithBudget(0)
-		sp.Anytime = false
-		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-		defer cancel()
-		_, err := race.Search(ctx, sp)
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("got %v, want context.DeadlineExceeded", err)
 		}
 	})
 
@@ -107,10 +96,7 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := core.DefaultOptions()
-		opts.Anytime = true
-		anytime := core.New(env.Cat, opts)
-		aprep, err := anytime.Prepare(context.Background(), w)
+		aprep, err := core.New(env.Cat, core.DefaultOptions()).Prepare(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,10 +104,10 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 		defer cancel()
 		rec, err := aprep.RecommendWith(ctx, core.SearchRace, 0)
 		if err != nil {
-			t.Fatalf("anytime recommendation failed at deadline: %v", err)
+			t.Fatalf("recommendation failed at deadline: %v", err)
 		}
 		if len(rec.Config) == 0 || rec.NetBenefit < heuristic.NetBenefit {
-			t.Errorf("anytime recommendation (%d indexes, net %.1f) worse than heuristic member (net %.1f)",
+			t.Errorf("recommendation (%d indexes, net %.1f) worse than heuristic member (net %.1f)",
 				len(rec.Config), rec.NetBenefit, heuristic.NetBenefit)
 		}
 		if len(rec.PerQuery) != len(w.Queries) {
@@ -131,7 +117,6 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 
 	t.Run("explicit cancellation aborts even with finished members", func(t *testing.T) {
 		sp := prep.Space().WithBudget(0)
-		sp.Anytime = true
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			// By now the three real members are long done (they take
@@ -141,13 +126,12 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 		}()
 		_, err := race.Search(ctx, sp)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled (anytime must not soften explicit aborts)", err)
+			t.Fatalf("got %v, want context.Canceled (a deadline softens, an explicit abort does not)", err)
 		}
 	})
 
 	t.Run("no finished member surfaces the deadline even in anytime mode", func(t *testing.T) {
 		sp := prep.Space().WithBudget(0)
-		sp.Anytime = true
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // every member sees a dead context immediately
 		_, err := race.Search(ctx, sp)

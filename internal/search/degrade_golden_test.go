@@ -18,11 +18,11 @@ var updateDegradedGolden = flag.Bool("update-degraded", false, "rewrite the degr
 // TestDegradedOutcomeGolden pins what every non-race strategy returns
 // when the cost backend's circuit breaker opens after k evaluations,
 // for every k from 0 up to the strategy's healthy evaluation count, on
-// the paper workload in anytime mode: the Degraded flag, the chosen
-// keys in configuration order, the exact net and pages, and the trace
-// actions. Which configuration and evaluation a strategy falls back to
-// at each cut-off point is part of its contract; refactors of the
-// failure paths must reproduce this file byte for byte.
+// the paper workload: the Degraded flag, the chosen keys in
+// configuration order, the exact net and pages, and the trace actions.
+// Which configuration and evaluation a strategy falls back to at each
+// cut-off point is part of its contract; refactors of the failure paths
+// must reproduce this file byte for byte.
 func TestDegradedOutcomeGolden(t *testing.T) {
 	ctx := context.Background()
 	a := testAdvisor(t)
@@ -32,7 +32,6 @@ func TestDegradedOutcomeGolden(t *testing.T) {
 	}
 	run := func(strat search.Strategy, failAfter int64) *search.Result {
 		sp := prep.Space().WithBudget(0)
-		sp.Anytime = true
 		sp.Eval = &outageEval{inner: sp.Eval, failAfter: failAfter}
 		res, err := strat.Search(ctx, sp)
 		if err != nil {

@@ -2,7 +2,6 @@ package search_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -33,8 +32,8 @@ func (o *outageEval) Evaluate(ctx context.Context, cfg []*search.Candidate) (*se
 func (o *outageEval) Workers() int { return o.inner.Workers() }
 
 // degradedSpace is the paper workload's prepared space with the cost
-// backend cut off after failAfter evaluations, in anytime mode.
-func degradedSpace(t *testing.T, failAfter int64, anytime bool) *search.Space {
+// backend cut off after failAfter evaluations.
+func degradedSpace(t *testing.T, failAfter int64) *search.Space {
 	t.Helper()
 	a := testAdvisor(t)
 	w := propertyWorkloads(t)["paper"]
@@ -43,16 +42,14 @@ func degradedSpace(t *testing.T, failAfter int64, anytime bool) *search.Space {
 		t.Fatal(err)
 	}
 	sp := prep.Space().WithBudget(0)
-	sp.Anytime = anytime
 	sp.Eval = &outageEval{inner: sp.Eval, failAfter: failAfter}
 	return sp
 }
 
 // TestStrategiesDegradeOnOpenBreaker pins graceful degradation: when
-// the costing circuit breaker opens mid-search in anytime mode, every
-// strategy returns its best-so-far configuration flagged Degraded with
-// a terminal "degraded" trace event, instead of failing — and without
-// anytime mode, the same outage is a hard error.
+// the costing circuit breaker opens mid-search, every strategy returns
+// its best-so-far configuration flagged Degraded with a terminal
+// "degraded" trace event, instead of failing.
 func TestStrategiesDegradeOnOpenBreaker(t *testing.T) {
 	for _, name := range search.Names() {
 		if name == "race" {
@@ -64,10 +61,10 @@ func TestStrategiesDegradeOnOpenBreaker(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sp := degradedSpace(t, failAfter, true)
+				sp := degradedSpace(t, failAfter)
 				res, err := strat.Search(context.Background(), sp)
 				if err != nil {
-					t.Fatalf("anytime search failed during outage: %v", err)
+					t.Fatalf("search failed during outage: %v", err)
 				}
 				if !sp.Eval.(*outageEval).fired.Load() {
 					// The strategy needed fewer evaluations than the
@@ -93,20 +90,6 @@ func TestStrategiesDegradeOnOpenBreaker(t *testing.T) {
 			})
 		}
 	}
-
-	t.Run("without anytime the outage is an error", func(t *testing.T) {
-		for _, name := range search.Names() {
-			strat, err := search.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := degradedSpace(t, 1, false)
-			_, err = strat.Search(context.Background(), sp)
-			if !errors.Is(err, whatif.ErrCircuitOpen) {
-				t.Errorf("%s: got %v, want ErrCircuitOpen", name, err)
-			}
-		}
-	})
 }
 
 // degradedMember is a registered test strategy that always returns a
@@ -137,7 +120,7 @@ func TestRaceDegradedTiers(t *testing.T) {
 	t.Run("complete member beats degraded member", func(t *testing.T) {
 		search.Register(degradedMember{})
 		defer search.Unregister("test-degraded")
-		sp := degradedSpace(t, 1<<40, true) // healthy backend
+		sp := degradedSpace(t, 1<<40) // healthy backend
 		res, err := race.Search(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
@@ -162,10 +145,10 @@ func TestRaceDegradedTiers(t *testing.T) {
 	t.Run("all members degraded degrades the race", func(t *testing.T) {
 		// The outage hits before any member's first evaluation, so every
 		// member degrades immediately.
-		sp := degradedSpace(t, 0, true)
+		sp := degradedSpace(t, 0)
 		res, err := race.Search(context.Background(), sp)
 		if err != nil {
-			t.Fatalf("anytime race failed during outage: %v", err)
+			t.Fatalf("race failed during outage: %v", err)
 		}
 		if !res.Degraded || !res.Stats.Degraded {
 			t.Fatalf("Degraded=%v Stats.Degraded=%v, want both true", res.Degraded, res.Stats.Degraded)

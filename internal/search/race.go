@@ -68,15 +68,12 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 	}
 	wg.Wait()
 
-	// A cancelled or expired shared context normally aborts the whole
-	// portfolio: declaring a winner among the members that happened to
-	// finish first would silently violate both the caller's deadline
-	// request and the "never worse than the best member" guarantee (the
-	// unfinished members might have won). The exception is the anytime
-	// mode (Space.Anytime): there the caller asked for the best result
-	// available at the deadline, so members that completed in time still
-	// compete and only an empty finisher set surfaces the deadline as an
-	// error. Any non-deadline member failure is fatal either way — the
+	// A race cut off by an expired deadline returns the best member
+	// that finished in time: the caller asked for an answer by the
+	// deadline, so members that completed still compete and only an
+	// empty finisher set surfaces the deadline as an error. An explicit
+	// cancellation is an abort and always propagates, finished members
+	// or not. Any non-deadline member failure is fatal either way — the
 	// plain strategies propagate evaluation errors, and the race must
 	// stay equivalent to running its members serially.
 	finished := 0
@@ -85,17 +82,14 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 			finished++
 		}
 	}
-	// Anytime softens deadlines only: an explicit cancellation is an
-	// abort and always propagates, finished members or not.
 	expired := ctx.Err()
-	anytime := sp.Anytime && errors.Is(expired, context.DeadlineExceeded)
-	if expired != nil && (!anytime || finished == 0) {
+	if expired != nil && (!errors.Is(expired, context.DeadlineExceeded) || finished == 0) {
 		return nil, expired
 	}
 	for i, name := range members {
 		if errs[i] != nil {
 			if expired != nil && errors.Is(errs[i], expired) {
-				continue // anytime: this member was cut off by the deadline
+				continue // this member was cut off by the deadline
 			}
 			return nil, fmt.Errorf("search: race member %s: %w", name, errs[i])
 		}
@@ -159,8 +153,8 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 	// The portfolio's trace is the winner's full step-level trace
 	// followed by the per-member summaries and the pick, so `-trace`/
 	// `-trace-json` consumers still see how the chosen configuration
-	// was built; losers' step traces stay available on Members (anytime
-	// runs list only the members that finished before the deadline).
+	// was built; losers' step traces stay available on Members (a race
+	// cut off by its deadline lists only the members that finished).
 	trace := append(append(Trace{}, winner.Trace...), tr.events...)
 	memberResults := make([]*Result, 0, len(results))
 	for _, res := range results {

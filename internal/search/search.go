@@ -28,9 +28,10 @@
 // price configurations only through their tracer's counting evaluator,
 // which batches through the Evaluator's EvaluateBatch when it has one
 // (BoundEvaluator, the adaptor over a whatif.Bound, does) and fans out
-// otherwise. And every strategy fails through one exit: under
-// Space.Anytime an open circuit breaker becomes a Degraded best-so-far
-// result, and any other error fails the search.
+// otherwise. And every strategy fails through one exit: an open
+// circuit breaker becomes a Degraded best-so-far result, and any other
+// error fails the search. Best-so-far holds at a deadline too: a race
+// cut off by an expired deadline returns its best finished member.
 package search
 
 import (
@@ -221,12 +222,6 @@ type Space struct {
 	// race portfolio's members search at once) and must not block for
 	// long: strategies emit synchronously on their search path.
 	Observer func(TraceEvent)
-	// Anytime makes deadline-aware strategies return their best result
-	// so far when the context expires instead of failing. Today the
-	// race portfolio honors it: members that completed before the
-	// deadline still compete and the best finished member wins; only
-	// when no member finished does the deadline surface as an error.
-	Anytime bool
 }
 
 // WithBudget returns a view of the space under a different disk budget,
@@ -263,8 +258,8 @@ type Result struct {
 	// race strategy); nil for plain strategies.
 	Members []*Result
 	// Degraded marks a best-so-far result returned because the what-if
-	// backend became unavailable mid-search (circuit breaker open)
-	// while Space.Anytime allowed partial results. Config is whatever
+	// backend became unavailable mid-search (circuit breaker open).
+	// Config is whatever
 	// the strategy had fully built when the backend went away; Eval is
 	// its last complete evaluation (possibly the empty configuration's).
 	Degraded bool
@@ -394,9 +389,8 @@ func standalone(ctx context.Context, ev *countingEvaluator, cands []*Candidate) 
 	return out, nil
 }
 
-// fail is every strategy's one failure exit. When the caller opted into
-// partial results (Space.Anytime) and err is the circuit breaker
-// cutting the what-if backend off — a transient infrastructure
+// fail is every strategy's one failure exit. When err is the circuit
+// breaker cutting the what-if backend off — a transient infrastructure
 // condition, not a wrong answer — the search answers with a degraded
 // best-so-far result: config is what the strategy had fully built,
 // last its last complete evaluation (nil means the empty
@@ -404,7 +398,7 @@ func standalone(ctx context.Context, ev *countingEvaluator, cands []*Candidate) 
 // through the race winner pick up into the v1 response. Any other
 // error fails the search.
 func (t *tracer) fail(err error, config []*Candidate, last *Eval) (*Result, error) {
-	if !t.sp.Anytime || !errors.Is(err, whatif.ErrCircuitOpen) {
+	if !errors.Is(err, whatif.ErrCircuitOpen) {
 		return nil, err
 	}
 	if last == nil {

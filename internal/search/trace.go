@@ -44,7 +44,7 @@ const (
 	ActionTruncated Action = "truncated"
 	// ActionDegraded records a search falling back to its best-so-far
 	// configuration because the what-if backend became unavailable
-	// mid-run (circuit breaker open) under the anytime contract.
+	// mid-run (circuit breaker open).
 	ActionDegraded Action = "degraded"
 	// ActionSolve records the lp strategy solving the fractional
 	// relaxation: Benefit carries the LP objective, the note the dual
@@ -157,8 +157,7 @@ type Stats struct {
 	Truncated int `json:"truncatedEvents,omitempty"`
 	// Degraded marks a run that fell back to its best-so-far
 	// configuration because the what-if backend became unavailable
-	// (circuit breaker open) while Space.Anytime allowed partial
-	// results.
+	// (circuit breaker open).
 	Degraded bool    `json:"degraded,omitempty"`
 	Winner   string  `json:"winner,omitempty"`
 	Members  []Stats `json:"members,omitempty"`

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/querylang"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -234,6 +235,9 @@ func Parse(name, text string) (*Workload, error) {
 			coll, doc, ok := strings.Cut(rest, "|")
 			if !ok {
 				return nil, fmt.Errorf("workload: line %d: insert needs collection|xml", ln+1)
+			}
+			if _, err := xmldoc.ParseString(doc); err != nil {
+				return nil, fmt.Errorf("workload: line %d: insert document: %w", ln+1, err)
 			}
 			w.AddInsert(weight, strings.TrimSpace(coll), doc)
 		case "d":

@@ -86,6 +86,23 @@ func TestParseRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
+// TestParseRejectsMalformedInsertDocument pins the insert check at the
+// parse boundary: a document that does not parse is refused with its
+// line number, so it never reaches the advisor's update costing.
+func TestParseRejectsMalformedInsertDocument(t *testing.T) {
+	text := "# header\nq|1|for $i in collection(\"auction\")/site/item return $i\ni|1|auction|<site><open>\n"
+	_, err := Parse("bad", text)
+	if err == nil {
+		t.Fatal("Parse accepted an insert whose document does not parse")
+	}
+	if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "insert document") {
+		t.Errorf("error %q does not name line 3's insert document", err)
+	}
+	if _, err := Parse("ok", strings.Replace(text, "<site><open>", "<site><open/></site>", 1)); err != nil {
+		t.Errorf("well-formed insert refused: %v", err)
+	}
+}
+
 func TestCollections(t *testing.T) {
 	w, _ := Parse("test", sampleText)
 	cols := w.Collections()
