@@ -36,17 +36,14 @@ func (s *Server) sessionSnapshotPath(id string) string {
 // snapshot file on eviction (the evicted_persisted health counter).
 func (s *Server) EvictedPersisted() int64 { return s.evictedPersisted.Load() }
 
-// persistSession writes the session to both snapshot files: the
-// ID-keyed file lazy resume reads, and the workload-keyed file a later
-// Open on the same workload warm-starts from.
+// persistSession writes the session to both snapshot files from one
+// encoding: the workload-keyed file a later Open on the same workload
+// warm-starts from, and the ID-keyed file lazy resume reads.
 func (s *Server) persistSession(e *session) error {
 	if !s.snapshotsOn() {
 		return nil
 	}
-	if err := e.sess.SnapshotToFile(s.sessionSnapshotPath(e.id)); err != nil {
-		return err
-	}
-	_, err := e.sess.Persist()
+	_, err := e.sess.Persist(s.sessionSnapshotPath(e.id))
 	return err
 }
 

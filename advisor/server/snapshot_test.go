@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -108,6 +109,36 @@ func TestEvictPersistsAndResumes(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/sessions/"+info.ID, http.StatusOK, &si)
 	if si.RestoredFrom == "" || !si.Durable || si.LastSavedMS == 0 {
 		t.Errorf("resumed session info lacks snapshot status: %+v", si)
+	}
+}
+
+// TestPersistWritesOneEncoding: a persist writes the ID-keyed and the
+// workload-keyed file from one encoding, so the two are byte-identical
+// (two encodings would each stamp their own creation time).
+func TestPersistWritesOneEncoding(t *testing.T) {
+	testleak.Check(t)
+	dir := t.TempDir()
+	ts, srv, wl, _ := newDurableServer(t, dir, server.Options{})
+	info := openSession(t, ts, wl)
+	decodeJSON(t, postJSON(t, ts.URL+"/v1/sessions/"+info.ID+"/recommend", advisor.RecommendRequest{}),
+		http.StatusOK, &advisor.RecommendResponse{})
+	if n, err := srv.PersistAll(); n != 1 || err != nil {
+		t.Fatalf("PersistAll = %d, %v; want 1, nil", n, err)
+	}
+	byID, err := os.ReadFile(filepath.Join(dir, "session-"+info.ID+advisor.SnapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byWorkload, err := filepath.Glob(filepath.Join(dir, "wl-*"+advisor.SnapshotExt))
+	if err != nil || len(byWorkload) != 1 {
+		t.Fatalf("workload-keyed snapshot files %v (%v), want one", byWorkload, err)
+	}
+	wlBytes, err := os.ReadFile(byWorkload[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(byID, wlBytes) {
+		t.Errorf("ID-keyed (%d bytes) and workload-keyed (%d bytes) snapshots differ", len(byID), len(wlBytes))
 	}
 }
 

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -158,29 +159,37 @@ func (s *Session) Snapshot(w io.Writer) error {
 // temporary file in the destination directory is written, synced, and
 // renamed into place, so readers see either the old snapshot or the
 // complete new one, never a torn write.
-func (s *Session) SnapshotToFile(path string) error {
+func (s *Session) SnapshotToFile(path string) error { return s.writeSnapshot(path) }
+
+// Persist writes the session to its snapshot file (the same file Open
+// warm-starts from), and to each of the also paths, and returns the
+// snapshot file's path. One encoding serves every file, so all are
+// byte-identical. It fails with ErrNoSnapshotDir when the advisor has
+// no snapshot directory.
+func (s *Session) Persist(also ...string) (string, error) {
+	if s.snapPath == "" {
+		return "", ErrNoSnapshotDir
+	}
+	if err := s.writeSnapshot(append([]string{s.snapPath}, also...)...); err != nil {
+		return "", err
+	}
+	return s.snapPath, nil
+}
+
+// writeSnapshot encodes the session once and writes the bytes to each
+// path as SnapshotToFile describes.
+func (s *Session) writeSnapshot(paths ...string) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".xsnap-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := s.prep.Save(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := s.prep.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+	for _, path := range paths {
+		if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	s.lastSaved = time.Now()
@@ -188,17 +197,23 @@ func (s *Session) SnapshotToFile(path string) error {
 	return nil
 }
 
-// Persist writes the session to its snapshot file (the same file Open
-// warm-starts from) and returns the path. It fails with
-// ErrNoSnapshotDir when the advisor has no snapshot directory.
-func (s *Session) Persist() (string, error) {
-	if s.snapPath == "" {
-		return "", ErrNoSnapshotDir
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".xsnap-*")
+	if err != nil {
+		return err
 	}
-	if err := s.SnapshotToFile(s.snapPath); err != nil {
-		return "", err
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	return s.snapPath, nil
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // RestoredFrom reports where the session was warm-started from: the

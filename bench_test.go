@@ -1,7 +1,7 @@
 // Package repro holds the benchmark harness: one benchmark per
-// experiment of DESIGN.md §4 (each regenerating a table/figure of the
-// paper's demonstration), plus end-to-end advisor and executor
-// benchmarks. Run with:
+// experiment of the README "Experiments" index (each regenerating a
+// table/figure of the paper's demonstration), plus end-to-end advisor
+// and executor benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// demonstration (experiment index in DESIGN.md §4) and prints them as
+// demonstration (the README "Experiments" index) and prints them as
 // text tables. Results are deterministic for a given scale.
 //
 // Usage:

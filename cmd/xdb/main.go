@@ -197,22 +197,11 @@ func (s *shell) cmdGen(rest string) error {
 		}
 		seed = v
 	}
-	switch fields[0] {
-	case "xmark":
-		col, err := datagen.GenerateXMark(s.st, datagen.XMarkConfig{Docs: n, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "generated %d documents into %s\n", col.Len(), col.Name())
-	case "tpox":
-		if err := datagen.GenerateTPoX(s.st, datagen.TPoXConfig{Securities: n, Seed: seed}); err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "generated tpox collections: security=%d order=%d custacc=%d\n",
-			s.st.Get("security").Len(), s.st.Get("order").Len(), s.st.Get("custacc").Len())
-	default:
-		return fmt.Errorf("unknown generator %q", fields[0])
+	msg, err := datagen.Generate(s.st, fields[0], n, seed)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(s.out, msg)
 	return nil
 }
 
@@ -221,30 +210,9 @@ func (s *shell) cmdLoad(rest string) error {
 	if !ok {
 		return fmt.Errorf("usage: load <collection> <dir>")
 	}
-	col := s.st.Get(coll)
-	if col == nil {
-		var err error
-		if col, err = s.st.Create(coll); err != nil {
-			return err
-		}
-	}
-	entries, err := os.ReadDir(strings.TrimSpace(dir))
+	loaded, err := datagen.LoadDir(s.st, coll, strings.TrimSpace(dir))
 	if err != nil {
 		return err
-	}
-	loaded := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(strings.TrimSpace(dir), e.Name()))
-		if err != nil {
-			return err
-		}
-		if _, err := col.InsertXML(string(data)); err != nil {
-			return fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		loaded++
 	}
 	fmt.Fprintf(s.out, "loaded %d documents into %s\n", loaded, coll)
 	return nil

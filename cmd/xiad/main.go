@@ -51,7 +51,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/store"
-	"repro/internal/whatif"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -88,15 +87,16 @@ func run(args []string) int {
 		log.Println("xiad:", err)
 		return 1
 	}
+	resilience := advisor.ResilienceOptions{
+		CallTimeout:      *whatifTimeout,
+		MaxRetries:       *whatifRetries,
+		FailureThreshold: *breakerThreshold,
+		OpenFor:          *breakerOpen,
+	}
 	opts := []advisor.Option{
 		advisor.WithParallelism(*parallel),
 		advisor.WithCacheSize(*cacheSize),
-		advisor.WithResilience(advisor.ResilienceOptions{
-			CallTimeout:      *whatifTimeout,
-			MaxRetries:       *whatifRetries,
-			FailureThreshold: *breakerThreshold,
-			OpenFor:          *breakerOpen,
-		}),
+		advisor.WithResilience(resilience),
 	}
 	if *searchName != "" {
 		opts = append(opts, advisor.WithStrategy(*searchName))
@@ -144,12 +144,7 @@ func run(args []string) int {
 	if *snapshotDir != "" {
 		log.Printf("xiad: durable sessions: snapshot-dir=%s", *snapshotDir)
 	}
-	ropts := whatif.ResilientOptions{
-		CallTimeout:      *whatifTimeout,
-		MaxRetries:       *whatifRetries,
-		FailureThreshold: *breakerThreshold,
-		OpenFor:          *breakerOpen,
-	}.WithDefaults()
+	ropts := resilience.WithDefaults()
 	log.Printf("xiad: costing resilience: call-timeout=%v retries=%d breaker-threshold=%d breaker-open=%v",
 		ropts.CallTimeout, ropts.MaxRetries, ropts.FailureThreshold, ropts.OpenFor)
 

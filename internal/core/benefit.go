@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/pattern"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/whatif"
 	"repro/internal/workload"
 	"repro/internal/xindex"
-	"repro/internal/xmldoc"
 )
 
 // evaluator computes workload benefits of candidate configurations. All
@@ -80,11 +78,7 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 		var scope pattern.Pattern
 		switch u.Kind {
 		case workload.UpdateInsert:
-			d, err := xmldoc.ParseString(u.DocXML)
-			if err != nil {
-				return nil, fmt.Errorf("core: update document: %w", err)
-			}
-			nodes = xindex.DocNodes(d)
+			nodes = xindex.DocNodes(u.Doc)
 		case workload.UpdateDelete:
 			if st, err := a.cat.Stats(u.Collection); err == nil {
 				docs = st.Docs

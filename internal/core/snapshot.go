@@ -17,7 +17,6 @@ import (
 	"repro/internal/sqltype"
 	"repro/internal/whatif"
 	"repro/internal/workload"
-	"repro/internal/xpath"
 )
 
 // ErrSnapshotMismatch is the base error of every SnapshotMismatchError:
@@ -249,18 +248,13 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 		w.Queries = append(w.Queries, workload.Entry{Query: pq, Weight: q.Weight})
 	}
 	for i, u := range snap.Workload.Updates {
-		up := workload.Update{
-			Kind: workload.UpdateKind(u.Kind), Collection: u.Collection,
-			Weight: u.Weight, DocXML: u.DocXML,
-		}
+		add, arg := w.AddInsert, u.DocXML
 		if u.Kind == uint8(workload.UpdateDelete) {
-			pe, err := xpath.Parse(u.Path)
-			if err != nil {
-				return nil, invalidf("update %d path: %v", i, err)
-			}
-			up.Path = pe
+			add, arg = w.AddDelete, u.Path
 		}
-		w.Updates = append(w.Updates, up)
+		if err := add(u.Weight, u.Collection, arg); err != nil {
+			return nil, invalidf("update %d: %v", i, err)
+		}
 	}
 
 	pats := make([]pattern.Pattern, len(snap.Patterns))

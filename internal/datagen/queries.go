@@ -99,7 +99,9 @@ func XMarkPaperWorkload() *workload.Workload {
 // given total weight.
 func XMarkUpdates(w *workload.Workload, weight float64, seed int64) {
 	half := weight / 2
-	w.AddInsert(half, "auction", XMarkDocXML(seed))
+	if err := w.AddInsert(half, "auction", XMarkDocXML(seed)); err != nil {
+		panic(err)
+	}
 	if err := w.AddDelete(half, "auction", "/site/closed_auctions/closed_auction"); err != nil {
 		panic(err)
 	}
@@ -176,7 +178,9 @@ func TPoXWorkload(n int, seed int64, nSecurities int) *workload.Workload {
 // TPoXUpdates appends the TPoX-style order-entry updates (inserts of new
 // orders dominate the TPoX write mix).
 func TPoXUpdates(w *workload.Workload, weight float64, seed int64, nSecurities int) {
-	w.AddInsert(weight*0.8, "order", TPoXOrderXML(seed, nSecurities))
+	if err := w.AddInsert(weight*0.8, "order", TPoXOrderXML(seed, nSecurities)); err != nil {
+		panic(err)
+	}
 	if err := w.AddDelete(weight*0.2, "order", "/FIXML/Order"); err != nil {
 		panic(err)
 	}

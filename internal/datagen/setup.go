@@ -35,17 +35,8 @@ func SetupStore(st *store.Store, gen, load string) error {
 			}
 			seed = v
 		}
-		switch kind {
-		case "xmark":
-			if _, err := GenerateXMark(st, XMarkConfig{Docs: n, Seed: seed}); err != nil {
-				return err
-			}
-		case "tpox":
-			if err := GenerateTPoX(st, TPoXConfig{Securities: n, Seed: seed}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown generator %q", kind)
+		if _, err := Generate(st, kind, n, seed); err != nil {
+			return err
 		}
 	}
 	if load != "" {
@@ -54,30 +45,62 @@ func SetupStore(st *store.Store, gen, load string) error {
 			if !ok {
 				return fmt.Errorf("bad -load spec %q", spec)
 			}
-			col := st.Get(coll)
-			if col == nil {
-				var err error
-				if col, err = st.Create(coll); err != nil {
-					return err
-				}
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
+			if _, err := LoadDir(st, coll, dir); err != nil {
 				return err
-			}
-			for _, e := range entries {
-				if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					return err
-				}
-				if _, err := col.InsertXML(string(data)); err != nil {
-					return fmt.Errorf("%s: %w", e.Name(), err)
-				}
 			}
 		}
 	}
 	return nil
+}
+
+// Generate runs the named generator into st: "xmark" generates n
+// documents, "tpox" n securities and their orders and accounts. It
+// returns a one-line summary of what it generated.
+func Generate(st *store.Store, kind string, n int, seed int64) (string, error) {
+	switch kind {
+	case "xmark":
+		col, err := GenerateXMark(st, XMarkConfig{Docs: n, Seed: seed})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("generated %d documents into %s", col.Len(), col.Name()), nil
+	case "tpox":
+		if err := GenerateTPoX(st, TPoXConfig{Securities: n, Seed: seed}); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("generated tpox collections: security=%d order=%d custacc=%d",
+			st.Get("security").Len(), st.Get("order").Len(), st.Get("custacc").Len()), nil
+	}
+	return "", fmt.Errorf("unknown generator %q", kind)
+}
+
+// LoadDir inserts every .xml file of dir into collection coll, creating
+// it if missing, and returns how many documents it loaded.
+func LoadDir(st *store.Store, coll, dir string) (int, error) {
+	col := st.Get(coll)
+	if col == nil {
+		var err error
+		if col, err = st.Create(coll); err != nil {
+			return 0, err
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	loaded := 0
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return loaded, err
+		}
+		if _, err := col.InsertXML(string(data)); err != nil {
+			return loaded, fmt.Errorf("%s: %w", e.Name(), err)
+		}
+		loaded++
+	}
+	return loaded, nil
 }

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md §4 (E1–E14), each regenerating the data
-// behind a demonstration step or figure of the paper as a printable
-// table. The cmd/experiments binary prints them all; the repository-root
-// benchmarks wrap each one.
+// per experiment of the README "Experiments" index (E1–E14), each
+// regenerating the data behind a demonstration step or figure of the
+// paper as a printable table. The cmd/experiments binary prints them
+// all; the repository-root benchmarks wrap each one.
 package experiments
 
 import (

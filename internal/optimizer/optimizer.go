@@ -272,10 +272,16 @@ func typeForLeg(leg querylang.Leg) (sqltype.Type, bool) {
 	}
 }
 
+// serves is the index-applicability rule: an index can serve a leg iff
+// its SQL type is the leg's index type and its pattern contains the leg
+// pattern. bestAccess and RelevantFilter both decide by it.
+func serves(def *catalog.IndexDef, pat pattern.Pattern, typ sqltype.Type) bool {
+	return def.Type == typ && pattern.ContainsCached(def.Pattern, pat)
+}
+
 // bestAccess returns the cheapest index access for the leg, if any index
-// applies. This is the index-matching routine the Enumerate Indexes mode
-// reuses: an index applies iff its SQL type matches the leg and its
-// pattern contains the leg pattern.
+// serves it. This is the index-matching routine the Enumerate Indexes
+// mode reuses.
 func (o *Optimizer) bestAccess(st *stats.Stats, leg querylang.Leg, indexes []*catalog.IndexDef) (LegAccess, bool) {
 	typ, ok := typeForLeg(leg)
 	if !ok {
@@ -284,10 +290,7 @@ func (o *Optimizer) bestAccess(st *stats.Stats, leg querylang.Leg, indexes []*ca
 	var best LegAccess
 	found := false
 	for _, def := range indexes {
-		if def.Type != typ {
-			continue
-		}
-		if !pattern.ContainsCached(def.Pattern, leg.Pattern) {
+		if !serves(def, leg.Pattern, typ) {
 			continue
 		}
 		acc := o.costAccess(st, leg, def, typ)

@@ -16,10 +16,8 @@ type legSig struct {
 }
 
 // RelevantFilter returns a predicate reporting whether an index
-// definition can influence the plan Optimize chooses for q. It mirrors
-// the bestAccess applicability rule exactly — an index serves a leg iff
-// its SQL type matches the leg's and its pattern contains the leg
-// pattern (the PR 3 containment kernel) — over every non-output leg of
+// definition can influence the plan Optimize chooses for q. It applies
+// bestAccess's applicability rule (serves) to every non-output leg of
 // the query. Lone disjuncts, which Optimize itself skips, are kept as a
 // safe over-approximation, so dropping definitions the predicate
 // rejects from a configuration is provably cost-preserving: the plan,
@@ -48,7 +46,7 @@ func RelevantFilter(q *querylang.Query) func(*catalog.IndexDef) bool {
 	}
 	return func(def *catalog.IndexDef) bool {
 		for _, s := range sigs {
-			if def.Type == s.typ && pattern.ContainsCached(def.Pattern, s.pat) {
+			if serves(def, s.pat, s.typ) {
 				return true
 			}
 		}

@@ -43,7 +43,7 @@ func ParseSQLXML(text string) (*Query, error) {
 		return nil, fmt.Errorf("querylang: SQL statement has no XMLEXISTS or XMLQUERY: %q", text)
 	}
 	for i, src := range exists {
-		e, err := parseDollarPath(src)
+		e, err := embeddedPath(src)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +54,7 @@ func ParseSQLXML(text string) (*Query, error) {
 		}
 	}
 	for _, src := range queries {
-		e, err := parseDollarPath(src)
+		e, err := embeddedPath(src)
 		if err != nil {
 			return nil, err
 		}
@@ -160,26 +160,20 @@ func sqlEmbeddedPaths(text, fn string) ([]string, error) {
 	return out, nil
 }
 
-// parseDollarPath parses an embedded XPath of the form $var/absolute/path
-// (the conventional PASSING variable prefix) or a bare absolute path.
-func parseDollarPath(src string) (*xpath.PathExpr, error) {
+// sqlHost resolves the PASSING variable, whatever its name, to the
+// document root: an embedded path is absolute, its leading / optional.
+var sqlHost = xpath.Host{Var: func(string) (*xpath.PathExpr, error) { return &xpath.PathExpr{}, nil }}
+
+// embeddedPath parses an XMLEXISTS/XMLQUERY argument: a path written
+// after the PASSING variable ($d/site/item) or alone (/site/item).
+func embeddedPath(src string) (*xpath.PathExpr, error) {
 	s := strings.TrimSpace(src)
-	if strings.HasPrefix(s, "$") {
-		i := 1
-		for i < len(s) && isIdentChar(s[i]) {
-			i++
-		}
-		s = s[i:]
+	e, end, err := xpath.ParsePrefix(s, 0, false, sqlHost)
+	if err == nil && end < len(s) {
+		err = fmt.Errorf("trailing input at %q", s[end:])
 	}
-	if s == "" {
-		return nil, fmt.Errorf("querylang: empty XPath in %q", src)
-	}
-	if !strings.HasPrefix(s, "/") {
-		s = "/" + s
-	}
-	e, err := xpath.Parse(s)
 	if err != nil {
 		return nil, fmt.Errorf("querylang: embedded XPath: %w", err)
 	}
-	return e, nil
+	return e.(*xpath.ExistsExpr).Path, nil
 }

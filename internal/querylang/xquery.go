@@ -2,9 +2,7 @@ package querylang
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/sqltype"
 	"repro/internal/xpath"
 )
 
@@ -22,11 +20,12 @@ import (
 // paths, a parenthesized sequence, count(...), data(...), or an element
 // constructor whose {...} holes contain var-rooted paths.
 //
-// Restrictions (documented in DESIGN.md): paths in where/return clauses
-// may not carry their own [...] predicates (put those in the binding
-// path), and order by / group by clauses are not supported. These
-// features would not produce additional index candidates anyway — DB2's
-// index matching ignores them too.
+// Every path and condition is parsed by xpath.ParsePrefix, the grammar
+// SQL/XML's embedded paths share (README "Query language"). Restrictions:
+// paths in where/return clauses may not carry their own [...] predicates
+// (put those in the binding path), and order by / group by clauses are
+// not supported. These features would not produce additional index
+// candidates anyway — DB2's index matching ignores them too.
 func ParseXQuery(text string) (*Query, error) {
 	p := &xqParser{src: text}
 	if err := p.lex(); err != nil {
@@ -191,9 +190,12 @@ func (p *xqParser) parse() (*Query, error) {
 			if !sawFor {
 				return nil, p.errf("where before any for clause")
 			}
-			if err := p.parseWhere(); err != nil {
+			p.next()
+			e, err := p.embedded(true, xpath.Host{Var: p.resolve})
+			if err != nil {
 				return nil, err
 			}
+			p.q.Where = e
 		case p.isKeyword("return"):
 			if !sawFor {
 				return nil, p.errf("return before any for clause")
@@ -245,6 +247,9 @@ func (p *xqParser) parseLet() error {
 	return p.bindVar(v.text)
 }
 
+// clauseKeywords end a binding path.
+var clauseKeywords = []string{"for", "let", "where", "return", "order", "stable", "group"}
+
 func (p *xqParser) bindVar(name string) error {
 	t := p.peek()
 	switch {
@@ -266,354 +271,66 @@ func (p *xqParser) bindVar(name string) error {
 			return p.errf("only one collection()/doc() binding is supported")
 		}
 		p.q.Collection = arg.text
-		pathSrc, err := p.capturePath()
+		e, err := p.embedded(false, xpath.Host{Keywords: clauseKeywords})
 		if err != nil {
 			return err
 		}
-		var bind *xpath.PathExpr
-		if pathSrc == "" {
-			bind = xpath.MustParse("/*")
-		} else {
-			bind, err = xpath.Parse(pathSrc)
-			if err != nil {
-				return fmt.Errorf("querylang: binding path: %w", err)
-			}
+		p.q.Binding = xpath.MustParse("/*")
+		if e != nil {
+			p.q.Binding = e.(*xpath.ExistsExpr).Path
 		}
-		p.q.Binding = bind
 		p.vars[name] = &xpath.PathExpr{Relative: true, Dot: true}
 		return nil
 	case t.kind == xqVar:
-		p.next()
-		base, ok := p.vars[t.text]
-		if !ok {
-			return p.errf("unknown variable $%s", t.text)
-		}
-		pathSrc, err := p.capturePath()
+		e, err := p.embedded(false, xpath.Host{Var: p.resolve, Keywords: clauseKeywords})
 		if err != nil {
 			return err
 		}
-		if pathSrc == "" {
-			p.vars[name] = base
-			return nil
-		}
-		rel, err := parseRelPath(pathSrc)
-		if err != nil {
-			return fmt.Errorf("querylang: path for $%s: %w", name, err)
-		}
-		p.vars[name] = concatRel(base, rel)
+		p.vars[name] = e.(*xpath.ExistsExpr).Path
 		return nil
 	default:
 		return p.errf("expected collection()/doc() or $var in binding")
 	}
 }
 
-// concatRel joins two relative paths (either may be the dot path).
-func concatRel(a, b *xpath.PathExpr) *xpath.PathExpr {
-	if a.Dot {
-		return b
-	}
-	if b.Dot {
-		return a
-	}
-	out := &xpath.PathExpr{Relative: true}
-	out.Steps = append(out.Steps, a.Steps...)
-	out.Steps = append(out.Steps, b.Steps...)
-	return out
-}
-
-// capturePath consumes tokens that form a path continuation (steps and
-// bracketed predicates) and returns the exact source substring. It stops
-// at a clause keyword (for/let/where/return/order) at bracket depth 0, or
-// at any token that cannot continue a path.
-func (p *xqParser) capturePath() (string, error) {
-	start := p.peek().pos
-	end := start
-	depth := 0
-	for {
-		t := p.peek()
-		if t.kind == xqEOF {
-			break
-		}
-		if depth == 0 && t.kind == xqIdent {
-			switch t.text {
-			case "for", "let", "where", "return", "order", "stable", "group":
-				goto done
-			}
-		}
-		switch {
-		case t.kind == xqPunct && t.text == "[":
-			depth++
-		case t.kind == xqPunct && t.text == "]":
-			if depth == 0 {
-				goto done
-			}
-			depth--
-		case depth == 0:
-			// Only path-ish tokens continue the capture.
-			ok := (t.kind == xqPunct && (t.text == "/" || t.text == "*" || t.text == "@" || t.text == "." || t.text == "(" || t.text == ")")) ||
-				t.kind == xqIdent
-			// A closing paren only continues text(); conservatively
-			// stop on ( ) unless preceded by ident "text".
-			if t.kind == xqPunct && (t.text == "(" || t.text == ")") {
-				ok = p.pos > 0 && p.toks[p.pos-1].kind == xqIdent && p.toks[p.pos-1].text == "text" ||
-					t.text == ")" && p.pos > 0 && p.toks[p.pos-1].text == "("
-			}
-			if !ok {
-				goto done
-			}
-		}
-		end = t.end
-		p.next()
-	}
-done:
-	if depth != 0 {
-		return "", p.errf("unbalanced [ in path")
-	}
-	return strings.TrimSpace(p.src[start:end]), nil
-}
-
-// parseWhere parses the boolean condition into an xpath.BoolExpr whose
-// paths are relative to the primary binding.
-func (p *xqParser) parseWhere() error {
-	p.next() // where
-	e, err := p.parseOr()
-	if err != nil {
-		return err
-	}
-	p.q.Where = e
-	return nil
-}
-
-func (p *xqParser) parseOr() (xpath.BoolExpr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("or") {
-		p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &xpath.OrExpr{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *xqParser) parseAnd() (xpath.BoolExpr, error) {
-	l, err := p.parseCond()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("and") {
-		p.next()
-		r, err := p.parseCond()
-		if err != nil {
-			return nil, err
-		}
-		l = &xpath.AndExpr{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *xqParser) parseCond() (xpath.BoolExpr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == xqPunct && t.text == "(":
-		p.next()
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek().text != ")" {
-			return nil, p.errf("expected )")
-		}
-		p.next()
-		return e, nil
-	case t.kind == xqIdent && t.text == "not":
-		p.next()
-		if p.peek().text != "(" {
-			return nil, p.errf("expected ( after not")
-		}
-		p.next()
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek().text != ")" {
-			return nil, p.errf("expected ) after not(")
-		}
-		p.next()
-		return &xpath.NotExpr{E: e}, nil
-	case t.kind == xqIdent && t.text == "contains":
-		p.next()
-		if p.peek().text != "(" {
-			return nil, p.errf("expected ( after contains")
-		}
-		p.next()
-		rel, err := p.parseVarPath()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek().text != "," {
-			return nil, p.errf("expected , in contains()")
-		}
-		p.next()
-		lit := p.next()
-		if lit.kind != xqString {
-			return nil, p.errf("contains() needs a string literal")
-		}
-		if p.peek().text != ")" {
-			return nil, p.errf("expected ) after contains()")
-		}
-		p.next()
-		return &xpath.Comparison{
-			Path:  rel,
-			Op:    sqltype.ContainsSubstr,
-			Value: sqltype.Value{Type: sqltype.Varchar, S: lit.text},
-		}, nil
-	case t.kind == xqVar:
-		rel, err := p.parseVarPath()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek().kind != xqOp {
-			return &xpath.ExistsExpr{Path: rel}, nil
-		}
-		opTok := p.next()
-		op, err := xqOpFor(opTok.text)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		val, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		return &xpath.Comparison{Path: rel, Op: op, Value: val}, nil
-	default:
-		return nil, p.errf("expected condition, found %q", t.text)
-	}
-}
-
-// parseVarPath parses $var followed by an optional predicate-free
-// relative path, returning a path relative to the primary binding.
-func (p *xqParser) parseVarPath() (*xpath.PathExpr, error) {
-	t := p.next()
-	if t.kind != xqVar {
-		return nil, p.errf("expected $var, found %q", t.text)
-	}
-	base, ok := p.vars[t.text]
-	if !ok {
-		return nil, p.errf("unknown variable $%s", t.text)
-	}
-	pathSrc, err := p.captureSimplePath()
-	if err != nil {
-		return nil, err
-	}
-	if pathSrc == "" {
+// resolve maps a variable to its path relative to the primary binding.
+func (p *xqParser) resolve(name string) (*xpath.PathExpr, error) {
+	if base, ok := p.vars[name]; ok {
 		return base, nil
 	}
-	rel, err := parseRelPath(pathSrc)
-	if err != nil {
-		return nil, fmt.Errorf("querylang: path after $%s: %w", t.text, err)
+	if name == "" {
+		return nil, fmt.Errorf("expected $var")
 	}
-	return concatRel(base, rel), nil
+	return nil, fmt.Errorf("unknown variable $%s", name)
 }
 
-// parseRelPath parses a path continuation that followed a variable. A
-// single leading slash is a child step from the variable; a double slash
-// keeps its descendant meaning. The result is marked relative.
-func parseRelPath(src string) (*xpath.PathExpr, error) {
-	var e *xpath.PathExpr
-	var err error
-	if strings.HasPrefix(src, "//") {
-		e, err = xpath.Parse(src)
-	} else {
-		e, err = xpath.Parse(strings.TrimPrefix(src, "/"))
-	}
+// embedded parses the path or condition that starts at the next token
+// with xpath's grammar and moves past it.
+func (p *xqParser) embedded(cond bool, h xpath.Host) (xpath.BoolExpr, error) {
+	e, end, err := xpath.ParsePrefix(p.src, p.peek().pos, cond, h)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("querylang: %w", err)
 	}
-	e.Relative = true
+	for p.peek().kind != xqEOF && p.peek().pos < end {
+		p.pos++
+	}
 	return e, nil
 }
 
-// captureSimplePath consumes a predicate-free path continuation
-// (/step//step/@attr/text()).
-func (p *xqParser) captureSimplePath() (string, error) {
-	start := p.peek().pos
-	end := start
-	expectStep := false
-	for {
-		t := p.peek()
-		if t.kind == xqPunct && t.text == "/" {
-			expectStep = true
-			end = t.end
-			p.next()
-			continue
-		}
-		if expectStep {
-			switch {
-			case t.kind == xqIdent, t.kind == xqPunct && (t.text == "*" || t.text == "@"):
-				end = t.end
-				p.next()
-				if t.kind == xqPunct && t.text == "@" {
-					expectStep = true // attribute name follows
-					continue
-				}
-				// text() support.
-				if t.kind == xqIdent && t.text == "text" && p.peek().text == "(" {
-					end = p.next().end
-					if p.peek().text != ")" {
-						return "", p.errf("expected ) after text(")
-					}
-					end = p.next().end
-				}
-				expectStep = false
-			default:
-				return "", p.errf("expected step after /")
-			}
-			continue
-		}
-		break
+// returnPath parses a $var-rooted, predicate-free return path.
+func (p *xqParser) returnPath() (*xpath.PathExpr, error) {
+	if p.peek().kind != xqVar {
+		return nil, p.errf("expected $var, found %q", p.peek().text)
 	}
-	return strings.TrimSpace(p.src[start:end]), nil
-}
-
-func (p *xqParser) literal() (sqltype.Value, error) {
-	t := p.next()
-	switch t.kind {
-	case xqNumber:
-		v, ok := sqltype.Cast(sqltype.Double, t.text)
-		if !ok {
-			return sqltype.Value{}, p.errf("bad number %q", t.text)
-		}
-		return v, nil
-	case xqString:
-		if v, ok := sqltype.Cast(sqltype.Date, t.text); ok && len(t.text) >= 10 {
-			return v, nil
-		}
-		return sqltype.Value{Type: sqltype.Varchar, S: t.text}, nil
+	e, err := p.embedded(true, xpath.Host{Var: p.resolve})
+	if err != nil {
+		return nil, err
 	}
-	return sqltype.Value{}, p.errf("expected literal, found %q", t.text)
-}
-
-func xqOpFor(s string) (sqltype.CmpOp, error) {
-	switch s {
-	case "=":
-		return sqltype.Eq, nil
-	case "!=":
-		return sqltype.Ne, nil
-	case "<":
-		return sqltype.Lt, nil
-	case "<=":
-		return sqltype.Le, nil
-	case ">":
-		return sqltype.Gt, nil
-	case ">=":
-		return sqltype.Ge, nil
+	x, ok := e.(*xpath.ExistsExpr)
+	if !ok {
+		return nil, p.errf("return item %s is not a path", e)
 	}
-	return sqltype.Eq, fmt.Errorf("unknown operator %q", s)
+	return x.Path, nil
 }
 
 // parseReturn parses the return clause into extraction paths.
@@ -656,7 +373,7 @@ func (p *xqParser) parseReturnItem() error {
 			return p.errf("expected ( after %s", t.text)
 		}
 		p.next()
-		rel, err := p.parseVarPath()
+		rel, err := p.returnPath()
 		if err != nil {
 			return err
 		}
@@ -670,7 +387,7 @@ func (p *xqParser) parseReturnItem() error {
 		p.q.Returns = append(p.q.Returns, rel)
 		return nil
 	case t.kind == xqVar:
-		rel, err := p.parseVarPath()
+		rel, err := p.returnPath()
 		if err != nil {
 			return err
 		}

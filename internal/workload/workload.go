@@ -50,8 +50,10 @@ type Update struct {
 	Collection string
 	Weight     float64
 
-	// DocXML is a representative inserted document (inserts).
+	// DocXML is a representative inserted document (inserts), and Doc
+	// its parse.
 	DocXML string
+	Doc    *xmldoc.Document
 	// Path selects the documents to delete (deletes).
 	Path *xpath.PathExpr
 }
@@ -129,11 +131,16 @@ func (w *Workload) MustAddQuery(weight float64, text string) {
 	}
 }
 
-// AddInsert appends a weighted insert of the given document.
-func (w *Workload) AddInsert(weight float64, collection, docXML string) {
+// AddInsert parses the document and appends a weighted insert of it.
+func (w *Workload) AddInsert(weight float64, collection, docXML string) error {
+	d, err := xmldoc.ParseString(docXML)
+	if err != nil {
+		return fmt.Errorf("insert document: %w", err)
+	}
 	w.Updates = append(w.Updates, Update{
-		Kind: UpdateInsert, Collection: collection, Weight: weight, DocXML: docXML,
+		Kind: UpdateInsert, Collection: collection, Weight: weight, DocXML: docXML, Doc: d,
 	})
+	return nil
 }
 
 // AddDelete parses the selection path and appends a weighted delete.
@@ -236,10 +243,9 @@ func Parse(name, text string) (*Workload, error) {
 			if !ok {
 				return nil, fmt.Errorf("workload: line %d: insert needs collection|xml", ln+1)
 			}
-			if _, err := xmldoc.ParseString(doc); err != nil {
-				return nil, fmt.Errorf("workload: line %d: insert document: %w", ln+1, err)
+			if err := w.AddInsert(weight, strings.TrimSpace(coll), doc); err != nil {
+				return nil, fmt.Errorf("workload: line %d: %w", ln+1, err)
 			}
-			w.AddInsert(weight, strings.TrimSpace(coll), doc)
 		case "d":
 			coll, path, ok := strings.Cut(rest, "|")
 			if !ok {

@@ -103,6 +103,25 @@ func TestParseRejectsMalformedInsertDocument(t *testing.T) {
 	}
 }
 
+// TestAddInsertRejectsMalformedDocument checks the programmatic path
+// refuses what the text format refuses, and that an accepted insert
+// carries its parsed document.
+func TestAddInsertRejectsMalformedDocument(t *testing.T) {
+	w := &Workload{}
+	if err := w.AddInsert(1, "auction", "<site><open>"); err == nil {
+		t.Fatal("AddInsert accepted a document that does not parse")
+	}
+	if len(w.Updates) != 0 {
+		t.Fatalf("a refused insert was appended: %d updates", len(w.Updates))
+	}
+	if err := w.AddInsert(1, "auction", "<site><open/></site>"); err != nil {
+		t.Fatalf("well-formed insert refused: %v", err)
+	}
+	if d := w.Updates[0].Doc; d == nil || d.Root == nil || d.Root.Name != "site" {
+		t.Errorf("accepted insert carries document %+v, want the parse of <site>", d)
+	}
+}
+
 func TestCollections(t *testing.T) {
 	w, _ := Parse("test", sampleText)
 	cols := w.Collections()
