@@ -326,6 +326,34 @@ func (s *shell) cmdEnumerate(text string) error {
 	return nil
 }
 
+// configItem is one entry of a "<pattern>:<type>[,...]" configuration
+// list.
+type configItem struct {
+	pat pattern.Pattern
+	ty  sqltype.Type
+}
+
+// parseConfig parses a "<pattern>:<type>[,...]" configuration list.
+func parseConfig(list string) ([]configItem, error) {
+	var items []configItem
+	for _, item := range strings.Split(strings.TrimSpace(list), ",") {
+		patStr, tyStr, ok := strings.Cut(strings.TrimSpace(item), ":")
+		if !ok {
+			return nil, fmt.Errorf("config item %q: want <pattern>:<type>", item)
+		}
+		p, err := pattern.Parse(strings.TrimSpace(patStr))
+		if err != nil {
+			return nil, err
+		}
+		ty, err := sqltype.ParseType(tyStr)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, configItem{pat: p, ty: ty})
+	}
+	return items, nil
+}
+
 // cmdEvaluate parses "<pattern>:<type>[,...] :: <query>".
 func (s *shell) cmdEvaluate(rest string) error {
 	cfgStr, qStr, ok := strings.Cut(rest, "::")
@@ -340,21 +368,13 @@ func (s *shell) cmdEvaluate(rest string) error {
 	if err != nil {
 		return err
 	}
+	items, err := parseConfig(cfgStr)
+	if err != nil {
+		return err
+	}
 	var defs []*catalog.IndexDef
-	for i, item := range strings.Split(strings.TrimSpace(cfgStr), ",") {
-		patStr, tyStr, ok := strings.Cut(strings.TrimSpace(item), ":")
-		if !ok {
-			return fmt.Errorf("config item %q: want <pattern>:<type>", item)
-		}
-		p, err := pattern.Parse(strings.TrimSpace(patStr))
-		if err != nil {
-			return err
-		}
-		ty, err := sqltype.ParseType(tyStr)
-		if err != nil {
-			return err
-		}
-		defs = append(defs, catalog.VirtualDef(fmt.Sprintf("V%d", i+1), q.Collection, p, ty, st))
+	for i, it := range items {
+		defs = append(defs, catalog.VirtualDef(fmt.Sprintf("V%d", i+1), q.Collection, it.pat, it.ty, st))
 	}
 	res, err := s.what.Bind([]*querylang.Query{q}).EvaluateConfig(context.Background(), defs)
 	if err != nil {
@@ -411,25 +431,9 @@ func (s *shell) cmdWhatIf(rest string) error {
 	// Parse the configuration once, then instantiate one set of
 	// virtual defs per collection the workload touches; the engine
 	// hands each query only its own collection's indexes.
-	type cfgItem struct {
-		pat pattern.Pattern
-		ty  sqltype.Type
-	}
-	var items []cfgItem
-	for _, item := range strings.Split(strings.TrimSpace(cfgStr), ",") {
-		patStr, tyStr, ok := strings.Cut(strings.TrimSpace(item), ":")
-		if !ok {
-			return fmt.Errorf("config item %q: want <pattern>:<type>", item)
-		}
-		p, err := pattern.Parse(strings.TrimSpace(patStr))
-		if err != nil {
-			return err
-		}
-		ty, err := sqltype.ParseType(tyStr)
-		if err != nil {
-			return err
-		}
-		items = append(items, cfgItem{pat: p, ty: ty})
+	items, err := parseConfig(cfgStr)
+	if err != nil {
+		return err
 	}
 	var defs []*catalog.IndexDef
 	seen := map[string]bool{}

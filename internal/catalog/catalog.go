@@ -10,7 +10,6 @@ package catalog
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/pattern"
@@ -82,7 +81,6 @@ type Catalog struct {
 	mu      sync.Mutex
 	stats   map[string]*stats.Stats
 	indexes map[string]*IndexDef // by name
-	nextID  int
 }
 
 // New creates a catalog over the given store.
@@ -123,24 +121,6 @@ func (c *Catalog) Stats(coll string) (*stats.Stats, error) {
 	return s, nil
 }
 
-// InvalidateStats drops the cached snapshot for the collection.
-func (c *Catalog) InvalidateStats(coll string) {
-	c.mu.Lock()
-	delete(c.stats, coll)
-	c.mu.Unlock()
-}
-
-// AutoName generates a fresh index name from the pattern's leaf.
-func (c *Catalog) AutoName(p pattern.Pattern, t sqltype.Type) string {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-	leaf := p.Last().String()
-	leaf = strings.NewReplacer("*", "any", "@", "at_", "(", "", ")", "").Replace(leaf)
-	return fmt.Sprintf("IDX_%s_%s_%d", strings.ToUpper(leaf), strings.ToUpper(t.Short()), id)
-}
-
 // CreateIndex builds a physical index over the collection and registers
 // it. The name must be unused.
 func (c *Catalog) CreateIndex(name, coll string, p pattern.Pattern, t sqltype.Type) (*IndexDef, error) {
@@ -165,26 +145,6 @@ func (c *Catalog) CreateIndex(name, coll string, p pattern.Pattern, t sqltype.Ty
 		EstPages:   phys.Pages(),
 		Phys:       phys,
 	}
-	c.mu.Lock()
-	c.indexes[name] = def
-	c.mu.Unlock()
-	return def, nil
-}
-
-// CreateVirtualIndex registers a hypothetical index whose size is
-// estimated from statistics. It is never built on disk.
-func (c *Catalog) CreateVirtualIndex(name, coll string, p pattern.Pattern, t sqltype.Type) (*IndexDef, error) {
-	s, err := c.Stats(coll)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, dup := c.indexes[name]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("catalog: index %q already exists", name)
-	}
-	c.mu.Unlock()
-	def := VirtualDef(name, coll, p, t, s)
 	c.mu.Lock()
 	c.indexes[name] = def
 	c.mu.Unlock()
@@ -287,16 +247,4 @@ func (c *Catalog) DeleteDocument(coll string, id xmldoc.DocID) (int, error) {
 	}
 	col.Delete(id)
 	return removed, nil
-}
-
-// FindCovering returns the registered indexes on the collection whose
-// pattern contains q and whose type matches t.
-func (c *Catalog) FindCovering(coll string, q pattern.Pattern, t sqltype.Type) []*IndexDef {
-	var out []*IndexDef
-	for _, d := range c.Indexes(coll) {
-		if d.Type == t && pattern.ContainsCached(d.Pattern, q) {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -38,11 +38,6 @@ func TestStatsCachingAndInvalidation(t *testing.T) {
 	if s3 == s1 {
 		t.Error("stats not refreshed after mutation")
 	}
-	cat.InvalidateStats("items")
-	s4, _ := cat.Stats("items")
-	if s4 == s3 {
-		t.Error("InvalidateStats should force recollection")
-	}
 	if _, err := cat.Stats("nosuch"); err == nil {
 		t.Error("Stats on unknown collection should fail")
 	}
@@ -63,10 +58,11 @@ func TestCreateIndexRealAndVirtual(t *testing.T) {
 		t.Errorf("real entries = %d", real.Entries())
 	}
 
-	virt, err := cat.CreateVirtualIndex("IV", "items", p, sqltype.Double)
+	st, err := cat.Stats("items")
 	if err != nil {
 		t.Fatal(err)
 	}
+	virt := VirtualDef("IV", "items", p, sqltype.Double, st)
 	if !virt.Virtual || virt.Phys != nil {
 		t.Error("virtual index misconfigured")
 	}
@@ -122,31 +118,13 @@ func TestIndexesSortedAndFiltered(t *testing.T) {
 	}
 }
 
-func TestFindCovering(t *testing.T) {
-	cat := newTestCatalog(t, 10)
-	cat.CreateIndex("GEN", "items", pattern.MustParse("/site/item/*"), sqltype.Double)
-	cat.CreateIndex("STR", "items", pattern.MustParse("/site/item/*"), sqltype.Varchar)
-	q := pattern.MustParse("/site/item/quantity")
-	got := cat.FindCovering("items", q, sqltype.Double)
-	if len(got) != 1 || got[0].Name != "GEN" {
-		t.Errorf("FindCovering = %v", got)
-	}
-	if got := cat.FindCovering("items", pattern.MustParse("/other/path"), sqltype.Double); len(got) != 0 {
-		t.Errorf("non-covered query matched %v", got)
-	}
-}
-
-func TestAutoNameAndDDL(t *testing.T) {
+func TestVirtualDefDDL(t *testing.T) {
 	cat := newTestCatalog(t, 1)
-	n1 := cat.AutoName(pattern.MustParse("//item/@id"), sqltype.Varchar)
-	n2 := cat.AutoName(pattern.MustParse("//item/@id"), sqltype.Varchar)
-	if n1 == n2 {
-		t.Error("AutoName must be unique")
+	st, err := cat.Stats("items")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(n1, "IDX_AT_ID_STR_") {
-		t.Errorf("AutoName = %q", n1)
-	}
-	def, _ := cat.CreateVirtualIndex("V", "items", pattern.MustParse("//quantity"), sqltype.Double)
+	def := VirtualDef("V", "items", pattern.MustParse("//quantity"), sqltype.Double, st)
 	if !strings.Contains(def.DDL(), "XMLPATTERN '//quantity'") {
 		t.Errorf("DDL = %q", def.DDL())
 	}

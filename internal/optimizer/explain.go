@@ -156,18 +156,9 @@ func (o *Optimizer) ExplainEnumerate(q *querylang.Query) (string, error) {
 	return sb.String(), nil
 }
 
-// ExplainEvaluate renders the Evaluate Indexes output as text (the
-// content of the paper's Figure 3 screen).
-func (o *Optimizer) ExplainEvaluate(q *querylang.Query, config []*catalog.IndexDef, virtualOnly bool) (string, error) {
-	ev, err := o.EvaluateIndexes(q, config, virtualOnly)
-	if err != nil {
-		return "", err
-	}
-	return RenderEvaluation(q.Text, config, ev.CostNoIndexes, ev.Cost, ev.Benefit, ev.Plan.Describe()), nil
-}
-
-// RenderEvaluation formats the EVALUATE INDEXES screen from plain
-// values — the single rendering shared with the whatif service.
+// RenderEvaluation formats the EVALUATE INDEXES screen (the content of
+// the paper's Figure 3) from plain values — the single rendering shared
+// with the whatif service.
 func RenderEvaluation(queryText string, config []*catalog.IndexDef, costNoIdx, cost, benefit float64, planDesc string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN MODE: EVALUATE INDEXES\nquery: %s\n", strings.TrimSpace(queryText))

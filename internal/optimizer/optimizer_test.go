@@ -277,10 +277,11 @@ func TestExplainRendering(t *testing.T) {
 	}
 	st, _ := cat.Stats("items")
 	cfg := []*catalog.IndexDef{catalog.VirtualDef("V", "items", pattern.MustParse("//quantity"), sqltype.Double, st)}
-	s, err = o.ExplainEvaluate(q, cfg, true)
+	ev, err := o.EvaluateIndexes(q, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s = RenderEvaluation(q.Text, cfg, ev.CostNoIndexes, ev.Cost, ev.Benefit, ev.Plan.Describe())
 	for _, want := range []string{"EVALUATE INDEXES", "benefit", "cost without indexes"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("evaluate explain missing %q:\n%s", want, s)

@@ -120,8 +120,8 @@ func renderParse(kind, src string) string {
 	if err != nil {
 		return "error\n"
 	}
-	fmt.Fprintf(&sb, "coll %q lang %s perdoc %v aggregate %v text-equal %v\n",
-		q.Collection, q.Lang, q.PerDocument, q.Aggregate, q.Text == src)
+	fmt.Fprintf(&sb, "coll %q lang %s perdoc %v text-equal %v\n",
+		q.Collection, q.Lang, q.PerDocument, q.Text == src)
 	fmt.Fprintf(&sb, "binding %s\n", dumpPath(q.Binding))
 	if q.Where != nil {
 		fmt.Fprintf(&sb, "where %s\n", dumpBool(q.Where))

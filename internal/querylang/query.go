@@ -3,6 +3,10 @@
 // SQL/XML subset (XMLEXISTS/XMLQUERY) — and their normalization into the
 // logical form the optimizer consumes: a binding path plus conjunctive
 // conditions, flattened into index-matchable "legs".
+//
+// Neither front end has a lexer of its own: XQuery clauses and SQL/XML
+// statements are read from xpath.Lex's tokens, the one lexer of query
+// text, and every path and condition is parsed by xpath.ParsePrefix.
 package querylang
 
 import (
@@ -56,7 +60,6 @@ type Query struct {
 	DocReturns []*xpath.PathExpr
 
 	PerDocument bool
-	Aggregate   bool // count(...) in the return clause
 }
 
 // Leg is one index-matchable path of a query: an absolute linear pattern

@@ -112,9 +112,6 @@ func TestXQueryOrMarksDisjunct(t *testing.T) {
 
 func TestXQueryContainsAndNot(t *testing.T) {
 	q := mustXQuery(t, `for $i in collection("items")/site/item where contains($i/name, "bike") and not($i/sold = 1) return count($i)`)
-	if !q.Aggregate {
-		t.Error("count() should set Aggregate")
-	}
 	var foundContains, foundNot bool
 	for _, l := range q.Legs() {
 		if l.Op == sqltype.ContainsSubstr {
@@ -171,6 +168,12 @@ func TestXQueryErrors(t *testing.T) {
 		`let $p := collection("x")/a for $i in collection("y") return $i`, // two bindings... let from collection then for
 		`for $i in collection("x") where contains($i/a) return $i`,
 		`for $i in collection("x") return $i extra`,
+		`for $i in collection("x") let $k : = $i/a return $k`,  // := split
+		`for $i in collection("x") let $k ":"= $i/a return $k`, // a string is not :
+		`for $ in collection("x") return $i`,                   // bare $
+		`for $i in collection("x") return <r>{$i/a} $ </r>`,    // bare $ in a constructor
+		`for $i in collection("x") return <r>{$i/a}"</r>`,      // unterminated string in a constructor
+		`for $i in collection("x") return <r>{$i/a</r>`,        // unclosed hole
 	}
 	for _, src := range bad {
 		if _, err := ParseXQuery(src); err == nil {

@@ -19,27 +19,44 @@ import (
 // otherwise ignored, exactly as DB2's XML index matching only inspects
 // the XMLEXISTS/XMLQUERY arguments [1].
 //
-// The first XMLEXISTS becomes the query binding; additional XMLEXISTS
-// conjuncts become document-level conditions. Result semantics are
-// per-document (SQL rows).
+// The statement is read from xpath's tokens: FROM, XMLEXISTS and
+// XMLQUERY are identifiers matched case-insensitively, so a word inside a
+// quoted string never counts, and a function name followed by `(` must
+// take a single-quoted string as its first argument. The first
+// XMLEXISTS becomes the query binding; additional XMLEXISTS conjuncts
+// become document-level conditions. Result semantics are per-document
+// (SQL rows).
 func ParseSQLXML(text string) (*Query, error) {
 	q := &Query{Text: text, Lang: LangSQLXML, PerDocument: true}
-
-	table, err := sqlFromTable(text)
-	if err != nil {
-		return nil, err
+	var exists, queries []string
+	for t := xpath.Lex(text, 0); t.Kind != xpath.TokEOF; {
+		next := xpath.Lex(text, t.End)
+		switch {
+		case isWord(t, "FROM") && q.Collection == "":
+			if next.Kind != xpath.TokIdent {
+				return nil, fmt.Errorf("querylang: cannot parse table name after FROM: %q", text)
+			}
+			q.Collection = next.Text
+		case (isWord(t, "XMLEXISTS") || isWord(t, "XMLQUERY")) && next.Kind == xpath.TokLParen:
+			arg := xpath.Lex(text, next.End)
+			switch {
+			case arg.Kind == xpath.TokBad && arg.Text[0] == '\'':
+				return nil, fmt.Errorf("querylang: unterminated XPath string in %q", text)
+			case arg.Kind != xpath.TokString || text[arg.Pos] != '\'':
+				return nil, fmt.Errorf("querylang: %s without quoted XPath in %q", t.Text, text)
+			case isWord(t, "XMLEXISTS"):
+				exists = append(exists, arg.Text)
+			default:
+				queries = append(queries, arg.Text)
+			}
+			next = xpath.Lex(text, arg.End)
+		}
+		t = next
 	}
-	q.Collection = table
-
-	exists, err := sqlEmbeddedPaths(text, "XMLEXISTS")
-	if err != nil {
-		return nil, err
-	}
-	queries, err := sqlEmbeddedPaths(text, "XMLQUERY")
-	if err != nil {
-		return nil, err
-	}
-	if len(exists) == 0 && len(queries) == 0 {
+	switch {
+	case q.Collection == "":
+		return nil, fmt.Errorf("querylang: SQL statement lacks FROM: %q", text)
+	case len(exists) == 0 && len(queries) == 0:
 		return nil, fmt.Errorf("querylang: SQL statement has no XMLEXISTS or XMLQUERY: %q", text)
 	}
 	for i, src := range exists {
@@ -64,100 +81,13 @@ func ParseSQLXML(text string) (*Query, error) {
 		}
 		q.DocReturns = append(q.DocReturns, e)
 	}
-	if strings.Contains(asciiUpper(text), "COUNT(") {
-		q.Aggregate = true
-	}
 	return q, nil
 }
 
-// asciiUpper upper-cases ASCII letters byte-wise. Unlike strings.ToUpper
-// it never changes the byte length (invalid UTF-8 would otherwise grow
-// into replacement runes), so offsets computed on the result are valid
-// in the original text.
-func asciiUpper(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - 'a' + 'A'
-		}
-	}
-	return string(b)
-}
-
-// sqlFromTable extracts the table name following FROM.
-func sqlFromTable(text string) (string, error) {
-	upper := asciiUpper(text)
-	i := indexWord(upper, "FROM")
-	if i < 0 {
-		return "", fmt.Errorf("querylang: SQL statement lacks FROM: %q", text)
-	}
-	rest := strings.TrimSpace(text[i+len("FROM"):])
-	end := 0
-	for end < len(rest) && (isIdentChar(rest[end]) || rest[end] == '_') {
-		end++
-	}
-	if end == 0 {
-		return "", fmt.Errorf("querylang: cannot parse table name after FROM: %q", text)
-	}
-	return rest[:end], nil
-}
-
-// indexWord finds a whole-word occurrence of w (already upper-cased
-// haystack) outside quoted strings.
-func indexWord(upper, w string) int {
-	inQuote := byte(0)
-	for i := 0; i+len(w) <= len(upper); i++ {
-		c := upper[i]
-		if inQuote != 0 {
-			if c == inQuote {
-				inQuote = 0
-			}
-			continue
-		}
-		if c == '\'' || c == '"' {
-			inQuote = c
-			continue
-		}
-		if upper[i:i+len(w)] == w {
-			beforeOK := i == 0 || !isIdentChar(upper[i-1])
-			afterOK := i+len(w) == len(upper) || !isIdentChar(upper[i+len(w)])
-			if beforeOK && afterOK {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// sqlEmbeddedPaths extracts the single-quoted first argument of every
-// fn(...) occurrence (fn = XMLEXISTS or XMLQUERY), case-insensitively.
-func sqlEmbeddedPaths(text, fn string) ([]string, error) {
-	var out []string
-	upper := asciiUpper(text)
-	for i := 0; ; {
-		j := strings.Index(upper[i:], fn+"(")
-		if j < 0 {
-			// Allow whitespace before the paren.
-			j = strings.Index(upper[i:], fn+" (")
-			if j < 0 {
-				break
-			}
-		}
-		at := i + j + len(fn)
-		// Skip to the opening quote.
-		k := strings.IndexByte(text[at:], '\'')
-		if k < 0 {
-			return nil, fmt.Errorf("querylang: %s without quoted XPath in %q", fn, text)
-		}
-		start := at + k + 1
-		end := strings.IndexByte(text[start:], '\'')
-		if end < 0 {
-			return nil, fmt.Errorf("querylang: unterminated XPath string in %q", text)
-		}
-		out = append(out, text[start:start+end])
-		i = start + end + 1
-	}
-	return out, nil
+// isWord reports whether t is the identifier w, ASCII letters matched in
+// either case. The lengths must agree, so no non-ASCII letter folds into w.
+func isWord(t xpath.Token, w string) bool {
+	return t.Kind == xpath.TokIdent && len(t.Text) == len(w) && strings.EqualFold(t.Text, w)
 }
 
 // sqlHost resolves the PASSING variable, whatever its name, to the

@@ -13,9 +13,6 @@ func TestSQLXMLCaseInsensitiveKeywords(t *testing.T) {
 	if q.Collection != "Orders" {
 		t.Errorf("Collection = %q", q.Collection)
 	}
-	if !q.Aggregate {
-		t.Error("COUNT should set Aggregate")
-	}
 	joined := strings.Join(legStrings(q), "\n")
 	if !strings.Contains(joined, `/FIXML/Order/@Acct = "123"`) {
 		t.Errorf("legs:\n%s", joined)
@@ -126,5 +123,66 @@ func TestXQueryTextLegNormalizedToParent(t *testing.T) {
 	}
 	if !strings.Contains(joined, `/a/b/c = "x"`) {
 		t.Errorf("normalized element leg missing:\n%s", joined)
+	}
+}
+
+// sqlOutcome renders what ParseSQLXML makes of a statement: its table and
+// paths, or "error".
+func sqlOutcome(src string) string {
+	q, err := ParseSQLXML(src)
+	if err != nil {
+		return "error"
+	}
+	out := "table " + q.Collection + " binding " + q.Binding.String()
+	for _, p := range q.DocConds {
+		out += " doccond " + p.String()
+	}
+	for _, p := range q.DocReturns {
+		out += " docreturn " + p.String()
+	}
+	return out
+}
+
+func TestSQLXMLWhitespaceBeforeParen(t *testing.T) {
+	want := sqlOutcome(`SELECT 1 FROM t WHERE XMLEXISTS('$d/a[b > 1]' PASSING doc AS "d")`)
+	if want == "error" {
+		t.Fatal("the statement without whitespace does not parse")
+	}
+	for _, ws := range []string{"\n", "  ", "\t", " \r\n "} {
+		src := `SELECT 1 FROM t WHERE XMLEXISTS` + ws + `('$d/a[b > 1]' PASSING doc AS "d")`
+		if got := sqlOutcome(src); got != want {
+			t.Errorf("%q: got %s, want %s", src, got, want)
+		}
+	}
+}
+
+func TestSQLXMLQueryLiteralNamingXMLEXISTS(t *testing.T) {
+	got := sqlOutcome(`SELECT XMLQUERY('$d/a[name = "XMLEXISTS(x)"]' PASSING doc AS "d") FROM t`)
+	if want := `table t binding /a[name = "XMLEXISTS(x)"]`; got != want {
+		t.Errorf("got %s, want %s", got, want)
+	}
+}
+
+// TestSQLXMLStatementTokens pins how the statement scan reads FROM and the
+// function names as tokens where the substring scan it replaced read
+// them differently.
+func TestSQLXMLStatementTokens(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"function name in a quoted string", `SELECT 'XMLQUERY(' FROM t WHERE XMLEXISTS('$d/a')`, "table t binding /a"},
+		{"FROM in a quoted XPath", `SELECT 1 FROM t WHERE XMLEXISTS('$d/a[b = "x FROM y"]')`, `table t binding /a[b = "x FROM y"]`},
+		{"function name inside a longer name", `SELECT 1 FROM t WHERE MY_XMLEXISTS('$d/a')`, "error"},
+		{"FROM after $ is a variable", `SELECT $FROM FROM t WHERE XMLEXISTS('$d/a')`, "table t binding /a"},
+		{"argument after another argument", `SELECT 1 FROM t WHERE XMLEXISTS(doc, '$d/a')`, "error"},
+		{"double-quoted argument", `SELECT 1 FROM t WHERE XMLEXISTS("$d/a") AND XMLEXISTS('$d/b')`, "error"},
+		{"table name led by a digit", `SELECT 1 FROM 9t WHERE XMLEXISTS('$d/a')`, "error"},
+		{"vertical tab after FROM", "SELECT 1 FROM\vt WHERE XMLEXISTS('$d/a')", "error"},
+		{"one call spaced, one not", `SELECT 1 FROM t WHERE XMLEXISTS ('$d/a') AND XMLEXISTS('$d/b')`, "table t binding /a doccond /b"},
+		{"function name without a call", `SELECT XMLQUERY FROM t WHERE XMLEXISTS('$d/a')`, "table t binding /a"},
+		{"unterminated XPath", `SELECT 1 FROM t WHERE XMLEXISTS('$d/a`, "error"},
+	}
+	for _, tc := range cases {
+		if got := sqlOutcome(tc.src); got != tc.want {
+			t.Errorf("%s: %q: got %s, want %s", tc.name, tc.src, got, tc.want)
+		}
 	}
 }

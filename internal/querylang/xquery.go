@@ -27,10 +27,7 @@ import (
 // not supported. These features would not produce additional index
 // candidates anyway — DB2's index matching ignores them too.
 func ParseXQuery(text string) (*Query, error) {
-	p := &xqParser{src: text}
-	if err := p.lex(); err != nil {
-		return nil, err
-	}
+	p := &xqParser{src: text, tok: xpath.Lex(text, 0)}
 	q, err := p.parse()
 	if err != nil {
 		return nil, err
@@ -40,135 +37,35 @@ func ParseXQuery(text string) (*Query, error) {
 	return q, nil
 }
 
-type xqTok struct {
-	kind xqKind
-	text string
-	pos  int // byte offset in src
-	end  int
-}
-
-type xqKind uint8
-
-const (
-	xqEOF xqKind = iota
-	xqIdent
-	xqVar    // $name
-	xqString // quoted
-	xqNumber
-	xqOp     // = != < <= > >=
-	xqAssign // :=
-	xqPunct  // any single punct: / ( ) [ ] , . * @ { } <
-)
-
+// xqParser reads the clauses of a query from xpath's tokens, one token
+// at a time, and hands every path and condition to xpath.ParsePrefix.
 type xqParser struct {
-	src  string
-	toks []xqTok
-	pos  int
+	src string
+	tok xpath.Token // the next unread token
 
 	vars map[string]*xpath.PathExpr // var -> path relative to primary binding ("" steps = the binding itself)
 	q    *Query
 }
 
-func (p *xqParser) lex() error {
-	src := p.src
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '$':
-			j := i + 1
-			for j < len(src) && (isIdentChar(src[j])) {
-				j++
-			}
-			if j == i+1 {
-				return fmt.Errorf("querylang: bare $ at %d", i)
-			}
-			p.toks = append(p.toks, xqTok{xqVar, src[i+1 : j], i, j})
-			i = j
-		case c == '\'' || c == '"':
-			q := c
-			j := i + 1
-			for j < len(src) && src[j] != q {
-				j++
-			}
-			if j >= len(src) {
-				return fmt.Errorf("querylang: unterminated string at %d", i)
-			}
-			p.toks = append(p.toks, xqTok{xqString, src[i+1 : j], i, j + 1})
-			i = j + 1
-		case c == ':' && i+1 < len(src) && src[i+1] == '=':
-			p.toks = append(p.toks, xqTok{xqAssign, ":=", i, i + 2})
-			i += 2
-		case c == '!' && i+1 < len(src) && src[i+1] == '=':
-			p.toks = append(p.toks, xqTok{xqOp, "!=", i, i + 2})
-			i += 2
-		case c == '<' || c == '>':
-			// Could be an operator or an element constructor '<tag>'.
-			// '<' followed by a letter at clause level is a constructor;
-			// the parser decides, the lexer emits ops for <=, >= and
-			// bare < > otherwise.
-			op := string(c)
-			j := i + 1
-			if j < len(src) && src[j] == '=' {
-				op += "="
-				j++
-			}
-			p.toks = append(p.toks, xqTok{xqOp, op, i, j})
-			i = j
-		case c == '=':
-			p.toks = append(p.toks, xqTok{xqOp, "=", i, i + 1})
-			i++
-		case isDigit(c) || (c == '-' && i+1 < len(src) && isDigit(src[i+1])):
-			j := i + 1
-			for j < len(src) && (isDigit(src[j]) || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
-				((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
-				j++
-			}
-			p.toks = append(p.toks, xqTok{xqNumber, src[i:j], i, j})
-			i = j
-		case isIdentStart(c):
-			j := i + 1
-			for j < len(src) && isIdentChar(src[j]) {
-				j++
-			}
-			p.toks = append(p.toks, xqTok{xqIdent, src[i:j], i, j})
-			i = j
-		default:
-			p.toks = append(p.toks, xqTok{xqPunct, string(c), i, i + 1})
-			i++
-		}
-	}
-	p.toks = append(p.toks, xqTok{xqEOF, "", len(src), len(src)})
-	return nil
-}
-
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || (c|0x20 >= 'a' && c|0x20 <= 'z') || c >= 0x80 }
-func isIdentChar(c byte) bool {
-	return isIdentStart(c) || isDigit(c) || c == '-' || c == '.' || c == ':'
-}
-
-func (p *xqParser) peek() xqTok { return p.toks[p.pos] }
-
 // next consumes one token, saturating at EOF so error paths that consume
-// blindly can never index past the token slice.
-func (p *xqParser) next() xqTok {
-	t := p.toks[p.pos]
-	if t.kind != xqEOF {
-		p.pos++
+// blindly never read past the source.
+func (p *xqParser) next() xpath.Token {
+	t := p.tok
+	if t.Kind != xpath.TokEOF {
+		p.tok = xpath.Lex(p.src, t.End)
 	}
 	return t
 }
 
 func (p *xqParser) isKeyword(kw string) bool {
-	t := p.peek()
-	return t.kind == xqIdent && t.text == kw
+	return p.tok.Kind == xpath.TokIdent && p.tok.Text == kw
 }
 
+// isVar reports whether t names a variable; a bare `$` names none.
+func isVar(t xpath.Token) bool { return t.Kind == xpath.TokVar && t.Text != "" }
+
 func (p *xqParser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("querylang: %s (near offset %d in %q)", fmt.Sprintf(format, args...), p.peek().pos, p.src)
+	return fmt.Errorf("querylang: %s (near offset %d in %q)", fmt.Sprintf(format, args...), p.tok.Pos, p.src)
 }
 
 func (p *xqParser) parse() (*Query, error) {
@@ -203,7 +100,7 @@ func (p *xqParser) parse() (*Query, error) {
 			if err := p.parseReturn(); err != nil {
 				return nil, err
 			}
-			if p.peek().kind != xqEOF {
+			if p.tok.Kind != xpath.TokEOF {
 				return nil, p.errf("trailing input after return clause")
 			}
 			if p.q.Binding == nil {
@@ -211,7 +108,7 @@ func (p *xqParser) parse() (*Query, error) {
 			}
 			return p.q, nil
 		default:
-			return nil, p.errf("expected for/let/where/return, found %q", p.peek().text)
+			return nil, p.errf("expected for/let/where/return, found %q", p.tok.Text)
 		}
 	}
 }
@@ -220,57 +117,59 @@ func (p *xqParser) parse() (*Query, error) {
 func (p *xqParser) parseFor() error {
 	p.next() // for
 	v := p.next()
-	if v.kind != xqVar {
+	if !isVar(v) {
 		return p.errf("expected $var after for")
 	}
 	if !p.isKeyword("in") {
-		return p.errf("expected in after for $%s", v.text)
+		return p.errf("expected in after for $%s", v.Text)
 	}
 	p.next()
-	return p.bindVar(v.text)
+	return p.bindVar(v.Text)
 }
 
 // parseLet handles: let $v := $w PATH
 func (p *xqParser) parseLet() error {
 	p.next() // let
 	v := p.next()
-	if v.kind != xqVar {
+	if !isVar(v) {
 		return p.errf("expected $var after let")
 	}
-	if p.peek().kind != xqAssign {
+	// `:=` lexes as `:` (a character no token starts with) and `=`.
+	colon := p.next()
+	if colon.Kind != xpath.TokBad || colon.Text != ":" || p.tok.Kind != xpath.TokOp || p.tok.Text != "=" || p.tok.Pos != colon.End {
 		return p.errf("expected := in let clause")
 	}
 	p.next()
-	if p.peek().kind != xqVar {
+	if !isVar(p.tok) {
 		return p.errf("let must bind from another variable's path")
 	}
-	return p.bindVar(v.text)
+	return p.bindVar(v.Text)
 }
 
 // clauseKeywords end a binding path.
 var clauseKeywords = []string{"for", "let", "where", "return", "order", "stable", "group"}
 
 func (p *xqParser) bindVar(name string) error {
-	t := p.peek()
+	t := p.tok
 	switch {
-	case t.kind == xqIdent && (t.text == "collection" || t.text == "doc"):
+	case t.Kind == xpath.TokIdent && (t.Text == "collection" || t.Text == "doc"):
 		p.next()
-		if p.peek().text != "(" {
-			return p.errf("expected ( after %s", t.text)
+		if p.tok.Text != "(" {
+			return p.errf("expected ( after %s", t.Text)
 		}
 		p.next()
 		arg := p.next()
-		if arg.kind != xqString {
-			return p.errf("%s() needs a string argument", t.text)
+		if arg.Kind != xpath.TokString {
+			return p.errf("%s() needs a string argument", t.Text)
 		}
-		if p.peek().text != ")" {
-			return p.errf("expected ) after %s(...", t.text)
+		if p.tok.Text != ")" {
+			return p.errf("expected ) after %s(...", t.Text)
 		}
 		p.next()
 		if p.q.Binding != nil {
 			return p.errf("only one collection()/doc() binding is supported")
 		}
-		p.q.Collection = arg.text
+		p.q.Collection = arg.Text
 		e, err := p.embedded(false, xpath.Host{Keywords: clauseKeywords})
 		if err != nil {
 			return err
@@ -281,7 +180,7 @@ func (p *xqParser) bindVar(name string) error {
 		}
 		p.vars[name] = &xpath.PathExpr{Relative: true, Dot: true}
 		return nil
-	case t.kind == xqVar:
+	case isVar(t):
 		e, err := p.embedded(false, xpath.Host{Var: p.resolve, Keywords: clauseKeywords})
 		if err != nil {
 			return err
@@ -305,22 +204,20 @@ func (p *xqParser) resolve(name string) (*xpath.PathExpr, error) {
 }
 
 // embedded parses the path or condition that starts at the next token
-// with xpath's grammar and moves past it.
+// with xpath's grammar and resumes at the offset where it ends.
 func (p *xqParser) embedded(cond bool, h xpath.Host) (xpath.BoolExpr, error) {
-	e, end, err := xpath.ParsePrefix(p.src, p.peek().pos, cond, h)
+	e, end, err := xpath.ParsePrefix(p.src, p.tok.Pos, cond, h)
 	if err != nil {
 		return nil, fmt.Errorf("querylang: %w", err)
 	}
-	for p.peek().kind != xqEOF && p.peek().pos < end {
-		p.pos++
-	}
+	p.tok = xpath.Lex(p.src, end)
 	return e, nil
 }
 
 // returnPath parses a $var-rooted, predicate-free return path.
 func (p *xqParser) returnPath() (*xpath.PathExpr, error) {
-	if p.peek().kind != xqVar {
-		return nil, p.errf("expected $var, found %q", p.peek().text)
+	if !isVar(p.tok) {
+		return nil, p.errf("expected $var, found %q", p.tok.Text)
 	}
 	e, err := p.embedded(true, xpath.Host{Var: p.resolve})
 	if err != nil {
@@ -336,26 +233,26 @@ func (p *xqParser) returnPath() (*xpath.PathExpr, error) {
 // parseReturn parses the return clause into extraction paths.
 func (p *xqParser) parseReturn() error {
 	p.next() // return
-	t := p.peek()
+	t := p.tok
 	switch {
-	case t.kind == xqPunct && t.text == "(":
+	case t.Kind == xpath.TokLParen:
 		p.next()
 		for {
 			if err := p.parseReturnItem(); err != nil {
 				return err
 			}
-			if p.peek().text == "," {
+			if p.tok.Text == "," {
 				p.next()
 				continue
 			}
 			break
 		}
-		if p.peek().text != ")" {
+		if p.tok.Text != ")" {
 			return p.errf("expected ) in return sequence")
 		}
 		p.next()
 		return nil
-	case t.kind == xqOp && t.text == "<":
+	case t.Kind == xpath.TokOp && t.Text == "<":
 		// Element constructor: consume everything, extracting {...}
 		// holes as return items.
 		return p.parseConstructorReturn()
@@ -365,64 +262,57 @@ func (p *xqParser) parseReturn() error {
 }
 
 func (p *xqParser) parseReturnItem() error {
-	t := p.peek()
+	t := p.tok
 	switch {
-	case t.kind == xqIdent && (t.text == "count" || t.text == "data" || t.text == "string" || t.text == "sum" || t.text == "avg"):
+	case t.Kind == xpath.TokIdent && (t.Text == "count" || t.Text == "data" || t.Text == "string" || t.Text == "sum" || t.Text == "avg"):
 		p.next()
-		if p.peek().text != "(" {
-			return p.errf("expected ( after %s", t.text)
+		if p.tok.Text != "(" {
+			return p.errf("expected ( after %s", t.Text)
 		}
 		p.next()
 		rel, err := p.returnPath()
 		if err != nil {
 			return err
 		}
-		if p.peek().text != ")" {
-			return p.errf("expected ) after %s(...", t.text)
+		if p.tok.Text != ")" {
+			return p.errf("expected ) after %s(...", t.Text)
 		}
 		p.next()
-		if t.text == "count" || t.text == "sum" || t.text == "avg" {
-			p.q.Aggregate = true
-		}
 		p.q.Returns = append(p.q.Returns, rel)
 		return nil
-	case t.kind == xqVar:
+	case isVar(t):
 		rel, err := p.returnPath()
 		if err != nil {
 			return err
 		}
 		p.q.Returns = append(p.q.Returns, rel)
 		return nil
-	case t.kind == xqString:
+	case t.Kind == xpath.TokString:
 		p.next() // literal text content: no extraction leg
 		return nil
 	default:
-		return p.errf("unsupported return expression starting at %q", t.text)
+		return p.errf("unsupported return expression starting at %q", t.Text)
 	}
 }
 
+// parseConstructorReturn skips the constructor's tokens up to the end of
+// the query, parsing each {...} hole as a return item. The skipped text
+// must still lex: a bare $ or an unterminated string is an error.
 func (p *xqParser) parseConstructorReturn() error {
-	depth := 0
 	for {
-		t := p.peek()
-		if t.kind == xqEOF {
-			if depth != 0 {
-				return p.errf("unterminated element constructor")
-			}
+		switch t := p.tok; {
+		case t.Kind == xpath.TokEOF:
 			return nil
-		}
-		if t.kind == xqPunct && t.text == "{" {
-			depth++
+		case t.Kind == xpath.TokVar && !isVar(t), t.Kind == xpath.TokBad && (t.Text[0] == '"' || t.Text[0] == '\''):
+			return p.errf("bad token %q in element constructor", t.Text)
+		case t.Kind == xpath.TokBad && t.Text == "{":
 			p.next()
 			if err := p.parseReturnItem(); err != nil {
 				return err
 			}
-			if p.peek().text != "}" {
+			if p.tok.Text != "}" {
 				return p.errf("expected } in constructor")
 			}
-			depth--
-			p.next()
-			continue
 		}
 		p.next()
 	}

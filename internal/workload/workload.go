@@ -155,14 +155,6 @@ func (w *Workload) AddDelete(weight float64, collection, path string) error {
 	return nil
 }
 
-// ScaleUpdates multiplies every update weight by f (used by the update-
-// cost sensitivity experiment).
-func (w *Workload) ScaleUpdates(f float64) {
-	for i := range w.Updates {
-		w.Updates[i].Weight *= f
-	}
-}
-
 // Split partitions the queries into train and test workloads, assigning
 // each query to train with probability trainFrac (seeded, deterministic).
 // Updates stay with the training workload.

@@ -148,15 +148,6 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
-func TestScaleUpdates(t *testing.T) {
-	w, _ := Parse("test", sampleText)
-	before := w.TotalUpdateWeight()
-	w.ScaleUpdates(4)
-	if w.TotalUpdateWeight() != before*4 {
-		t.Error("ScaleUpdates broken")
-	}
-}
-
 func TestFormatMentionsCounts(t *testing.T) {
 	w, _ := Parse("test", sampleText)
 	if !strings.Contains(w.Format(), "2 queries, 2 updates") {

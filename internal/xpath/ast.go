@@ -6,6 +6,9 @@
 // This is the fragment DB2's XML index matching understands (reference [1]
 // of the paper); richer XPath/XQuery features exist in the language but
 // cannot use value indexes, so the advisor never sees them.
+//
+// Lex is the one lexer of query text: the path grammar here, querylang's
+// XQuery clauses and its SQL/XML statement scan all read its tokens.
 package xpath
 
 import (
@@ -24,8 +27,9 @@ type Step struct {
 	Preds []BoolExpr
 }
 
-// PathExpr is a linear location path. Relative paths (no leading slash)
-// are evaluated from a context node; absolute paths from the document.
+// PathExpr is a linear location path. Relative paths (no leading slash,
+// or a leading "./" or ".//") are evaluated from a context node; absolute
+// paths from the document.
 type PathExpr struct {
 	Relative bool
 	Steps    []Step
@@ -123,6 +127,8 @@ func (p *PathExpr) String() string {
 		if i == 0 && p.Relative {
 			if st.Axis == pattern.Child {
 				sep = ""
+			} else {
+				sep = ".//"
 			}
 		}
 		sb.WriteString(sep)

@@ -26,9 +26,9 @@ func Parse(src string) (*PathExpr, error) {
 	case err != nil:
 		return nil, err
 	case e == nil:
-		return nil, p.errf("expected step, found %q", p.tok.text)
-	case p.tok.kind != tEOF:
-		return nil, p.errf("trailing input at %q", p.tok.text)
+		return nil, p.errf("expected step, found %q", p.tok.Text)
+	case p.tok.Kind != TokEOF:
+		return nil, p.errf("trailing input at %q", p.tok.Text)
 	}
 	return e.(*ExistsExpr).Path, nil
 }
@@ -76,90 +76,96 @@ func ParsePrefix(src string, off int, cond bool, h Host) (BoolExpr, int, error) 
 	return e, p.last, err
 }
 
-type tokKind uint8
+// TokKind is the kind of a Token.
+type TokKind uint8
 
+// The token kinds. Characters no token starts with, such as `{`, `}` and
+// `:`, come back one at a time as TokBad.
 const (
-	tEOF tokKind = iota
-	tSlash
-	tDSlash
-	tIdent  // name, possibly with : - . inside
-	tAt     // @
-	tStar   // *
-	tLBrack // [
-	tRBrack // ]
-	tLParen // (
-	tRParen // )
-	tComma
-	tDot
-	tNumber
-	tString
-	tOp  // = != < <= > >=
-	tVar // $name; text is the name
-	tBad // a character no token starts with, or an unterminated string
+	TokEOF TokKind = iota
+	TokSlash
+	TokDSlash
+	TokIdent  // name, possibly with : - . inside
+	TokAt     // @
+	TokStar   // *
+	TokLBrack // [
+	TokRBrack // ]
+	TokLParen // (
+	TokRParen // )
+	TokComma
+	TokDot
+	TokNumber
+	TokString // Text is the content, without the quotes
+	TokOp     // = != < <= > >=
+	TokVar    // $name; Text is the name, empty for a bare $
+	TokBad    // a character no token starts with, or an unterminated string
 )
 
-type token struct {
-	kind     tokKind
-	text     string
-	pos, end int
+// Token is one token of query text: its kind, text and byte span
+// [Pos, End) in the source.
+type Token struct {
+	Kind     TokKind
+	Text     string
+	Pos, End int
 }
 
 // punct and punctKind map the one-character tokens to their kinds.
 const punct = "@*[](),."
 
-var punctKind = [len(punct)]tokKind{tAt, tStar, tLBrack, tRBrack, tLParen, tRParen, tComma, tDot}
+var punctKind = [len(punct)]TokKind{TokAt, TokStar, TokLBrack, TokRBrack, TokLParen, TokRParen, TokComma, TokDot}
 
-// lex returns the token at the first non-blank byte at or after i.
-func (p *parser) lex(i int) token {
-	src := p.src
+// Lex returns the token at the first non-blank byte at or after i of
+// src. It is the one lexer of query text: the XPath parser, the XQuery
+// clauses and the SQL/XML statement scan all read its tokens.
+func Lex(src string, i int) Token {
 	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
 		i++
 	}
 	if i >= len(src) {
-		return token{tEOF, "", len(src), len(src)}
+		return Token{TokEOF, "", len(src), len(src)}
 	}
-	tok := func(k tokKind, n int) token { return token{k, src[i : i+n], i, i + n} }
+	tok := func(k TokKind, n int) Token { return Token{k, src[i : i+n], i, i + n} }
 	c := src[i]
 	twoEq := i+1 < len(src) && src[i+1] == '='
 	switch {
 	case c == '/':
 		if i+1 < len(src) && src[i+1] == '/' {
-			return tok(tDSlash, 2)
+			return tok(TokDSlash, 2)
 		}
-		return tok(tSlash, 1)
+		return tok(TokSlash, 1)
 	case c == '=':
-		return tok(tOp, 1)
+		return tok(TokOp, 1)
 	case c == '!' && twoEq, (c == '<' || c == '>') && twoEq:
-		return tok(tOp, 2)
+		return tok(TokOp, 2)
 	case c == '<' || c == '>':
-		return tok(tOp, 1)
+		return tok(TokOp, 1)
 	case c == '\'' || c == '"':
 		j := strings.IndexByte(src[i+1:], c)
 		if j < 0 {
-			return token{tBad, src[i:], i, len(src)}
+			return Token{TokBad, src[i:], i, len(src)}
 		}
-		return token{tString, src[i+1 : i+1+j], i, i + j + 2}
+		return Token{TokString, src[i+1 : i+1+j], i, i + j + 2}
 	case isDigit(c) || (c == '-' && i+1 < len(src) && isDigit(src[i+1])):
 		j := i + 1
 		for j < len(src) && (isDigit(src[j]) || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
 			((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
 			j++
 		}
-		return tok(tNumber, j-i)
+		return tok(TokNumber, j-i)
 	case c == '$' || isIdentStart(c):
 		j := i + 1
 		for j < len(src) && isIdentChar(src[j]) {
 			j++
 		}
 		if c == '$' {
-			return token{tVar, src[i+1 : j], i, j}
+			return Token{TokVar, src[i+1 : j], i, j}
 		}
-		return tok(tIdent, j-i)
+		return tok(TokIdent, j-i)
 	}
 	if k := strings.IndexByte(punct, c); k >= 0 {
 		return tok(punctKind[k], 1)
 	}
-	return tok(tBad, 1)
+	return tok(TokBad, 1)
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -174,7 +180,7 @@ func isIdentChar(c byte) bool {
 
 type parser struct {
 	src   string
-	tok   token // the next unread token
+	tok   Token // the next unread token
 	last  int   // offset just past the last token read
 	host  Host
 	cond  bool
@@ -183,17 +189,17 @@ type parser struct {
 
 func newParser(src string, off int, cond bool, h Host) *parser {
 	p := &parser{src: src, last: off, host: h, cond: cond}
-	p.tok = p.lex(off)
+	p.tok = Lex(p.src, off)
 	return p
 }
 
 // next consumes one token, saturating at EOF so error paths that consume
 // blindly never read past the source.
-func (p *parser) next() token {
+func (p *parser) next() Token {
 	t := p.tok
-	if t.kind != tEOF {
-		p.last = t.end
-		p.tok = p.lex(t.end)
+	if t.Kind != TokEOF {
+		p.last = t.End
+		p.tok = Lex(p.src, t.End)
 	}
 	return t
 }
@@ -204,19 +210,19 @@ func (p *parser) errf(format string, args ...interface{}) error {
 
 // isName reports whether t can name a step here: an identifier that is
 // not a host keyword outside brackets.
-func (p *parser) isName(t token) bool {
-	return t.kind == tIdent && (p.depth > 0 || !slices.Contains(p.host.Keywords, t.text))
+func (p *parser) isName(t Token) bool {
+	return t.Kind == TokIdent && (p.depth > 0 || !slices.Contains(p.host.Keywords, t.Text))
 }
 
 // startsStep and startsPath report whether the next token can begin a
 // step or a path.
 func (p *parser) startsStep() bool {
-	return p.isName(p.tok) || p.tok.kind == tStar || p.tok.kind == tAt
+	return p.isName(p.tok) || p.tok.Kind == TokStar || p.tok.Kind == TokAt
 }
 
 func (p *parser) startsPath() bool {
-	k := p.tok.kind
-	return p.startsStep() || k == tDot || k == tSlash || k == tDSlash
+	k := p.tok.Kind
+	return p.startsStep() || k == TokDot || k == TokSlash || k == TokDSlash
 }
 
 // top parses the whole expression of the parser's mode.
@@ -246,10 +252,10 @@ func (p *parser) operand() (*PathExpr, error) {
 // varPath parses `$name` (or nothing, for the unnamed variable) and the
 // path that continues it, by the rules ParsePrefix lists.
 func (p *parser) varPath() (*PathExpr, error) {
-	name, end := "", p.tok.pos
-	if p.tok.kind == tVar {
+	name, end := "", p.tok.Pos
+	if p.tok.Kind == TokVar {
 		t := p.next()
-		name, end = t.text, t.end
+		name, end = t.Text, t.End
 	}
 	base, err := p.host.Var(name)
 	if err != nil {
@@ -258,18 +264,18 @@ func (p *parser) varPath() (*PathExpr, error) {
 	var rel *PathExpr
 	switch {
 	case !base.Relative:
-		slash := p.tok.kind == tSlash || p.tok.kind == tDSlash
-		if !(slash && p.tok.pos == end || p.startsStep()) {
-			return nil, p.errf("expected a path after $%s, found %q", name, p.tok.text)
+		slash := p.tok.Kind == TokSlash || p.tok.Kind == TokDSlash
+		if !(slash && p.tok.Pos == end || p.startsStep()) {
+			return nil, p.errf("expected a path after $%s, found %q", name, p.tok.Text)
 		}
 		rel, err = p.parsePath()
-	case p.tok.kind == tSlash:
+	case p.tok.Kind == TokSlash:
 		p.next()
-		if p.cond && p.tok.kind == tDot {
+		if p.cond && p.tok.Kind == TokDot {
 			return nil, p.errf("expected step after $%s/", name)
 		}
 		rel, err = p.parsePath()
-	case p.tok.kind == tDSlash || !p.cond && p.startsPath():
+	case p.tok.Kind == TokDSlash || !p.cond && p.startsPath():
 		rel, err = p.parsePath()
 	}
 	switch {
@@ -296,38 +302,30 @@ func join(base, rel *PathExpr) *PathExpr {
 
 // parsePath parses a linear path with its predicates.
 func (p *parser) parsePath() (*PathExpr, error) {
-	expr := &PathExpr{Relative: true}
-	// "." alone.
-	if p.tok.kind == tDot {
+	// "." alone, or "./a" and ".//a": relative steps follow.
+	dot := p.tok.Kind == TokDot
+	if dot {
 		p.next()
-		expr.Dot = true
-		if p.tok.kind == tSlash || p.tok.kind == tDSlash {
-			// "./a/b": continue with relative steps.
-			expr.Dot = false
-		} else {
-			return expr, nil
+		if p.tok.Kind != TokSlash && p.tok.Kind != TokDSlash {
+			return &PathExpr{Relative: true, Dot: true}, nil
 		}
 	}
+	expr := &PathExpr{Relative: dot}
 	first := true
 	for {
 		axis := pattern.Child
-		switch p.tok.kind {
-		case tSlash:
+		switch p.tok.Kind {
+		case TokSlash:
 			p.next()
-			if first {
-				expr.Relative = false
-			}
-		case tDSlash:
+		case TokDSlash:
 			p.next()
 			axis = pattern.Descendant
-			if first {
-				expr.Relative = false
-			}
 		default:
 			if !first {
 				return expr, nil
 			}
 			// Relative path starting directly with a name test.
+			expr.Relative = true
 		}
 		st, err := p.parseStep(axis)
 		if err != nil {
@@ -335,7 +333,7 @@ func (p *parser) parsePath() (*PathExpr, error) {
 		}
 		expr.Steps = append(expr.Steps, st)
 		first = false
-		if p.tok.kind != tSlash && p.tok.kind != tDSlash {
+		if p.tok.Kind != TokSlash && p.tok.Kind != TokDSlash {
 			return expr, nil
 		}
 	}
@@ -344,40 +342,40 @@ func (p *parser) parsePath() (*PathExpr, error) {
 func (p *parser) parseStep(axis pattern.Axis) (Step, error) {
 	st := Step{Axis: axis}
 	switch t := p.tok; {
-	case t.kind == tStar:
+	case t.Kind == TokStar:
 		p.next()
 		st.Kind = pattern.TestElem
-	case t.kind == tAt:
+	case t.Kind == TokAt:
 		p.next()
 		switch nt := p.tok; {
-		case nt.kind == tStar:
+		case nt.Kind == TokStar:
 			p.next()
 			st.Kind = pattern.TestAttr
 		case p.isName(nt):
 			p.next()
 			st.Kind = pattern.TestAttr
-			st.Name = nt.text
+			st.Name = nt.Text
 		default:
 			return st, p.errf("expected attribute name after @")
 		}
 	case p.isName(t):
 		p.next()
-		if t.text == "text" && p.tok.kind == tLParen {
+		if t.Text == "text" && p.tok.Kind == TokLParen {
 			p.next()
-			if p.tok.kind != tRParen {
+			if p.tok.Kind != TokRParen {
 				return st, p.errf("expected ) after text(")
 			}
 			p.next()
 			st.Kind = pattern.TestText
 		} else {
 			st.Kind = pattern.TestElem
-			st.Name = t.text
+			st.Name = t.Text
 		}
 	default:
-		return st, p.errf("expected step, found %q", t.text)
+		return st, p.errf("expected step, found %q", t.Text)
 	}
 	// Predicates.
-	for p.tok.kind == tLBrack {
+	for p.tok.Kind == TokLBrack {
 		p.next()
 		p.depth++
 		e, err := p.parseOr()
@@ -385,7 +383,7 @@ func (p *parser) parseStep(axis pattern.Axis) (Step, error) {
 		if err != nil {
 			return st, err
 		}
-		if p.tok.kind != tRBrack {
+		if p.tok.Kind != TokRBrack {
 			return st, p.errf("expected ] after predicate")
 		}
 		p.next()
@@ -399,7 +397,7 @@ func (p *parser) parseOr() (BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tIdent && p.tok.text == "or" {
+	for p.tok.Kind == TokIdent && p.tok.Text == "or" {
 		p.next()
 		r, err := p.parseAnd()
 		if err != nil {
@@ -415,7 +413,7 @@ func (p *parser) parseAnd() (BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tIdent && p.tok.text == "and" {
+	for p.tok.Kind == TokIdent && p.tok.Text == "and" {
 		p.next()
 		r, err := p.parsePrimary()
 		if err != nil {
@@ -428,54 +426,54 @@ func (p *parser) parseAnd() (BoolExpr, error) {
 
 func (p *parser) parsePrimary() (BoolExpr, error) {
 	t := p.tok
-	call := t.kind == tIdent && p.lex(t.end).kind == tLParen
+	call := t.Kind == TokIdent && Lex(p.src, t.End).Kind == TokLParen
 	switch {
-	case t.kind == tLParen:
+	case t.Kind == TokLParen:
 		p.next()
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tRParen {
+		if p.tok.Kind != TokRParen {
 			return nil, p.errf("expected )")
 		}
 		p.next()
 		return e, nil
-	case call && t.text == "not":
+	case call && t.Text == "not":
 		p.next()
 		p.next()
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tRParen {
+		if p.tok.Kind != TokRParen {
 			return nil, p.errf("expected ) after not(")
 		}
 		p.next()
 		return &NotExpr{E: e}, nil
-	case call && t.text == "contains":
+	case call && t.Text == "contains":
 		p.next()
 		p.next()
 		path, err := p.operand()
 		if err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tComma {
+		if p.tok.Kind != TokComma {
 			return nil, p.errf("expected , in contains()")
 		}
 		p.next()
 		lit := p.next()
-		if lit.kind != tString {
+		if lit.Kind != TokString {
 			return nil, p.errf("contains() needs a string literal")
 		}
-		if p.tok.kind != tRParen {
+		if p.tok.Kind != TokRParen {
 			return nil, p.errf("expected ) after contains()")
 		}
 		p.next()
 		return &Comparison{
 			Path:  path,
 			Op:    sqltype.ContainsSubstr,
-			Value: sqltype.Value{Type: sqltype.Varchar, S: lit.text},
+			Value: sqltype.Value{Type: sqltype.Varchar, S: lit.Text},
 		}, nil
 	}
 	// A path, optionally compared to a literal.
@@ -483,10 +481,10 @@ func (p *parser) parsePrimary() (BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != tOp {
+	if p.tok.Kind != TokOp {
 		return &ExistsExpr{Path: path}, nil
 	}
-	op := cmpOps[p.next().text]
+	op := cmpOps[p.next().Text]
 	val, err := literalValue(p.next())
 	if err != nil {
 		return nil, p.errf("%v", err)
@@ -494,7 +492,7 @@ func (p *parser) parsePrimary() (BoolExpr, error) {
 	return &Comparison{Path: path, Op: op, Value: val}, nil
 }
 
-// cmpOps maps every tOp spelling to its operator.
+// cmpOps maps every TokOp spelling to its operator.
 var cmpOps = map[string]sqltype.CmpOp{
 	"=": sqltype.Eq, "!=": sqltype.Ne, "<": sqltype.Lt, "<=": sqltype.Le, ">": sqltype.Gt, ">=": sqltype.Ge,
 }
@@ -503,19 +501,19 @@ var cmpOps = map[string]sqltype.CmpOp{
 // as dates are DATE, so DATE indexes can serve the comparison (string
 // order and date order agree for ISO dates, so semantics are
 // unchanged); other strings are VARCHAR.
-func literalValue(t token) (sqltype.Value, error) {
-	switch t.kind {
-	case tNumber:
-		f, err := strconv.ParseFloat(t.text, 64)
+func literalValue(t Token) (sqltype.Value, error) {
+	switch t.Kind {
+	case TokNumber:
+		f, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return sqltype.Value{}, fmt.Errorf("bad number %q", t.text)
+			return sqltype.Value{}, fmt.Errorf("bad number %q", t.Text)
 		}
 		return sqltype.Value{Type: sqltype.Double, F: f}, nil
-	case tString:
-		if v, ok := sqltype.Cast(sqltype.Date, t.text); ok {
+	case TokString:
+		if v, ok := sqltype.Cast(sqltype.Date, t.Text); ok {
 			return v, nil
 		}
-		return sqltype.Value{Type: sqltype.Varchar, S: t.text}, nil
+		return sqltype.Value{Type: sqltype.Varchar, S: t.Text}, nil
 	}
-	return sqltype.Value{}, fmt.Errorf("expected literal, found %q", t.text)
+	return sqltype.Value{}, fmt.Errorf("expected literal, found %q", t.Text)
 }

@@ -37,7 +37,7 @@ func TestParsePrefix(t *testing.T) {
 		{"binding after a variable", `for $x in @@$b/increase[. > 1] where`, false, Host{Var: xquery, Keywords: keywords}, "bidder/increase[. > 1]", " where"},
 		{"binding continues without a slash", `@@$b date return`, false, Host{Var: xquery, Keywords: keywords}, "bidder/date", " return"},
 		{"condition ends at return", `where @@$i/q > 5 and contains($b/n, "x") return $i`, true, Host{Var: xquery}, `(q > 5 and contains(bidder/n, "x"))`, " return $i"},
-		{"condition ends at a comma", `(@@$i//q, $i/r)`, true, Host{Var: xquery}, "//q", ", $i/r)"},
+		{"condition ends at a comma", `(@@$i//q, $i/r)`, true, Host{Var: xquery}, ".//q", ", $i/r)"},
 		{"condition ends at a brace", `<r>{@@$i/q}</r>`, true, Host{Var: xquery}, "q", "}</r>"},
 		{"condition paths take no predicates", `@@$i/q[1] > 5`, true, Host{Var: xquery}, "error", ""},
 		{"condition paths are variable paths", `@@q > 5`, true, Host{Var: xquery}, "error", ""},

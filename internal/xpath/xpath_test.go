@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +83,43 @@ func TestParseString(t *testing.T) {
 		got = strings.ReplaceAll(got, `"`, `"`)
 		if got != want {
 			t.Errorf("Parse(%q).String() = %q, want %q", tc.in, got, want)
+		}
+	}
+}
+
+// TestDotLedPathsStayRelative checks that a path led by "./" or ".//"
+// parses as a relative path, renders as one, and that the rendering
+// re-parses to an equal AST.
+func TestDotLedPathsStayRelative(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"./a", "a"},
+		{"./a/b", "a/b"},
+		{".//a", ".//a"},
+		{".//a//b", ".//a//b"},
+		{"/a[./b = 1]", "/a[b = 1]"},
+		{"/a[.//b]", "/a[.//b]"},
+		{"//a[.//b/c > 2]/d", "//a[.//b/c > 2]/d"},
+	}
+	for _, tc := range cases {
+		e, err := Parse(tc.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.in, err)
+			continue
+		}
+		if got := e.String(); got != tc.want {
+			t.Errorf("Parse(%q).String() = %q, want %q", tc.in, got, tc.want)
+			continue
+		}
+		if strings.HasPrefix(tc.in, ".") && !e.Relative {
+			t.Errorf("Parse(%q) is absolute", tc.in)
+		}
+		again, err := Parse(tc.want)
+		if err != nil {
+			t.Errorf("rendering %q does not re-parse: %v", tc.want, err)
+			continue
+		}
+		if !reflect.DeepEqual(again, e) {
+			t.Errorf("%q re-parses to %#v, want %#v", tc.want, again, e)
 		}
 	}
 }
