@@ -111,7 +111,7 @@ func newShell(parallel int) *shell {
 	st := store.New()
 	cat := catalog.New(st)
 	opt := optimizer.New(cat)
-	// The shell's evaluate command does not hide real indexes (the DBA
+	// The shell's what-if costing does not hide real indexes (the DBA
 	// wants the configuration on top of what exists), so VirtualOnly is
 	// off — unlike the advisor's engine.
 	svc := &whatif.OptimizerService{Opt: opt}
@@ -376,11 +376,11 @@ func (s *shell) cmdEvaluate(rest string) error {
 	for i, it := range items {
 		defs = append(defs, catalog.VirtualDef(fmt.Sprintf("V%d", i+1), q.Collection, it.pat, it.ty, st))
 	}
-	res, err := s.what.Bind([]*querylang.Query{q}).EvaluateConfig(context.Background(), defs)
+	ev, err := s.opt.EvaluateIndexes(q, defs, false)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(s.out, res.Queries[0].Explain(q.Text, defs))
+	fmt.Fprint(s.out, optimizer.RenderEvaluation(q.Text, defs, ev.CostNoIndexes, ev.Cost, ev.Benefit, ev.Plan.Describe()))
 	return nil
 }
 

@@ -183,7 +183,6 @@ func (p *Prepared) buildSnapshot() (*snapshot.Snapshot, error) {
 			CostNoIndexes: at.Val.CostNoIndexes,
 			Cost:          at.Val.Cost,
 			UsedIndexes:   at.Val.UsedIndexes,
-			PlanDesc:      at.Val.PlanDesc,
 		})
 	}
 
@@ -314,7 +313,6 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 			CostNoIndexes: at.CostNoIndexes,
 			Cost:          at.Cost,
 			UsedIndexes:   at.UsedIndexes,
-			PlanDesc:      at.PlanDesc,
 		}}
 	}
 	a.cost.ImportAtoms(atoms)

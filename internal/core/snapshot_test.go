@@ -125,6 +125,88 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresPlanText restores a snapshot whose atoms carry plan
+// text, as snapshots written before the cost service stopped rendering
+// plans do, and checks that the restored session recommends exactly as
+// the fresh one did, with no cost calls, and saves its atoms with the
+// plan text empty.
+func TestRestoreIgnoresPlanText(t *testing.T) {
+	_, cat := xmarkStoreFixture(t, 200)
+	ctx := context.Background()
+	strategies := []SearchKind{SearchGreedyHeuristic, SearchTopDown, SearchGreedyBasic}
+
+	a := New(cat, DefaultOptions())
+	p1, err := a.Prepare(ctx, datagen.XMarkPaperWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[SearchKind]string{}
+	for _, k := range strategies {
+		rec, err := p1.RecommendWith(ctx, k, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		want[k] = renderRec(t, rec)
+	}
+	var buf bytes.Buffer
+	if err := p1.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Atoms) == 0 {
+		t.Fatal("snapshot holds no atoms")
+	}
+	for i := range snap.Atoms {
+		at := &snap.Atoms[i]
+		if at.PlanDesc != "" {
+			t.Fatalf("atom %q saved with plan text %q", at.Key, at.PlanDesc)
+		}
+		at.PlanDesc = fmt.Sprintf("DOCSCAN cost=%.2f", at.CostNoIndexes)
+		if len(at.UsedIndexes) > 0 {
+			at.PlanDesc = fmt.Sprintf("IXAND(%d) cost=%.2f docscan=%.2f\n  IXSCAN %s",
+				len(at.UsedIndexes), at.Cost, at.CostNoIndexes, strings.Join(at.UsedIndexes, ","))
+		}
+	}
+	var old bytes.Buffer
+	if err := snapshot.Encode(&old, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	b := New(cat, DefaultOptions())
+	p2, err := b.LoadPrepared(ctx, bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range strategies {
+		rec, err := p2.RecommendWith(ctx, k, 0)
+		if err != nil {
+			t.Fatalf("restored %s: %v", k, err)
+		}
+		if got := renderRec(t, rec); got != want[k] {
+			t.Errorf("%s: restored recommendation differs from the fresh session's:\n--- fresh ---\n%s\n--- restored ---\n%s", k, want[k], got)
+		}
+	}
+	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
+		t.Errorf("restore and recommends issued %d CostService calls, want 0", evals)
+	}
+	var again bytes.Buffer
+	if err := p2.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := snapshot.Decode(bytes.NewReader(again.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range resaved.Atoms {
+		if at.PlanDesc != "" {
+			t.Fatalf("restored session saved atom %q with plan text %q", at.Key, at.PlanDesc)
+		}
+	}
+}
+
 func TestSaveWithoutBenefitMatrixOmitsSection(t *testing.T) {
 	_, cat := xmarkStoreFixture(t, 120)
 	ctx := context.Background()

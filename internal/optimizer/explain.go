@@ -157,8 +157,8 @@ func (o *Optimizer) ExplainEnumerate(q *querylang.Query) (string, error) {
 }
 
 // RenderEvaluation formats the EVALUATE INDEXES screen (the content of
-// the paper's Figure 3) from plain values — the single rendering shared
-// with the whatif service.
+// the paper's Figure 3) from an evaluation's costs and its plan's
+// rendering (Plan.Describe).
 func RenderEvaluation(queryText string, config []*catalog.IndexDef, costNoIdx, cost, benefit float64, planDesc string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN MODE: EVALUATE INDEXES\nquery: %s\n", strings.TrimSpace(queryText))

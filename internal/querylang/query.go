@@ -12,6 +12,7 @@ package querylang
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/pattern"
 	"repro/internal/sqltype"
@@ -47,6 +48,9 @@ func (l Lang) String() string {
 //     DocReturns are absolute extraction paths (XMLQUERY).
 //   - PerDocument indicates SQL row semantics: one result row per
 //     qualifying document rather than per binding node.
+//
+// A Query must not be copied or have its fields changed once Legs has
+// been called: the legs are derived once and kept.
 type Query struct {
 	ID         string
 	Text       string
@@ -60,6 +64,9 @@ type Query struct {
 	DocReturns []*xpath.PathExpr
 
 	PerDocument bool
+
+	legsOnce sync.Once
+	legs     []Leg
 }
 
 // Leg is one index-matchable path of a query: an absolute linear pattern
@@ -109,10 +116,18 @@ func (l Leg) String() string {
 	return sb.String()
 }
 
-// Legs normalizes the query into its index-matchable legs, deduplicated,
-// in a deterministic order: binding legs, predicate legs, doc-condition
-// legs, output legs.
+// Legs returns the query's index-matchable legs, deduplicated, in a
+// deterministic order: binding legs, predicate legs, doc-condition legs,
+// output legs. They are derived on the first call and shared by every
+// later one, so the returned slice is read-only. Legs is safe for
+// concurrent use.
 func (q *Query) Legs() []Leg {
+	q.legsOnce.Do(func() { q.legs = q.deriveLegs() })
+	return q.legs
+}
+
+// deriveLegs normalizes the query into its legs.
+func (q *Query) deriveLegs() []Leg {
 	var out []Leg
 	seen := map[string]bool{}
 	add := func(l Leg) {

@@ -232,7 +232,10 @@ type Atom struct {
 	CostNoIndexes float64
 	Cost          float64
 	UsedIndexes   []string
-	PlanDesc      string
+	// PlanDesc is kept for format v1. The advisor writes it empty and
+	// ignores it on restore, so snapshots that carry plan text still
+	// restore.
+	PlanDesc string
 }
 
 // BenefitsData is the serialized standalone benefit matrix, rows

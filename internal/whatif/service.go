@@ -40,8 +40,6 @@ type QueryEval struct {
 	// UsedIndexes names the configuration indexes the plan chose,
 	// sorted.
 	UsedIndexes []string
-	// PlanDesc is a backend-specific plan rendering for display.
-	PlanDesc string
 }
 
 // Benefit is the non-negative cost reduction of the configuration.
@@ -50,12 +48,6 @@ func (e QueryEval) Benefit() float64 {
 		return b
 	}
 	return 0
-}
-
-// Explain renders the evaluation as the EVALUATE INDEXES screen (paper
-// Figure 3), delegating to the optimizer's shared renderer.
-func (e QueryEval) Explain(queryText string, config []*catalog.IndexDef) string {
-	return optimizer.RenderEvaluation(queryText, config, e.CostNoIndexes, e.Cost, e.Benefit(), e.PlanDesc)
 }
 
 // CostService estimates query costs under hypothetical index
@@ -117,6 +109,5 @@ func (s *OptimizerService) EvaluateQuery(ctx context.Context, q *querylang.Query
 		CostNoIndexes: res.CostNoIndexes,
 		Cost:          res.Cost,
 		UsedIndexes:   res.UsedIndexes,
-		PlanDesc:      res.Plan.Describe(),
 	}, nil
 }
