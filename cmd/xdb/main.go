@@ -466,25 +466,31 @@ func (s *shell) cmdWhatIf(rest string) error {
 		rsvc = whatif.NewResilientService(fsvc, whatif.ResilientOptions{})
 		eng = whatif.NewEngine(rsvc, whatif.Options{Workers: s.parallel, MaxEntries: 1 << 16})
 	}
+	// Each query is evaluated on its own tally, so the table can say
+	// whether its atom came from the cache; the outer tally sums them.
 	ctx, tally := whatif.WithTally(context.Background())
-	res, err := eng.EvaluateConfig(ctx, queries, defs)
-	if err != nil {
-		return err
-	}
+	rel := make([]int, len(queries))
 	var noIdx, withIdx float64
 	fmt.Fprintf(s.out, "%-8s %12s %12s %10s %4s %6s  %s\n",
 		"query", "no-index", "with-config", "benefit", "rel", "cached", "indexes used")
 	for qi, e := range w.Queries {
-		qe := res.Queries[qi]
+		b := eng.Bind(queries[qi : qi+1])
+		qctx, qtally := whatif.WithTally(ctx)
+		res, err := b.EvaluateConfig(qctx, defs)
+		if err != nil {
+			return err
+		}
+		qe := res.Queries[0]
+		rel[qi] = b.RelevantCounts(defs)[0]
 		noIdx += e.Weight * qe.CostNoIndexes
 		withIdx += e.Weight * qe.Cost
 		cached := "miss"
-		if res.Atoms[qi].Hit {
+		if qtally.Stats().Hits > 0 {
 			cached = "hit"
 		}
 		fmt.Fprintf(s.out, "%-8s %12.2f %12.2f %10.2f %4d %6s  %s\n",
 			e.Query.ID, qe.CostNoIndexes, qe.Cost, qe.Benefit(),
-			res.Atoms[qi].Relevant, cached, strings.Join(qe.UsedIndexes, ","))
+			rel[qi], cached, strings.Join(qe.UsedIndexes, ","))
 	}
 	st := tally.Stats()
 	fmt.Fprintf(s.out, "weighted: no-index %.1f, with-config %.1f (benefit %.1f)\n", noIdx, withIdx, noIdx-withIdx)
@@ -496,11 +502,7 @@ func (s *shell) cmdWhatIf(rest string) error {
 			fsvc.Calls(), fsvc.Injected(), rc.Retries, rc.CallTimeouts, rc.BreakerTrips, rsvc.State())
 	}
 	if relevance {
-		counts := make([]int, len(res.Atoms))
-		for i, a := range res.Atoms {
-			counts[i] = a.Relevant
-		}
-		rs := whatif.NewRelevanceStats(counts)
+		rs := whatif.NewRelevanceStats(rel)
 		fmt.Fprintf(s.out, "relevant config definitions per query: min %d, median %d, p95 %d, max %d (mean %.1f over %d queries)\n",
 			rs.Min, rs.Median, rs.P95, rs.Max, rs.Mean, rs.Queries)
 	}

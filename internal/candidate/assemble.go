@@ -22,13 +22,13 @@ func AssembleSet(all []*Candidate, basics []int32, children [][]int32, st Stats)
 	}
 	dag := &DAG{Nodes: all}
 	for _, c := range all {
-		sortByKey(c.Children)
-		sortByKey(c.Parents)
+		SortByKey(c.Children)
+		SortByKey(c.Parents)
 		if len(c.Parents) == 0 {
 			dag.Roots = append(dag.Roots, c)
 		}
 	}
-	sortByKey(dag.Roots)
+	SortByKey(dag.Roots)
 	set := &Set{All: all, DAG: dag, Stats: st}
 	if len(basics) > 0 {
 		set.Basics = make([]*Candidate, len(basics))

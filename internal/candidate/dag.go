@@ -39,21 +39,36 @@ func buildDAGMatrix(all []*Candidate) (*DAG, *containmentMatrix) {
 	}
 	dag := &DAG{Nodes: all}
 	for _, c := range all {
-		sortByKey(c.Children)
-		sortByKey(c.Parents)
+		SortByKey(c.Children)
+		SortByKey(c.Parents)
 		if len(c.Parents) == 0 {
 			dag.Roots = append(dag.Roots, c)
 		}
 	}
-	sortByKey(dag.Roots)
+	SortByKey(dag.Roots)
 	return dag, mx
 }
 
-// sortByKey orders candidates by what they index, independent of ID
-// assignment, so every DAG rendering and traversal is stable across
-// runs and rule configurations.
-func sortByKey(cs []*Candidate) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Key() < cs[j].Key() })
+// SortByKey orders candidates by what they index, independent of ID
+// assignment, so every DAG rendering, traversal and recommendation
+// listing is stable across runs and rule configurations. Each key is
+// computed once, not per comparison.
+func SortByKey(cs []*Candidate) {
+	if len(cs) < 2 {
+		return
+	}
+	type keyed struct {
+		c   *Candidate
+		key string
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{c: c, key: c.Key()}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		cs[i] = ks[i].c
+	}
 }
 
 // Edges returns the number of DAG edges.

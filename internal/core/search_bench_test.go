@@ -1,0 +1,44 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/search"
+	"repro/internal/whatif"
+)
+
+// BenchmarkWarmStandalonePass runs the greedy heuristic on a warm xmark
+// session: the standalone pass over every candidate plus one lazy
+// greedy run, every atom already cached. lookups/op counts the what-if
+// atoms the engine keys per run.
+func BenchmarkWarmStandalonePass(b *testing.B) {
+	cat := xmarkFixture(b, 300)
+	ctx := context.Background()
+	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	strat, err := search.Lookup(string(SearchGreedyHeuristic))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := strat.Search(ctx, p.Space()); err != nil {
+		b.Fatal(err)
+	}
+	tctx, tally := whatif.WithTally(ctx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := strat.Search(tctx, p.Space()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := tally.Stats()
+	if st.Misses != 0 {
+		b.Fatalf("warm runs missed %d atoms", st.Misses)
+	}
+	b.ReportMetric(float64(st.Hits)/float64(b.N), "lookups/op")
+}

@@ -150,12 +150,10 @@ func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, er
 			Rows:       make([][]whatif.BenefitEntry, len(p.set.All)),
 			Update:     make([]float64, len(p.set.All)),
 		}
-		configs := make([][]*catalog.IndexDef, len(p.set.All))
 		for i, c := range p.set.All {
-			configs[i] = []*catalog.IndexDef{c.Def}
 			m.Update[i] = p.ev.updateCost([]*Candidate{c})
 		}
-		results, err := p.ev.bound.EvaluateConfigBatch(ctx, configs)
+		results, err := p.ev.bound.EvaluateExtensions(ctx, nil, defsOfCandidates(p.set.All))
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +271,7 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	if res.Degraded {
 		rec.DegradedReason = "what-if cost service unavailable (circuit breaker open); returning the best configuration evaluated before the outage"
 	}
-	sort.Slice(rec.Config, func(i, j int) bool { return rec.Config[i].Key() < rec.Config[j].Key() })
+	candidate.SortByKey(rec.Config)
 	rec.TotalPages = search.PagesOf(rec.Config)
 
 	// A circuit-breaker rejection at assembly is absorbed into a

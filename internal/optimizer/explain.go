@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -123,12 +124,8 @@ func (o *Optimizer) EvaluateIndexes(q *querylang.Query, config []*catalog.IndexD
 		CostNoIndexes: plan.DocScanCost,
 		Cost:          plan.Cost,
 	}
-	configNames := map[string]bool{}
-	for _, d := range config {
-		configNames[d.Name] = true
-	}
 	for _, name := range plan.IndexNames() {
-		if configNames[name] {
+		if slices.ContainsFunc(config, func(d *catalog.IndexDef) bool { return d.Name == name }) {
 			ev.UsedIndexes = append(ev.UsedIndexes, name)
 		}
 	}

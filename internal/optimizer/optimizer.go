@@ -16,6 +16,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -228,11 +229,14 @@ func (o *Optimizer) Optimize(q *querylang.Query, extra []*catalog.IndexDef) (*Pl
 		accesses = append(accesses, or)
 	}
 	// Most selective anchors first.
-	sort.Slice(accesses, func(i, j int) bool {
-		if accesses[i].DocSel != accesses[j].DocSel {
-			return accesses[i].DocSel < accesses[j].DocSel
+	slices.SortFunc(accesses, func(a, b LegAccess) int {
+		if a.DocSel != b.DocSel {
+			if a.DocSel < b.DocSel {
+				return -1
+			}
+			return 1
 		}
-		return accesses[i].Index.Name < accesses[j].Index.Name
+		return strings.Compare(a.Index.Name, b.Index.Name)
 	})
 
 	maxK := o.MaxAnchors

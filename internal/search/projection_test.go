@@ -100,8 +100,7 @@ func TestProjectionDifferentialRealWorkloads(t *testing.T) {
 
 // diffRandomConfigs evaluates randomized sub-configurations of the
 // candidate space on both engines and requires identical per-query
-// costs, plans, and used-index sets (the Atoms metadata legitimately
-// differs — that is the projection working).
+// costs, plans, and used-index sets.
 func diffRandomConfigs(t *testing.T, label string, w *workload.Workload, proj, base *core.Advisor,
 	cands []*search.Candidate, workers int) {
 	t.Helper()

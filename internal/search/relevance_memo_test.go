@@ -94,9 +94,9 @@ func referenceKeeps(qs []*querylang.Query, pred bool) func(qi int, d *catalog.In
 // definition) pair of xmark, tpox and paper — definitions in and
 // outside the query's space, with and without RelevanceService — the
 // memo's decision equals optimizer.RelevantFilter (plus the collection
-// filter). On random configurations, RelevantCounts, each atom's
-// Relevant size and the cached atom keys equal a reference computed
-// with the predicate and ConfigKey.
+// filter). On random configurations, RelevantCounts, the projected
+// sizes a Tally charges and the cached atom keys equal a reference
+// computed with the predicate and ConfigKey.
 func TestRelevanceMemoDifferential(t *testing.T) {
 	ctx := context.Background()
 	ws, spaces, outside, all := memoDefs(t)
@@ -145,17 +145,28 @@ func TestRelevanceMemoDifferential(t *testing.T) {
 					want[e.eng.Bind(qs[qi : qi+1]).KeyPrefixes()[0]+whatif.ConfigKey(sub)] = true
 				}
 			}
-			evs, err := b.EvaluateConfigBatch(ctx, configs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ci, ev := range evs {
-				counts := b.RelevantCounts(configs[ci])
-				for qi, a := range ev.Atoms {
-					if a.Relevant != counts[qi] {
-						t.Fatalf("%s/%s config %d query %d: atom Relevant %d, RelevantCounts %d",
-							label, name, ci, qi, a.Relevant, counts[qi])
-					}
+			// Each configuration is priced as its last definition
+			// extending the rest, so both halves of an extension batch
+			// (base atoms and extension atoms) key through the memo. One
+			// lookup per query, each charging its projected size.
+			for ci, cfg := range configs {
+				tctx, tally := whatif.WithTally(ctx)
+				var err error
+				if len(cfg) == 0 {
+					_, err = b.EvaluateConfig(tctx, cfg)
+				} else {
+					_, err = b.EvaluateExtensions(tctx, cfg[:len(cfg)-1], cfg[len(cfg)-1:])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := 0
+				for _, n := range b.RelevantCounts(cfg) {
+					sum += n
+				}
+				if st := tally.Stats(); st.Hits+st.Misses != int64(len(qs)) || st.RelevantDefs != int64(sum) {
+					t.Fatalf("%s/%s config %d: tally %+v, want %d lookups of %d relevant defs in all",
+						label, name, ci, st, len(qs), sum)
 				}
 			}
 			// The engine saw only this batch since its last flush, so its
@@ -208,8 +219,10 @@ func TestWarmLookupsProbeFree(t *testing.T) {
 			}
 			configs = append(configs, cfg)
 		}
-		if _, err := b.EvaluateConfigBatch(ctx, configs); err != nil {
-			t.Fatal(err)
+		for _, cfg := range configs {
+			if _, err := b.EvaluateConfig(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 		before, stats := containsProbes(), eng.Stats()
 		for _, cfg := range configs {

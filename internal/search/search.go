@@ -122,8 +122,8 @@ func (c *countingEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Ca
 // costs every bound query under a configuration, and Derive folds
 // those per-query costs into the workload evaluation strategies rank
 // by. A burst of base+{c} configurations goes to the engine as one
-// dispatch, so identical projected sub-configurations inside it are
-// scheduled once. It is safe for concurrent use when Derive is.
+// extension batch, which keys each candidate's atoms only for the
+// queries it can serve. It is safe for concurrent use when Derive is.
 type BoundEvaluator struct {
 	Bound *whatif.Bound
 	// Derive turns the engine's per-query costs of cfg into its
@@ -150,26 +150,25 @@ func (b BoundEvaluator) Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, 
 // EvaluateBatch prices base+{c} for every candidate in one engine
 // dispatch. Results are in cands order.
 func (b BoundEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Candidate) ([]*Eval, error) {
-	// Every configuration is base+{c}: build them all in one backing
-	// array each, candidates and definitions.
-	w := len(base) + 1
-	cfgs := make([]*Candidate, 0, len(cands)*w)
-	defs := make([]*catalog.IndexDef, 0, len(cands)*w)
-	configs := make([][]*catalog.IndexDef, len(cands))
-	for i, c := range cands {
-		cfgs = append(append(cfgs, base...), c)
-		for _, m := range cfgs[i*w:] {
-			defs = append(defs, m.Def)
-		}
-		configs[i] = defs[i*w : (i+1)*w : (i+1)*w]
+	defs := make([]*catalog.IndexDef, 0, len(base)+len(cands))
+	for _, c := range base {
+		defs = append(defs, c.Def)
 	}
-	results, err := b.Bound.EvaluateConfigBatch(ctx, configs)
+	for _, c := range cands {
+		defs = append(defs, c.Def)
+	}
+	results, err := b.Bound.EvaluateExtensions(ctx, defs[:len(base)], defs[len(base):])
 	if err != nil {
 		return nil, err
 	}
+	// Derive sees each configuration base+{c}: one backing array holds
+	// them all.
+	w := len(base) + 1
+	cfgs := make([]*Candidate, 0, len(cands)*w)
 	evals := make([]Eval, len(cands))
 	out := make([]*Eval, len(cands))
 	for i, res := range results {
+		cfgs = append(append(cfgs, base...), cands[i])
 		evals[i] = b.Derive(res, cfgs[i*w:(i+1)*w:(i+1)*w])
 		out[i] = &evals[i]
 	}
@@ -312,22 +311,34 @@ func bitsetWidth(cands []*Candidate) int {
 // order, so the ranking and every recommendation derived from it are
 // byte-stable across map iteration order and pipeline internals.
 func rankByDensity(cands []*Candidate, alone map[int]*Eval) []*Candidate {
-	order := append([]*Candidate(nil), cands...)
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		ri := ratio(alone[a.ID].Net, a.Pages())
-		rj := ratio(alone[b.ID].Net, b.Pages())
-		if ri != rj {
-			return ri > rj
+	// Each candidate's density and key are computed once, not per
+	// comparison.
+	type ranked struct {
+		c       *Candidate
+		density float64
+		key     string
+	}
+	rs := make([]ranked, len(cands))
+	for i, c := range cands {
+		rs[i] = ranked{c: c, density: ratio(alone[c.ID].Net, c.Pages()), key: c.Key()}
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		a, b := &rs[i], &rs[j]
+		if a.density != b.density {
+			return a.density > b.density
 		}
-		if da, db := a.Pattern.DescendantCount(), b.Pattern.DescendantCount(); da != db {
+		if da, db := a.c.Pattern.DescendantCount(), b.c.Pattern.DescendantCount(); da != db {
 			return da < db
 		}
-		if wa, wb := a.Pattern.WildcardCount(), b.Pattern.WildcardCount(); wa != wb {
+		if wa, wb := a.c.Pattern.WildcardCount(), b.c.Pattern.WildcardCount(); wa != wb {
 			return wa < wb
 		}
-		return a.Key() < b.Key()
+		return a.key < b.key
 	})
+	order := make([]*Candidate, len(rs))
+	for i := range rs {
+		order[i] = rs[i].c
+	}
 	return order
 }
 

@@ -31,8 +31,12 @@ type Options struct {
 // (Engine.Stats) or the work charged to one Tally. A cache "hit" includes
 // joining an in-flight evaluation of the same atom (the singleflight
 // path); "evaluations" counts per-query CostService calls. Hits,
-// misses, and the projection counters are per atom — one
-// (query, projected sub-config) lookup each.
+// misses, and the projection counters are per atom the engine keyed —
+// one (query, projected sub-config) lookup each. An extension batch
+// keys a query's base projection at most once and keys an extension's
+// atom only for the queries the added definition is relevant to; the
+// other queries reuse the base's atom without a lookup and count
+// nothing.
 type Stats struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
@@ -69,24 +73,12 @@ func (s Stats) MeanRelevant() float64 {
 	return 0
 }
 
-// AtomInfo is the assembly metadata of one query's atom within a
-// ConfigEval: how many definitions survived relevance projection for
-// the query, and whether the atom was served from the cache (including
-// joining an in-flight evaluation) instead of a CostService call this
-// engine call paid for.
-type AtomInfo struct {
-	Relevant int
-	Hit      bool
-}
-
 // ConfigEval is one configuration evaluation: the cost of every query
 // (in input order) under the configuration, reassembled from
-// per-(query, projected sub-config) atoms. Atoms is parallel to
-// Queries and describes the assembly of this particular call; the
-// QueryEvals are the cache's own and must not be mutated.
+// per-(query, projected sub-config) atoms. The QueryEvals are the
+// cache's own and must not be mutated.
 type ConfigEval struct {
 	Queries []*QueryEval
-	Atoms   []AtomInfo
 }
 
 // entry is one cache slot; ready is closed once val/err are set, so
@@ -220,16 +212,26 @@ func queryKey(q *querylang.Query) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// shard returns the key's shard, chosen by the key's 32-bit FNV-1a
-// hash. It takes the key as a string or as the bytes of one, so a
+// shard returns the key's shard. The key is hashed eight bytes at a
+// time (FNV-1a's multiply over 64-bit words) and the sum is finished
+// with murmur3's 64-bit mix, so the bits the mask keeps depend on every
+// byte. It takes the key as a string or as the bytes of one, so a
 // lookup built in a scratch buffer allocates no string.
 func shard[K string | []byte](e *Engine, key K) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	i := 0
+	for ; i+8 <= len(key); i += 8 {
+		h = (h ^ (uint64(key[i]) | uint64(key[i+1])<<8 | uint64(key[i+2])<<16 | uint64(key[i+3])<<24 |
+			uint64(key[i+4])<<32 | uint64(key[i+5])<<40 | uint64(key[i+6])<<48 | uint64(key[i+7])<<56)) * prime
 	}
-	return e.shards[h&e.shardMask]
+	for ; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return e.shards[uint32(h)&e.shardMask]
 }
 
 // atomPlan is the per-query half of an atom key, fixed at Bind time:
@@ -330,23 +332,30 @@ func (b *Bound) RelevantCounts(config []*catalog.IndexDef) []int {
 // EvaluateConfig costs every bound query under the configuration; see
 // Engine.EvaluateConfig.
 func (b *Bound) EvaluateConfig(ctx context.Context, config []*catalog.IndexDef) (*ConfigEval, error) {
-	evs, err := b.evaluateBatch(ctx, b.atoms, [][]*catalog.IndexDef{config})
+	evs, err := b.evaluateBatch(ctx, b.atoms, config, nil)
 	if err != nil {
 		return nil, err
 	}
 	return evs[0], nil
 }
 
-// EvaluateConfigBatch costs every bound query under each configuration,
-// as one unit: all atom keys are registered (or joined) in a single
-// pass — identical projected sub-configs inside the batch are
-// scheduled once, no matter how many configurations they came from —
-// and the missing atoms are drained by a fixed pool of workers pulling
-// from one flat task list. Results are in configs order; semantics
-// match calling EvaluateConfig per configuration. Lazy-greedy
-// re-evaluation bursts are the intended caller.
-func (b *Bound) EvaluateConfigBatch(ctx context.Context, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
-	return b.evaluateBatch(ctx, b.atoms, configs)
+// EvaluateExtensions costs every bound query under base+{d} for each d
+// of adds, as one unit; result i is the evaluation of base+{adds[i]}.
+// Adding d changes only the queries d is relevant to, so a query's
+// base projection is keyed at most once per call, and an extension's
+// atom is keyed only for the queries its definition can serve; every
+// other query shares the base's atom. All keys are registered (or
+// joined) in a single pass, identical atoms inside the call are
+// scheduled once, and the missing atoms are drained by a fixed pool of
+// workers pulling from one flat task list. Values match calling
+// EvaluateConfig per configuration. Lazy-greedy re-evaluation bursts
+// and the standalone benefit pass (an empty base) are the intended
+// callers.
+func (b *Bound) EvaluateExtensions(ctx context.Context, base, adds []*catalog.IndexDef) ([]*ConfigEval, error) {
+	if len(adds) == 0 {
+		return nil, nil
+	}
+	return b.evaluateBatch(ctx, b.atoms, base, adds)
 }
 
 // EvaluateConfig costs every query under the configuration, memoized
@@ -361,47 +370,63 @@ func (e *Engine) EvaluateConfig(ctx context.Context, queries []*querylang.Query,
 // appendKey appends the atom key of the query's projection of a
 // configuration to dst: the query prefix plus the kept definitions'
 // parts joined by partSep, given the configuration's memos sorted by
-// part. That is byte-identical to prefix + ConfigKey(projected
-// sub-config). It also returns the projected size.
-func (p *atomPlan) appendKey(dst []byte, sorted []*defMemo) ([]byte, int) {
+// part, and add's part merged into that order when add is not nil.
+// That is byte-identical to prefix + ConfigKey(projected sub-config).
+// It also returns the projected size. add must be kept by the query.
+func (p *atomPlan) appendKey(dst []byte, sorted []*defMemo, add *defMemo) ([]byte, int) {
 	dst = append(dst, p.prefix...)
 	n := 0
 	for _, m := range sorted {
-		if !m.keeps(p.qi) {
-			continue
+		if add != nil && m.part > add.part {
+			dst, n = appendPart(dst, n, add.part)
+			add = nil
 		}
-		if n > 0 {
-			dst = append(dst, partSep...)
+		if m.keeps(p.qi) {
+			dst, n = appendPart(dst, n, m.part)
 		}
-		dst = append(dst, m.part...)
-		n++
+	}
+	if add != nil {
+		dst, n = appendPart(dst, n, add.part)
 	}
 	return dst, n
 }
 
+// appendPart appends the n+1st part of a key to dst.
+func appendPart(dst []byte, n int, part string) ([]byte, int) {
+	if n > 0 {
+		dst = append(dst, partSep...)
+	}
+	return append(dst, part...), n + 1
+}
+
 // project returns the sub-config the atom's query is costed against:
-// the definitions of config (whose memos are parallel to it) that the
-// query keeps, in config order, or config itself when it keeps all.
-func (p *atomPlan) project(config []*catalog.IndexDef, memos []*defMemo, n int) []*catalog.IndexDef {
-	if n == len(config) {
-		return config
+// the definitions of base (whose memos are parallel to it) that the
+// query keeps, in base order, followed by add when it is not nil; base
+// itself when that is all of it. n is the projected size.
+func (p *atomPlan) project(base []*catalog.IndexDef, memos []*defMemo, add *catalog.IndexDef, n int) []*catalog.IndexDef {
+	if add == nil && n == len(base) {
+		return base
 	}
 	out := make([]*catalog.IndexDef, 0, n)
-	for i, d := range config {
+	for i, d := range base {
 		if memos[i].keeps(p.qi) {
 			out = append(out, d)
 		}
+	}
+	if add != nil {
+		out = append(out, add)
 	}
 	return out
 }
 
 // ownedAtom is one atom this batch owns the evaluation of: its
-// singleflight entry plus the value under construction.
+// singleflight entry, the result slot it fills, and the value under
+// construction.
 type ownedAtom struct {
 	key    string
 	ent    *entry
-	qi     int
-	ci     int
+	i      int         // position in the batch's atoms
+	dst    **QueryEval // the result slot the value fills
 	svcCfg []*catalog.IndexDef
 	val    QueryEval
 	done   bool
@@ -409,59 +434,93 @@ type ownedAtom struct {
 	err    error // this atom's failure, under the batch's error mutex
 }
 
-// evaluateBatch is the engine's one evaluation path, over atoms (b's
-// whole query list, or one atom of it on the retry path — each atom
-// finds its relevance bits by its own index, not its position in
-// atoms): a registration pass projects every (configuration, query)
-// pair to its atom key and either claims it (first occurrence anywhere
-// — in the cache, in flight, or earlier in this very batch), reads a
-// completed cached value at once, or records a join on an entry still
-// in flight; the owned atoms are drained by a fixed worker pool over one
-// flat task list, each worker holding one engine semaphore slot for its
-// lifetime; owned entries are published (completed values cached,
-// failed ones evicted so waiters retry instead of rejoining a dead
-// entry) before any join is waited on, so in-batch duplicates can never
-// deadlock. The call's lookups and evaluations are gathered in d and
-// charged once, on every return path.
-func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
+// joinedAtom is one atom the batch found in flight (or failed) and waits
+// for once its owned work is published.
+type joinedAtom struct {
+	ent *entry
+	i   int         // position in the batch's atoms
+	ci  int         // an extension needing the atom; retries re-run it
+	n   int         // the atom's projected size, charged on a hit
+	dst **QueryEval // the result slot the value fills
+}
+
+// evaluateBatch is the engine's one evaluation path. It prices
+// base+{d} for every d of adds, or base alone when adds is nil, over
+// atoms (b's whole query list, or one atom of it on the retry path —
+// each atom finds its relevance bits by its own index, not its position
+// in atoms). A registration pass walks every (configuration, query)
+// pair: a query the added definition is relevant to keys its extension
+// atom, any other query shares its base atom, which is keyed the first
+// time a configuration needs it. Each keyed atom is either claimed
+// (first occurrence anywhere — in the cache, in flight, or earlier in
+// this very batch), read at once from a completed cached value, or
+// recorded as a join on an entry still in flight. The owned atoms are
+// drained by a fixed worker pool over one flat task list, each worker
+// holding one engine semaphore slot for its lifetime; owned entries are
+// published (completed values cached, failed ones evicted so waiters
+// retry instead of rejoining a dead entry) before any join is waited
+// on, so in-batch duplicates can never deadlock. The call's lookups and
+// evaluations are gathered in d and charged once, on every return path.
+func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds []*catalog.IndexDef) ([]*ConfigEval, error) {
 	e := b.eng
 	var d Stats
 	defer func() { charge(ctx, &e.total, &d) }()
-	// One backing array each for the batch's results, so a warm batch
-	// allocates a handful of objects however many atoms it looks up.
-	out := make([]*ConfigEval, len(configs))
-	evs := make([]ConfigEval, len(configs))
-	queries := make([]*QueryEval, len(configs)*len(atoms))
-	infos := make([]AtomInfo, len(configs)*len(atoms))
+	nc, cfgLen := len(adds), len(base)+1
+	if adds == nil {
+		nc, cfgLen = 1, len(base)
+	}
+	// One backing array each for the batch's results and memos, so a
+	// warm batch allocates a handful of objects however many atoms it
+	// looks up. baseQ holds each query's base atom (a lone
+	// configuration's base atoms go straight into its result); keyed
+	// marks the ones looked up. The memos are the base's and the
+	// additions', in argument order, then a copy of the base's sorted by
+	// key part.
+	out := make([]*ConfigEval, nc)
+	evs := make([]ConfigEval, nc)
+	nq := nc
+	if nc > 1 {
+		nq++
+	}
+	queries := make([]*QueryEval, nq*len(atoms))
 	for i := range out {
 		lo, hi := i*len(atoms), (i+1)*len(atoms)
-		evs[i] = ConfigEval{Queries: queries[lo:hi:hi], Atoms: infos[lo:hi:hi]}
+		evs[i] = ConfigEval{Queries: queries[lo:hi:hi]}
 		out[i] = &evs[i]
 	}
-	type joinedAtom struct {
-		ent    *entry
-		qi, ci int
-	}
+	baseQ := queries[(nq-1)*len(atoms):]
+	keyed := make([]bool, len(atoms))
+	memos := b.memos(make([]*defMemo, 0, 2*len(base)+len(adds)), base)
+	memos = b.memos(memos, adds)
+	memos = append(memos, memos[:len(base)]...)
+	baseMemos, addMemos, sorted := memos[:len(base)], memos[len(base):len(base)+len(adds)], memos[len(base)+len(adds):]
+	slices.SortFunc(sorted, func(x, y *defMemo) int { return strings.Compare(x.part, y.part) })
+
 	var own []*ownedAtom
 	var joins []joinedAtom
 	// served tallies the hits on completed entries, which are read at
 	// once instead of joined; they count only if the batch succeeds,
 	// like the hits of joins.
 	var served Stats
-	var (
-		key    = make([]byte, 0, 512) // scratch: only an owned atom's key becomes a string
-		memos  []*defMemo             // scratch: the configuration's memos, in config order
-		sorted []*defMemo             // scratch: the same memos, sorted by key part
-	)
-	for ci, cfg := range configs {
-		memos = b.memos(memos[:0], cfg)
-		sorted = append(sorted[:0], memos...)
-		slices.SortFunc(sorted, func(x, y *defMemo) int { return strings.Compare(x.part, y.part) })
-		for qi := range atoms {
-			p := &atoms[qi]
+	key := make([]byte, 0, 512) // scratch: only an owned atom's key becomes a string
+	for ci := 0; ci < nc; ci++ {
+		var am *defMemo
+		var add *catalog.IndexDef
+		if adds != nil {
+			am, add = addMemos[ci], adds[ci]
+		}
+		for i := range atoms {
+			p := &atoms[i]
+			dst, km, kd := &out[ci].Queries[i], am, add
+			if am == nil || !am.keeps(p.qi) {
+				if keyed[i] {
+					continue // filled from baseQ once the batch resolves
+				}
+				keyed[i] = true
+				dst, km, kd = &baseQ[i], nil, nil
+			}
 			var n int
-			key, n = p.appendKey(key[:0], sorted)
-			out[ci].Atoms[qi].Relevant = n
+			key, n = p.appendKey(key[:0], sorted, km)
 			sh := shard(e, key)
 			sh.mu.Lock()
 			if ent, ok := sh.m[string(key)]; ok {
@@ -469,26 +528,25 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][
 				if completed(ent) {
 					served.Hits++
 					served.RelevantDefs += int64(n)
-					if n < len(cfg) {
+					if n < cfgLen {
 						served.ProjectedHits++
 					}
-					out[ci].Queries[qi] = &ent.val
-					out[ci].Atoms[qi].Hit = true
-					continue
+					*dst = &ent.val
+				} else {
+					// In flight (possibly owned by this very batch, a
+					// duplicate atom) or failed: wait after the owned
+					// work completes.
+					joins = append(joins, joinedAtom{ent: ent, i: i, ci: ci, n: n, dst: dst})
 				}
-				// In flight (possibly owned by this very batch, a
-				// duplicate projected sub-config) or failed: wait after
-				// the owned work completes.
-				joins = append(joins, joinedAtom{ent: ent, qi: qi, ci: ci})
-				continue
+			} else {
+				ent := &entry{ready: make(chan struct{})}
+				k := string(key)
+				sh.insert(k, ent, e.maxPerShard)
+				sh.mu.Unlock()
+				d.Misses++
+				d.RelevantDefs += int64(n)
+				own = append(own, &ownedAtom{key: k, ent: ent, i: i, dst: dst, svcCfg: p.project(base, baseMemos, kd, n)})
 			}
-			ent := &entry{ready: make(chan struct{})}
-			k := string(key)
-			sh.insert(k, ent, e.maxPerShard)
-			sh.mu.Unlock()
-			d.Misses++
-			d.RelevantDefs += int64(n)
-			own = append(own, &ownedAtom{key: k, ent: ent, qi: qi, ci: ci, svcCfg: p.project(cfg, memos, n)})
 		}
 	}
 
@@ -539,7 +597,7 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][
 					}
 					o := own[i]
 					o.called = true
-					ev, err := e.callService(bctx, atoms[o.qi].q, o.svcCfg)
+					ev, err := e.callService(bctx, atoms[o.i].q, o.svcCfg)
 					if err != nil {
 						fail(o, err)
 						return
@@ -563,7 +621,7 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][
 		if o.err == nil && o.done {
 			o.ent.val = o.val
 			close(o.ent.ready)
-			out[o.ci].Queries[o.qi] = &o.ent.val
+			*o.dst = &o.ent.val
 			continue
 		}
 		err := o.err
@@ -605,12 +663,15 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][
 				// with ours (the dead entry is already evicted, so the
 				// retry claims the key or joins a newer owner).
 				if errors.Is(j.ent.err, context.Canceled) || errors.Is(j.ent.err, context.DeadlineExceeded) {
-					retry, err := b.evaluateBatch(ctx, atoms[j.qi:j.qi+1], configs[j.ci:j.ci+1])
+					var radds []*catalog.IndexDef
+					if adds != nil {
+						radds = adds[j.ci : j.ci+1]
+					}
+					retry, err := b.evaluateBatch(ctx, atoms[j.i:j.i+1], base, radds)
 					if err != nil {
 						return nil, err
 					}
-					out[j.ci].Queries[j.qi] = retry[0].Queries[0]
-					out[j.ci].Atoms[j.qi].Hit = retry[0].Atoms[0].Hit
+					*j.dst = retry[0].Queries[0]
 					continue
 				}
 				return nil, j.ent.err
@@ -618,15 +679,21 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][
 			// Count the hit only once a shared value actually arrived,
 			// so error churn does not inflate the rate.
 			d.Hits++
-			relevant := out[j.ci].Atoms[j.qi].Relevant
-			d.RelevantDefs += int64(relevant)
-			if relevant < len(configs[j.ci]) {
+			d.RelevantDefs += int64(j.n)
+			if j.n < cfgLen {
 				d.ProjectedHits++
 			}
-			out[j.ci].Queries[j.qi] = &j.ent.val
-			out[j.ci].Atoms[j.qi].Hit = true
+			*j.dst = &j.ent.val
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		}
+	}
+	// Every query an extension leaves untouched shares the base's atom.
+	for _, ev := range out {
+		for i, q := range ev.Queries {
+			if q == nil {
+				ev.Queries[i] = baseQ[i]
+			}
 		}
 	}
 	return out, nil

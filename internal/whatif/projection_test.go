@@ -66,24 +66,19 @@ func TestProjectionSharesAtomsAcrossConfigs(t *testing.T) {
 	}
 	// {I1,I2}: Q1 projects to {I1} — the atom already cached — and only
 	// Q2's new {I2} atom costs a service call.
-	second, err := b.EvaluateConfig(ctx, []*catalog.IndexDef{i1, i2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Atoms[0].Hit || second.Atoms[1].Hit {
-		t.Errorf("atoms = %+v, want Q1 hit / Q2 miss", second.Atoms)
-	}
-	if second.Atoms[0].Relevant != 1 || second.Atoms[1].Relevant != 1 {
-		t.Errorf("atoms = %+v, want 1 relevant def each", second.Atoms)
+	if got := perQuery(t, e, qs, []*catalog.IndexDef{i1, i2}); !reflect.DeepEqual(got, []Stats{
+		{Hits: 1, ProjectedHits: 1, RelevantDefs: 1},
+		{Misses: 1, Evaluations: 1, RelevantDefs: 1},
+	}) {
+		t.Errorf("per-query tallies = %+v, want Q1 hit / Q2 miss, 1 relevant def each", got)
 	}
 	// {I2}: Q2's projection {I2} was cached by the {I1,I2} call; only
 	// Q1's empty projection is new.
-	third, err := b.EvaluateConfig(ctx, []*catalog.IndexDef{i2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Atoms[0].Hit || !third.Atoms[1].Hit {
-		t.Errorf("atoms = %+v, want Q1 miss / Q2 hit", third.Atoms)
+	if got := perQuery(t, e, qs, []*catalog.IndexDef{i2}); !reflect.DeepEqual(got, []Stats{
+		{Misses: 1, Evaluations: 1},
+		{Hits: 1, RelevantDefs: 1},
+	}) {
+		t.Errorf("per-query tallies = %+v, want Q1 miss / Q2 hit", got)
 	}
 	st := e.Stats()
 	if st.Misses != 4 || st.Hits != 2 {
@@ -107,41 +102,57 @@ func TestProjectionSharesAtomsAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestProjectionBatchDedup pins the in-batch dedup on projected keys:
-// configurations whose per-query projections coincide are scheduled once
-// per atom, no matter how they differ in irrelevant definitions.
+// perQuery evaluates config once per query, each on a single-query
+// Bound under its own tally, and returns the tallies: what each query's
+// atom lookup cost.
+func perQuery(t *testing.T, e *Engine, qs []*querylang.Query, config []*catalog.IndexDef) []Stats {
+	t.Helper()
+	out := make([]Stats, len(qs))
+	for qi := range qs {
+		ctx, tally := WithTally(context.Background())
+		if _, err := e.Bind(qs[qi:qi+1]).EvaluateConfig(ctx, config); err != nil {
+			t.Fatal(err)
+		}
+		out[qi] = tally.Stats()
+	}
+	return out
+}
+
+// TestProjectionBatchDedup pins the dedup on projected keys inside one
+// extension batch: a query an extension leaves untouched shares the
+// base's atom, keyed once however many extensions leave it so, and a
+// duplicate extension joins the in-batch owner of its atom.
 func TestProjectionBatchDedup(t *testing.T) {
 	svc := &relService{relevant: map[string]map[string]bool{
 		"Q1": {"I1": true},
+		"Q2": {"I2": true},
 	}}
 	e := NewEngine(svc, Options{Workers: 4})
-	qs := testQueries(1)
+	qs := testQueries(2)
 	i1, i2, i3 := testDef("I1", "c", "/a/b"), testDef("I2", "c", "/a/c"), testDef("I3", "c", "/a/d")
 	b := e.Bind(qs)
 
-	configs := [][]*catalog.IndexDef{
-		{i1},         // projects to {I1}, no drop
-		{i1, i2},     // projects to {I1}
-		{i3, i1, i2}, // projects to {I1}
-	}
-	got, err := b.EvaluateConfigBatch(context.Background(), configs)
+	// Q1 keys its base projection {I1} once, for all three extensions.
+	// Q2 keys {I2} for the first extension, joins it for the third, and
+	// keys its base projection {} once, for the second.
+	ctx, tally := WithTally(context.Background())
+	got, err := b.EvaluateExtensions(ctx, []*catalog.IndexDef{i1}, []*catalog.IndexDef{i2, i3, i2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ci := 1; ci < len(got); ci++ {
-		if !reflect.DeepEqual(got[ci].Queries, got[0].Queries) {
-			t.Errorf("config %d: projected duplicate differs from owner", ci)
-		}
-		if !got[ci].Atoms[0].Hit {
-			t.Errorf("config %d: projected duplicate was not joined in-batch", ci)
+		if got[ci].Queries[0] != got[0].Queries[0] {
+			t.Errorf("extension %d: Q1 does not share the base's atom", ci)
 		}
 	}
-	st := e.Stats()
-	if st.Misses != 1 || st.Hits != 2 || st.ProjectedHits != 2 {
-		t.Errorf("stats = %+v, want 1 miss / 2 hits / 2 projected hits", st)
+	if got[2].Queries[1] != got[0].Queries[1] || got[1].Queries[1] == got[0].Queries[1] {
+		t.Error("Q2: the duplicate extension does not share its owner's atom, or the untouched one does")
 	}
-	if calls := svc.calls.Load(); calls != 1 {
-		t.Errorf("service calls = %d, want 1 for three projected-identical configs", calls)
+	if want := (Stats{Misses: 3, Hits: 1, ProjectedHits: 1, Evaluations: 3, RelevantDefs: 3}); tally.Stats() != want {
+		t.Errorf("tally = %+v, want %+v", tally.Stats(), want)
+	}
+	if calls := svc.calls.Load(); calls != 3 {
+		t.Errorf("service calls = %d, want 3", calls)
 	}
 }
 
