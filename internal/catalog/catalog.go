@@ -162,7 +162,7 @@ func VirtualDef(name, coll string, p pattern.Pattern, t sqltype.Type, s *stats.S
 		Pattern:    p,
 		Type:       t,
 		Virtual:    true,
-		EstEntries: s.EstimateIndexEntries(p, t),
+		EstEntries: s.TypedCardinality(p, t),
 		EstPages:   s.EstimateIndexPages(p, t),
 	}
 }

@@ -61,7 +61,7 @@ func fbits(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // recommendation at a quarter of the overtrained size (DDL, exact update
 // cost, net benefit, per-query rows) and every candidate's standalone
 // maintenance cost. Regenerate only with -update, and only for a change
-// meant to alter update costing.
+// meant to alter update costing or candidate sizing.
 func TestColdUpdatesGolden(t *testing.T) {
 	cat := coldUpdateCatalog(t)
 	var sb strings.Builder

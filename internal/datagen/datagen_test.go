@@ -6,11 +6,18 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/pattern"
+	"repro/internal/sqltype"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 )
+
+// nodes counts the nodes the pattern matches: the entries of its VARCHAR
+// index, which holds every node.
+func nodes(s *stats.Stats, pat string) int64 {
+	return s.TypedCardinality(pattern.MustParse(pat), sqltype.Varchar)
+}
 
 func TestXMarkDeterministic(t *testing.T) {
 	s1, s2 := store.New(), store.New()
@@ -43,13 +50,13 @@ func TestXMarkSchemaPaths(t *testing.T) {
 		"//item/@id",
 		"//incategory/@category",
 	} {
-		if s.Cardinality(pattern.MustParse(pat)) == 0 {
+		if nodes(s, pat) == 0 {
 			t.Errorf("no nodes for %s", pat)
 		}
 	}
 	// Region skew: namerica should dominate australia.
-	na := s.Cardinality(pattern.MustParse("/site/regions/namerica/item"))
-	au := s.Cardinality(pattern.MustParse("/site/regions/australia/item"))
+	na := nodes(s, "/site/regions/namerica/item")
+	au := nodes(s, "/site/regions/australia/item")
 	if na <= au {
 		t.Errorf("region skew missing: namerica=%d australia=%d", na, au)
 	}
@@ -75,16 +82,16 @@ func TestTPoXSchemaPaths(t *testing.T) {
 		"/Security/SecurityInformation/Sector",
 		"/Security/Price/LastTrade",
 	} {
-		if s.Cardinality(pattern.MustParse(pat)) == 0 {
+		if nodes(s, pat) == 0 {
 			t.Errorf("no nodes for %s", pat)
 		}
 	}
 	so := stats.Collect(st.Get("order"))
-	if so.Cardinality(pattern.MustParse("/FIXML/Order/@Acct")) != 200 {
+	if nodes(so, "/FIXML/Order/@Acct") != 200 {
 		t.Error("order @Acct missing")
 	}
 	sc := stats.Collect(st.Get("custacc"))
-	if sc.Cardinality(pattern.MustParse("//Account/Balance/OnlineActualBal/Amount")) == 0 {
+	if nodes(sc, "//Account/Balance/OnlineActualBal/Amount") == 0 {
 		t.Error("custacc balance missing")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func env(t testing.TB) *Env {
@@ -98,8 +100,31 @@ func TestE8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep, "speedup") || !strings.Contains(rep, "geometric-mean") {
-		t.Errorf("report:\n%s", rep)
+	for _, want := range []string{"speedup", "geometric-mean", "tpox", "xmark-paper", "entries est/built", "q-error"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("report lacks %q:\n%s", want, rep)
+		}
+	}
+}
+
+// TestE8FetchEstimates checks E8's rows against the sizing defect it
+// exists to catch: no index plan may fetch every document while the
+// optimizer expects to fetch less than one.
+func TestE8FetchEstimates(t *testing.T) {
+	e := env(t)
+	for _, w := range []*workload.Workload{e.XMarkWorkload, e.TPoXWorkload, e.PaperWorkload} {
+		rows, err := e8Rows(e, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if !r.plan.UsesIndexes() {
+				continue
+			}
+			if r.idx.Metrics.DocsFetched == r.scan.Metrics.DocsScanned && r.plan.FetchDocs < 1 {
+				t.Errorf("%s %s: fetched all %d documents, estimated %.1f", w.Name, r.id, r.idx.Metrics.DocsFetched, r.plan.FetchDocs)
+			}
+		}
 	}
 }
 

@@ -262,18 +262,15 @@ func (o *Optimizer) docScanCost(st *stats.Stats) float64 {
 	return float64(st.Pages)*o.Cost.IOPage + float64(st.Nodes)*o.Cost.CPUNode
 }
 
-// typeForLeg determines which index SQL type can answer the leg.
-func typeForLeg(leg querylang.Leg) (sqltype.Type, bool) {
-	switch leg.Op {
-	case sqltype.Exists:
-		// Every node value casts to VARCHAR, so only a VARCHAR index is
-		// guaranteed to contain all nodes of the pattern.
-		return sqltype.Varchar, true
-	case sqltype.ContainsSubstr:
-		return sqltype.Varchar, true
-	default:
-		return leg.Value.Type, true
+// typeForLeg is the index SQL type that can answer the leg. An existence
+// leg needs an index holding every node of its pattern: under the shared
+// entry rule (xindex.DocNode.Key) every value casts to VARCHAR, so only a
+// VARCHAR index does, and the statistics count it so.
+func typeForLeg(leg querylang.Leg) sqltype.Type {
+	if leg.Op == sqltype.Exists || leg.Op == sqltype.ContainsSubstr {
+		return sqltype.Varchar
 	}
+	return leg.Value.Type
 }
 
 // serves is the index-applicability rule: an index can serve a leg iff
@@ -287,10 +284,7 @@ func serves(def *catalog.IndexDef, pat pattern.Pattern, typ sqltype.Type) bool {
 // serves it. This is the index-matching routine the Enumerate Indexes
 // mode reuses.
 func (o *Optimizer) bestAccess(st *stats.Stats, leg querylang.Leg, indexes []*catalog.IndexDef) (LegAccess, bool) {
-	typ, ok := typeForLeg(leg)
-	if !ok {
-		return LegAccess{}, false
-	}
+	typ := typeForLeg(leg)
 	var best LegAccess
 	found := false
 	for _, def := range indexes {

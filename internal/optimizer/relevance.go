@@ -33,10 +33,7 @@ func RelevantFilter(q *querylang.Query) func(*catalog.IndexDef) bool {
 		if leg.Output {
 			continue
 		}
-		typ, ok := typeForLeg(leg)
-		if !ok {
-			continue
-		}
+		typ := typeForLeg(leg)
 		key := leg.Pattern.String() + "\x00" + typ.Short()
 		if seen[key] {
 			continue

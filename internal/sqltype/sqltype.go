@@ -83,19 +83,29 @@ var dateLayouts = []string{"2006-01-02", "2006-01-02T15:04:05", "2006/01/02"}
 // Cast interprets raw text as a value of type t. ok is false when the text
 // does not convert (e.g. "abc" AS DOUBLE) — such nodes simply do not
 // appear in an index of that type, mirroring DB2's REJECT INVALID VALUES
-// behaviour.
+// behaviour. Text that cannot start a number or a date is rejected before
+// the parsers run, so the common failure builds no error value.
 func Cast(t Type, raw string) (Value, bool) {
 	switch t {
 	case Varchar:
 		return Value{Type: Varchar, S: raw}, true
 	case Double:
-		f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		s := strings.TrimSpace(raw)
+		if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
+			return Value{}, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return Value{}, false
 		}
 		return Value{Type: Double, F: f}, true
 	case Date:
+		// Every layout needs at least "2006-01-02"'s 10 bytes, led by the
+		// year's digit or sign.
 		s := strings.TrimSpace(raw)
+		if len(s) < 10 || !strings.ContainsRune("+-0123456789", rune(s[0])) {
+			return Value{}, false
+		}
 		for _, layout := range dateLayouts {
 			if tm, err := time.Parse(layout, s); err == nil {
 				return Value{Type: Date, F: float64(tm.Unix()) / 86400.0}, true

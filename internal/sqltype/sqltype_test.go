@@ -1,8 +1,12 @@
 package sqltype
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCastVarchar(t *testing.T) {
@@ -173,4 +177,51 @@ func TestTypeStrings(t *testing.T) {
 	if Varchar.Short() != "str" || Double.Short() != "dbl" || Date.Short() != "date" {
 		t.Error("short names broken")
 	}
+}
+
+// castReference is Cast without its early rejections: the plain parsers
+// on the trimmed text.
+func castReference(t Type, raw string) (Value, bool) {
+	s := strings.TrimSpace(raw)
+	switch t {
+	case Varchar:
+		return Value{Type: Varchar, S: raw}, true
+	case Double:
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return Value{Type: Double, F: f}, true
+		}
+	case Date:
+		for _, layout := range []string{"2006-01-02", "2006-01-02T15:04:05", "2006/01/02"} {
+			if tm, err := time.Parse(layout, s); err == nil {
+				return Value{Type: Date, F: float64(tm.Unix()) / 86400.0}, true
+			}
+		}
+	}
+	return Value{}, false
+}
+
+// FuzzCast checks that Cast's early rejections leave the accepted set and
+// the cast values unchanged, for every type.
+func FuzzCast(f *testing.F) {
+	for _, s := range []string{
+		"1.5", " 42 ", "-3e2", "+7", ".5", "-.5e1", "5.", "1e400", "1_000", "0x_1p0",
+		"inf", "+Inf", "-infinity", "Infinity", "NaN", "nan", "-NaN",
+		"0x1p-2", "0X1.8P3", "-0x10p0", "0x1", "abc", "", " ", "12abc", "e5",
+		"2008-06-09", "+2008-06-09", "-2008-06-09", "-0001-01-01", "0000-01-01",
+		"2008-06-09T12:30:00", "2008/06/09", "2008-6-9", "2008-06-9", "208-06-09",
+		"2008-13-01", "2008-02-30", " 2008-06-09 ", "\t2008-06-09\n", "\u00a02008-06-09",
+		"20080609", "2008-06-09x", "2008-06-09T12:30", "\u0662\u0660\u0660\u0668-06-09",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, typ := range Types {
+			got, ok := Cast(typ, raw)
+			want, wantOK := castReference(typ, raw)
+			if ok != wantOK || got.Type != want.Type || got.S != want.S ||
+				math.Float64bits(got.F) != math.Float64bits(want.F) {
+				t.Fatalf("Cast(%v, %q) = %+v, %v; reference %+v, %v", typ, raw, got, ok, want, wantOK)
+			}
+		}
+	})
 }

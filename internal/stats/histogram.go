@@ -112,11 +112,3 @@ func (h *Histogram) FractionEqual(v float64) float64 {
 	}
 	return 0
 }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.Depths)
-}

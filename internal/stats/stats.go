@@ -1,7 +1,8 @@
 // Package stats collects and serves the path-level statistics that drive
 // the optimizer's cost model and the advisor's index size estimation: per
-// rooted path, the node count, value-typing counts, min/max, distinct
-// counts, and equi-depth histograms over sampled values.
+// rooted path, the node count, the entries an index of each SQL type
+// would hold, distinct counts, and equi-depth histograms over sampled
+// values.
 //
 // This is the substrate standing in for DB2's RUNSTATS-collected XML
 // statistics; the paper's Evaluate Indexes mode ("cost estimation using DB
@@ -11,7 +12,6 @@ package stats
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/pattern"
@@ -34,19 +34,20 @@ type PathStat struct {
 	Path  string
 	Count int64 // nodes with this rooted path
 
-	ValueCount   int64 // nodes with a non-empty text value
-	NumericCount int64 // values castable to DOUBLE
-	DateCount    int64 // values castable to DATE
-
-	MinNum, MaxNum float64
-	MinStr, MaxStr string
-	TotalValueLen  int64
+	// Entries counts, per sqltype.Type, the nodes an index of that type
+	// holds: those whose value sqltype.Cast accepts, the rule
+	// xindex.DocNode.Key keys by. Every value casts to VARCHAR, so
+	// Entries[sqltype.Varchar] == Count.
+	Entries [sqltype.Date + 1]int64
+	// TotalValueLen sums the sampled (truncated) value lengths, for the
+	// VARCHAR key size.
+	TotalValueLen int64
 
 	distinct         map[string]struct{}
 	distinctOverflow bool
 
 	numSample []float64 // reservoir sample of numeric values
-	strSample []string  // reservoir sample of string values
+	strSample []string  // reservoir sample of string values, sorted by Collect
 	seen      int64     // reservoir counter
 
 	histOnce sync.Once
@@ -58,53 +59,29 @@ func (ps *PathStat) Distinct() int64 {
 	if ps.distinctOverflow {
 		// Cap hit: assume the tail kept introducing new values at half
 		// the rate observed up to the cap.
-		est := int64(len(ps.distinct)) + (ps.ValueCount-int64(len(ps.distinct)))/2
-		if est > ps.ValueCount {
-			est = ps.ValueCount
-		}
-		return est
+		n := ps.Entries[sqltype.Varchar]
+		return min(n, int64(len(ps.distinct))+(n-int64(len(ps.distinct)))/2)
 	}
 	return int64(len(ps.distinct))
 }
 
-// AvgValueLen returns the average stored value length in bytes.
-func (ps *PathStat) AvgValueLen() float64 {
-	if ps.ValueCount == 0 {
-		return 0
-	}
-	return float64(ps.TotalValueLen) / float64(ps.ValueCount)
-}
-
-// CountForType returns how many of this path's nodes would appear in an
-// index of the given SQL type (failed casts are rejected from the index).
-func (ps *PathStat) CountForType(t sqltype.Type) int64 {
-	switch t {
-	case sqltype.Varchar:
-		return ps.ValueCount
-	case sqltype.Double:
-		return ps.NumericCount
-	case sqltype.Date:
-		return ps.DateCount
-	}
-	return 0
-}
-
+// addValue counts one node's value as the indexes key it: an entry of
+// every type whose cast accepts the full value.
 func (ps *PathStat) addValue(raw string, rng *rand.Rand) {
-	raw = strings.TrimSpace(raw)
-	if raw == "" {
-		return
+	for _, t := range sqltype.Types {
+		v, ok := sqltype.Cast(t, raw)
+		if !ok {
+			continue
+		}
+		ps.Entries[t]++
+		if t == sqltype.Double {
+			reservoirAdd(&ps.numSample, v.F, ps.seen, rng)
+		}
 	}
 	if len(raw) > maxValueLen {
 		raw = raw[:maxValueLen]
 	}
-	ps.ValueCount++
 	ps.TotalValueLen += int64(len(raw))
-	if ps.ValueCount == 1 || raw < ps.MinStr {
-		ps.MinStr = raw
-	}
-	if ps.ValueCount == 1 || raw > ps.MaxStr {
-		ps.MaxStr = raw
-	}
 	if !ps.distinctOverflow {
 		if ps.distinct == nil {
 			ps.distinct = map[string]struct{}{}
@@ -113,19 +90,6 @@ func (ps *PathStat) addValue(raw string, rng *rand.Rand) {
 		if len(ps.distinct) >= distinctCap {
 			ps.distinctOverflow = true
 		}
-	}
-	if v, ok := sqltype.Cast(sqltype.Double, raw); ok {
-		ps.NumericCount++
-		if ps.NumericCount == 1 || v.F < ps.MinNum {
-			ps.MinNum = v.F
-		}
-		if ps.NumericCount == 1 || v.F > ps.MaxNum {
-			ps.MaxNum = v.F
-		}
-		reservoirAdd(&ps.numSample, v.F, ps.seen, rng)
-	}
-	if _, ok := sqltype.Cast(sqltype.Date, raw); ok {
-		ps.DateCount++
 	}
 	reservoirAdd(&ps.strSample, raw, ps.seen, rng)
 	ps.seen++
@@ -160,11 +124,8 @@ func (ps *PathStat) StrFractionBelow(s string) float64 {
 	if len(ps.strSample) == 0 {
 		return 0.5
 	}
-	sorted := make([]string, len(ps.strSample))
-	copy(sorted, ps.strSample)
-	sort.Strings(sorted)
-	i := sort.SearchStrings(sorted, s)
-	return float64(i) / float64(len(sorted))
+	i := sort.SearchStrings(ps.strSample, s)
+	return float64(i) / float64(len(ps.strSample))
 }
 
 // Stats is the statistics snapshot for one collection.
@@ -205,6 +166,9 @@ func Collect(c *store.Collection) *Stats {
 		}
 		return true
 	})
+	for _, ps := range s.Paths {
+		sort.Strings(ps.strSample)
+	}
 	return s
 }
 
@@ -224,17 +188,12 @@ func (s *Stats) walk(n *xmldoc.Node, prefix string, rng *rand.Rand) {
 		s.Paths[path] = ps
 	}
 	ps.Count++
-	switch n.Kind {
-	case xmldoc.KindElement:
-		ps.addValue(n.Text(), rng)
-		for _, a := range n.Attrs {
-			s.walk(a, path, rng)
-		}
-		for _, c := range n.Children {
-			s.walk(c, path, rng)
-		}
-	case xmldoc.KindAttribute, xmldoc.KindText:
-		ps.addValue(n.Value, rng)
+	ps.addValue(n.Text(), rng)
+	for _, a := range n.Attrs {
+		s.walk(a, path, rng)
+	}
+	for _, c := range n.Children {
+		s.walk(c, path, rng)
 	}
 }
 
@@ -272,21 +231,12 @@ func (s *Stats) Matching(p pattern.Pattern) []*PathStat {
 	return out
 }
 
-// Cardinality returns the number of nodes matched by the pattern.
-func (s *Stats) Cardinality(p pattern.Pattern) int64 {
-	var n int64
-	for _, ps := range s.Matching(p) {
-		n += ps.Count
-	}
-	return n
-}
-
 // TypedCardinality returns the number of index entries a (pattern, type)
 // index would hold: matched nodes whose values cast to the type.
 func (s *Stats) TypedCardinality(p pattern.Pattern, t sqltype.Type) int64 {
 	var n int64
 	for _, ps := range s.Matching(p) {
-		n += ps.CountForType(t)
+		n += ps.Entries[t]
 	}
 	return n
 }
@@ -298,7 +248,7 @@ func (s *Stats) Selectivity(p pattern.Pattern, op sqltype.CmpOp, v sqltype.Value
 	matched := s.Matching(p)
 	var total int64
 	for _, ps := range matched {
-		total += ps.CountForType(v.Type)
+		total += ps.Entries[v.Type]
 	}
 	if op == sqltype.Exists {
 		return 1.0
@@ -308,7 +258,7 @@ func (s *Stats) Selectivity(p pattern.Pattern, op sqltype.CmpOp, v sqltype.Value
 	}
 	var hit float64
 	for _, ps := range matched {
-		n := ps.CountForType(v.Type)
+		n := ps.Entries[v.Type]
 		if n == 0 {
 			continue
 		}
@@ -379,32 +329,23 @@ const (
 	keyBytesDate   = 4
 )
 
-// EstimateIndexEntries returns the estimated entry count of an index on
-// (pattern, type).
-func (s *Stats) EstimateIndexEntries(p pattern.Pattern, t sqltype.Type) int64 {
-	return s.TypedCardinality(p, t)
-}
-
 // EstimateIndexBytes returns the estimated on-disk byte size of an index
 // on (pattern, type).
 func (s *Stats) EstimateIndexBytes(p pattern.Pattern, t sqltype.Type) int64 {
-	var entries int64
+	entries := s.TypedCardinality(p, t)
 	var keyLen float64
 	switch t {
 	case sqltype.Varchar:
-		var totalLen float64
+		var totalLen int64
 		for _, ps := range s.Matching(p) {
-			entries += ps.ValueCount
-			totalLen += float64(ps.TotalValueLen)
+			totalLen += ps.TotalValueLen
 		}
 		if entries > 0 {
-			keyLen = totalLen / float64(entries)
+			keyLen = float64(totalLen) / float64(entries)
 		}
 	case sqltype.Double:
-		entries = s.TypedCardinality(p, t)
 		keyLen = keyBytesDouble
 	case sqltype.Date:
-		entries = s.TypedCardinality(p, t)
 		keyLen = keyBytesDate
 	}
 	raw := float64(entries) * (keyLen + ridBytes + entryOverhead)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/sqltype"
 	"repro/internal/store"
+	"repro/internal/xindex"
 )
 
 func TestDateCounting(t *testing.T) {
@@ -17,11 +18,11 @@ func TestDateCounting(t *testing.T) {
 	if ps == nil {
 		t.Fatal("missing path")
 	}
-	if ps.DateCount != 2 {
-		t.Errorf("DateCount = %d, want 2", ps.DateCount)
+	if got := ps.Entries[sqltype.Date]; got != 2 {
+		t.Errorf("DATE entries = %d, want 2", got)
 	}
-	if ps.ValueCount != 3 {
-		t.Errorf("ValueCount = %d, want 3", ps.ValueCount)
+	if got := ps.Entries[sqltype.Varchar]; got != 3 {
+		t.Errorf("VARCHAR entries = %d, want 3", got)
 	}
 	if got := s.TypedCardinality(pattern.MustParse("//when"), sqltype.Date); got != 2 {
 		t.Errorf("typed date cardinality = %d", got)
@@ -94,22 +95,38 @@ func TestVarcharIndexBytesUseAvgLength(t *testing.T) {
 	}
 }
 
-func TestAvgValueLenAndEmpty(t *testing.T) {
+// TestEmptyValuesCountAsIndexed pins the entry rule: a node is an entry
+// of a type-t index iff sqltype.Cast(t, value) accepts it, so an empty
+// element is one VARCHAR entry and no DOUBLE or DATE entry, and its
+// statistics agree with the physical index.
+func TestEmptyValuesCountAsIndexed(t *testing.T) {
 	c := store.NewCollection("a")
-	c.InsertXML(`<r><v>abcd</v><v>ef</v><empty/></r>`)
+	c.InsertXML(`<r><v>abcd</v><v>ef</v><empty/><n> 7 </n></r>`)
 	s := Collect(c)
-	ps := s.Paths["/r/v"]
-	if got := ps.AvgValueLen(); got != 3 {
-		t.Errorf("AvgValueLen = %f, want 3", got)
+	if ps := s.Paths["/r/v"]; ps.TotalValueLen != 6 {
+		t.Errorf("TotalValueLen = %d, want 6", ps.TotalValueLen)
 	}
 	pe := s.Paths["/r/empty"]
-	if pe.ValueCount != 0 || pe.AvgValueLen() != 0 {
-		t.Errorf("empty element stats: %+v", pe)
+	if want := [...]int64{sqltype.Varchar: 1, sqltype.Double: 0, sqltype.Date: 0}; pe.Entries != want {
+		t.Errorf("empty element entries = %v, want %v", pe.Entries, want)
+	}
+	// A padded number is one entry of each type whose cast accepts it.
+	if got := s.Paths["/r/n"].Entries; got[sqltype.Varchar] != 1 || got[sqltype.Double] != 1 {
+		t.Errorf("padded number entries = %v", got)
 	}
 	// Structural inner element: value is concatenated descendant text.
-	pr := s.Paths["/r"]
-	if pr.ValueCount != 1 {
-		t.Errorf("inner element value count = %d", pr.ValueCount)
+	if pr := s.Paths["/r"]; pr.Entries[sqltype.Varchar] != 1 {
+		t.Errorf("inner element VARCHAR entries = %d", pr.Entries[sqltype.Varchar])
+	}
+	for _, tc := range []struct {
+		pat string
+		typ sqltype.Type
+	}{{"/r/empty", sqltype.Varchar}, {"/r/empty", sqltype.Double}, {"//*", sqltype.Varchar}, {"//n", sqltype.Double}} {
+		p := pattern.MustParse(tc.pat)
+		built := xindex.Build("ix", p, tc.typ, c).Entries()
+		if est := s.TypedCardinality(p, tc.typ); est != int64(built) {
+			t.Errorf("%s AS %v: estimated %d entries, built %d", tc.pat, tc.typ, est, built)
+		}
 	}
 }
 

@@ -42,11 +42,8 @@ func TestCollectBasics(t *testing.T) {
 	if ps.Count != 10 {
 		t.Errorf("namerica quantity count = %d, want 10", ps.Count)
 	}
-	if ps.NumericCount != ps.ValueCount {
-		t.Errorf("quantities should all be numeric: %d vs %d", ps.NumericCount, ps.ValueCount)
-	}
-	if ps.MinNum != 0 || ps.MaxNum != 9 {
-		t.Errorf("min/max = %f/%f, want 0/9", ps.MinNum, ps.MaxNum)
+	if ps.Entries[sqltype.Double] != ps.Count {
+		t.Errorf("quantities should all be numeric: %d vs %d", ps.Entries[sqltype.Double], ps.Count)
 	}
 	attr := s.Paths["/site/regions/namerica/item/@id"]
 	if attr == nil || attr.Count != 10 {
@@ -70,8 +67,8 @@ func TestCardinalityWithPatterns(t *testing.T) {
 		{"//nosuch", 0},
 	}
 	for _, tc := range cases {
-		if got := s.Cardinality(pattern.MustParse(tc.pat)); got != tc.want {
-			t.Errorf("Cardinality(%s) = %d, want %d", tc.pat, got, tc.want)
+		if got := s.TypedCardinality(pattern.MustParse(tc.pat), sqltype.Varchar); got != tc.want {
+			t.Errorf("VARCHAR cardinality of %s = %d, want %d", tc.pat, got, tc.want)
 		}
 	}
 }
@@ -130,7 +127,7 @@ func TestIndexSizeEstimates(t *testing.T) {
 	c := itemsCollection(t, 50)
 	s := Collect(c)
 	q := pattern.MustParse("//quantity")
-	e := s.EstimateIndexEntries(q, sqltype.Double)
+	e := s.TypedCardinality(q, sqltype.Double)
 	if e != 50 {
 		t.Errorf("entries = %d, want 50", e)
 	}
@@ -188,8 +185,8 @@ func TestDistinctOverflow(t *testing.T) {
 		t.Fatal("expected distinct overflow")
 	}
 	d := ps.Distinct()
-	if d < int64(distinctCap) || d > ps.ValueCount {
-		t.Errorf("Distinct estimate %d out of [%d, %d]", d, distinctCap, ps.ValueCount)
+	if d < int64(distinctCap) || d > ps.Count {
+		t.Errorf("Distinct estimate %d out of [%d, %d]", d, distinctCap, ps.Count)
 	}
 }
 
@@ -211,8 +208,8 @@ func TestHistogramFractions(t *testing.T) {
 		sample = append(sample, float64(i))
 	}
 	h := NewEquiDepth(sample, 32)
-	if h.Buckets() == 0 || h.Buckets() > 32 {
-		t.Fatalf("buckets = %d", h.Buckets())
+	if len(h.Depths) == 0 || len(h.Depths) > 32 {
+		t.Fatalf("buckets = %d", len(h.Depths))
 	}
 	if got := h.FractionBelow(-5); got != 0 {
 		t.Errorf("FractionBelow(-5) = %f", got)
@@ -271,7 +268,8 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: Cardinality of a generalized pattern is >= the original's.
+// Property: a generalized pattern's VARCHAR cardinality is >= the
+// original's.
 func TestCardinalityMonotoneUnderGeneralization(t *testing.T) {
 	c := itemsCollection(t, 40)
 	s := Collect(c)
@@ -281,7 +279,7 @@ func TestCardinalityMonotoneUnderGeneralization(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if s.Cardinality(g) < s.Cardinality(base) {
+		if s.TypedCardinality(g, sqltype.Varchar) < s.TypedCardinality(base, sqltype.Varchar) {
 			t.Errorf("generalization %s has smaller cardinality", g)
 		}
 	}

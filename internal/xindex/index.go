@@ -105,11 +105,7 @@ func DocNodes(d *xmldoc.Document) []DocNode {
 		if err != nil {
 			return true
 		}
-		raw := n.Value
-		if n.Kind == xmldoc.KindElement {
-			raw = n.Text()
-		}
-		out = append(out, DocNode{ID: n.ID, Path: path, Word: word, Raw: raw})
+		out = append(out, DocNode{ID: n.ID, Path: path, Word: word, Raw: n.Text()})
 		return true
 	})
 	return out
@@ -117,7 +113,11 @@ func DocNodes(d *xmldoc.Document) []DocNode {
 
 // Key is the entry key n contributes to an index whose pattern compiles
 // to m and whose type is t; ok is false when the pattern does not match
-// n's path or n's value does not cast to t.
+// n's path or n's value does not cast to t. This is the one rule for what
+// a typed index holds: a node is an entry iff sqltype.Cast(t, n's value)
+// accepts it, and the cast value is its key. Every value casts to
+// VARCHAR, empty ones included. The statistics count entries by the same
+// cast (stats.PathStat.Entries), so estimated and built sizes agree.
 func (n *DocNode) Key(m *pattern.Matcher, t sqltype.Type) (sqltype.Value, bool) {
 	if !m.MatchWord(n.Word) {
 		return sqltype.Value{}, false
