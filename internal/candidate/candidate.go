@@ -126,23 +126,6 @@ func (b Bitset) Or(o Bitset) {
 	}
 }
 
-// Subset reports whether every bit of b is set in o.
-func (b Bitset) Subset(o Bitset) bool {
-	for i := range b {
-		if b[i]&^o[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of b.
-func (b Bitset) Clone() Bitset {
-	out := make(Bitset, len(b))
-	copy(out, b)
-	return out
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

@@ -231,17 +231,6 @@ func TestBitsetOps(t *testing.T) {
 	if b.Count() != 3 {
 		t.Errorf("count = %d", b.Count())
 	}
-	c := b.Clone()
-	c.Set(1)
-	if b.Get(1) {
-		t.Error("clone shares storage")
-	}
-	if !b.Subset(c) {
-		t.Error("b should be subset of c")
-	}
-	if c.Subset(b) {
-		t.Error("c should not be subset of b")
-	}
 	d := NewBitset(130)
 	d.Or(b)
 	if d.Count() != 3 {

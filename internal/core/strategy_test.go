@@ -162,40 +162,6 @@ func TestPreparedBudgetSweepMatchesFullRuns(t *testing.T) {
 	}
 }
 
-func TestCompressedWorkloadSameRecommendation(t *testing.T) {
-	cat := xmarkFixture(t, 150)
-	// Duplicate the workload against itself: compression halves the
-	// queries while doubling weights.
-	big := datagen.XMarkWorkload(10, 15)
-	big.Queries = append(big.Queries[:len(big.Queries):len(big.Queries)], big.Queries...)
-	compressed := big.Compress()
-	if len(compressed.Queries) >= len(big.Queries) {
-		t.Fatalf("compression did not shrink: %d vs %d", len(compressed.Queries), len(big.Queries))
-	}
-	recBig, err := New(cat, DefaultOptions()).Recommend(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recSmall, err := New(cat, DefaultOptions()).Recommend(compressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical leg multiset => identical configuration and net benefit.
-	if len(recBig.Config) != len(recSmall.Config) {
-		t.Errorf("config sizes differ: %d vs %d", len(recBig.Config), len(recSmall.Config))
-	}
-	if diff := recBig.NetBenefit - recSmall.NetBenefit; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("net benefit differs: %f vs %f", recBig.NetBenefit, recSmall.NetBenefit)
-	}
-	// The engine's per-(query, sub-config) atoms are keyed by query text,
-	// so the duplicated queries already share every evaluation and
-	// compression cannot cost more; its remaining win is the smaller
-	// pipeline and per-query derivation.
-	if recSmall.Cache.Evaluations > recBig.Cache.Evaluations {
-		t.Errorf("compression increased evaluations: %d vs %d", recSmall.Cache.Evaluations, recBig.Cache.Evaluations)
-	}
-}
-
 // TestBenefitMatrixRetriesAfterFailedBuild pins that a failed benefit
 // matrix build is not memoized: an lp search whose request was
 // cancelled while the matrix was being built must not make every later

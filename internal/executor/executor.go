@@ -20,7 +20,6 @@ import (
 	"repro/internal/querylang"
 	"repro/internal/sqltype"
 	"repro/internal/store"
-	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -233,45 +232,6 @@ func (e *Executor) evalDoc(q *querylang.Query, d *xmldoc.Document, ev *xpath.Eva
 	for _, r := range q.DocReturns {
 		res.Metrics.ResultNodes += len(ev.Eval(d, r))
 	}
-}
-
-// ApplyUpdate executes one workload update statement against the store
-// and its physical indexes: inserts add the statement's document; deletes
-// remove every document the selection path matches. It returns the
-// documents affected and the index entries maintained — the measured
-// counterpart of the advisor's update-cost estimate.
-func (e *Executor) ApplyUpdate(u workload.Update) (docs int, entries int, err error) {
-	switch u.Kind {
-	case workload.UpdateInsert:
-		_, n, err := e.Cat.InsertDocument(u.Collection, u.DocXML)
-		if err != nil {
-			return 0, 0, err
-		}
-		return 1, n, nil
-	case workload.UpdateDelete:
-		col, err := e.Cat.Collection(u.Collection)
-		if err != nil {
-			return 0, 0, err
-		}
-		var ids []xmldoc.DocID
-		var ev xpath.Evaluator
-		col.Each(func(d *xmldoc.Document) bool {
-			if len(ev.Eval(d, u.Path)) > 0 {
-				ids = append(ids, d.ID)
-			}
-			return true
-		})
-		for _, id := range ids {
-			n, err := e.Cat.DeleteDocument(u.Collection, id)
-			if err != nil {
-				return docs, entries, err
-			}
-			docs++
-			entries += n
-		}
-		return docs, entries, nil
-	}
-	return 0, 0, fmt.Errorf("executor: unknown update kind %d", u.Kind)
 }
 
 // evalWhere evaluates a where expression with paths relative to ctx.

@@ -10,8 +10,6 @@ import (
 	"repro/internal/querylang"
 	"repro/internal/sqltype"
 	"repro/internal/store"
-	"repro/internal/workload"
-	"repro/internal/xindex"
 )
 
 func fixture(t testing.TB, n int) *catalog.Catalog {
@@ -270,53 +268,5 @@ func TestIndexORingExecutionMatchesScan(t *testing.T) {
 	}
 	if idxRes.Metrics.DocsFetched >= scanRes.Metrics.DocsScanned {
 		t.Errorf("OR plan fetched %d docs of %d", idxRes.Metrics.DocsFetched, scanRes.Metrics.DocsScanned)
-	}
-}
-
-func TestApplyUpdateInsertAndDelete(t *testing.T) {
-	cat := fixture(t, 50)
-	cat.CreateIndex("IQ", "items", pattern.MustParse("/site/regions/*/item/quantity"), sqltype.Double)
-	ex := New(cat)
-
-	w := &workload.Workload{}
-	w.AddInsert(1, "items", `<site><regions><europe><item id="zz"><quantity>3</quantity></item></europe></regions></site>`)
-	if err := w.AddDelete(1, "items", "/site/regions/africa/item"); err != nil {
-		t.Fatal(err)
-	}
-
-	docs, entries, err := ex.ApplyUpdate(w.Updates[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if docs != 1 || entries != 1 {
-		t.Errorf("insert: docs=%d entries=%d", docs, entries)
-	}
-	col, _ := cat.Collection("items")
-	if col.Len() != 51 {
-		t.Errorf("collection size = %d", col.Len())
-	}
-
-	// The delete removes the africa docs (i%4==1: 13 of the original 50).
-	docs, entries, err = ex.ApplyUpdate(w.Updates[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if docs != 13 {
-		t.Errorf("deleted %d docs, want 13", docs)
-	}
-	if entries != 13 {
-		t.Errorf("deleted %d entries, want 13", entries)
-	}
-	if col.Len() != 51-13 {
-		t.Errorf("collection size after delete = %d", col.Len())
-	}
-	// Index must agree with a fresh rebuild.
-	def := cat.Index("IQ")
-	if err := def.Phys.Tree().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := xindex.Build("FRESH", pattern.MustParse("/site/regions/*/item/quantity"), sqltype.Double, col)
-	if def.Phys.Entries() != fresh.Entries() {
-		t.Errorf("maintained index has %d entries, fresh build %d", def.Phys.Entries(), fresh.Entries())
 	}
 }

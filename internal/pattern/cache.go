@@ -56,14 +56,18 @@ func (c *pairCache) get(p, q ID) (bool, bool) {
 	return e&1 != 0, true
 }
 
-func (c *pairCache) put(p, q ID, v bool) {
+// put stores the decision v for (p, q) and reports whether the slot
+// already held it: another caller decided the same pair first.
+func (c *pairCache) put(p, q ID, v bool) bool {
 	idx, enc := pairSlot(p, q)
 	if v {
 		enc |= 1
 	}
-	if c.slots[idx].Swap(enc) == 0 {
+	old := c.slots[idx].Swap(enc)
+	if old == 0 {
 		c.used.Add(1)
 	}
+	return old == enc
 }
 
 func (c *pairCache) len() int { return int(c.used.Load()) }
@@ -133,7 +137,8 @@ func pairKey(p, q ID) uint64 {
 // ContainsCached is Contains memoized by interned pattern pair. The hot
 // path — both patterns already interned, pair already decided — is two
 // lock-free intern lookups plus one atomic table load, and allocates
-// nothing.
+// nothing. A pair decided by concurrent first probes counts one miss:
+// the probes that find their decision already stored count as hits.
 func ContainsCached(p, q Pattern) bool {
 	if p.IsZero() || q.IsZero() {
 		return false
@@ -145,15 +150,14 @@ func ContainsCached(p, q Pattern) bool {
 		containsHits.Add(1)
 		return v
 	}
-	containsMisses.Add(1)
 	r := mp.Contains(mq)
-	k.contains.put(pid, qid, r)
+	countProbe(k.contains.put(pid, qid, r), &containsHits, &containsMisses)
 	return r
 }
 
-// OverlapsCached is Overlaps memoized by interned pattern pair; the
-// update-cost path calls it once per (update, candidate) pair on every
-// configuration evaluation.
+// OverlapsCached is Overlaps memoized by interned pattern pair, counted
+// as ContainsCached is; the update-cost path calls it once per (update,
+// candidate) pair on every configuration evaluation.
 func OverlapsCached(p, q Pattern) bool {
 	if p.IsZero() || q.IsZero() {
 		return false
@@ -165,10 +169,19 @@ func OverlapsCached(p, q Pattern) bool {
 		overlapsHits.Add(1)
 		return v
 	}
-	overlapsMisses.Add(1)
 	r := Overlaps(p, q)
-	k.overlaps.put(pid, qid, r)
+	countProbe(k.overlaps.put(pid, qid, r), &overlapsHits, &overlapsMisses)
 	return r
+}
+
+// countProbe counts a probe that computed its decision: a hit when the
+// cache already held it, a miss otherwise.
+func countProbe(held bool, hits, misses *atomic.Int64) {
+	if held {
+		hits.Add(1)
+	} else {
+		misses.Add(1)
+	}
 }
 
 // CacheStats are one pair cache's monotonic counters and current size.

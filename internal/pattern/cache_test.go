@@ -83,3 +83,59 @@ func TestPairCacheSizeCounter(t *testing.T) {
 		t.Errorf("sizes after ResetCaches = %d/%d, want 0/0", s.Contains.Size, s.Overlaps.Size)
 	}
 }
+
+// TestConcurrentFirstProbesCountOnce checks that each new pair counts
+// one miss however many goroutines probe it first at once: G goroutines,
+// released together, probe the same K new pairs, and every probe after
+// the pair's first decision counts as a hit, whether it read the cached
+// decision or computed it again and found it already stored.
+func TestConcurrentFirstProbesCountOnce(t *testing.T) {
+	const G, K, rounds = 8, 64, 4
+	ps, qs := make([]Pattern, K), make([]Pattern, K)
+	for i := range ps {
+		ps[i] = MustParse(fmt.Sprintf("//a%d//*//b/*//c", i))
+		qs[i] = MustParse(fmt.Sprintf("/r/a%d/x/y/b/z/w/c", i))
+	}
+	for r := 0; r < rounds; r++ {
+		ResetCaches()
+		// Intern up front, so the IDs and slots do not depend on which
+		// goroutine runs first, and check that no two pairs share a slot.
+		slots := map[uint64]bool{}
+		for i := range ps {
+			idx, _ := pairSlot(Interned(ps[i]), Interned(qs[i]))
+			slots[idx] = true
+		}
+		if len(slots) != K {
+			t.Fatalf("the %d pairs share slots: %d distinct", K, len(slots))
+		}
+		before := Stats()
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < G; g++ {
+			ready.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				for i := range ps {
+					ContainsCached(ps[i], qs[i])
+					OverlapsCached(ps[i], qs[i])
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		d := Stats().Sub(before)
+		for _, c := range []struct {
+			op string
+			s  CacheStats
+		}{{"contains", d.Contains}, {"overlaps", d.Overlaps}} {
+			if c.s.Misses != K || c.s.Hits != (G-1)*K {
+				t.Errorf("round %d: %s counted %d misses and %d hits, want %d and %d",
+					r, c.op, c.s.Misses, c.s.Hits, K, (G-1)*K)
+			}
+		}
+	}
+}

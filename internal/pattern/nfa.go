@@ -454,16 +454,6 @@ func containsSlow(p, q Pattern) bool {
 	return true
 }
 
-// ContainsProperly reports p ⊃ q (contains but not equal as a language).
-func ContainsProperly(p, q Pattern) bool {
-	return Contains(p, q) && !Contains(q, p)
-}
-
-// Equivalent reports that p and q match exactly the same paths.
-func Equivalent(p, q Pattern) bool {
-	return Contains(p, q) && Contains(q, p)
-}
-
 // Overlaps reports whether some concrete rooted path is matched by both p
 // and q (language intersection non-emptiness). The advisor uses this to
 // decide whether a data modification under pattern q incurs maintenance

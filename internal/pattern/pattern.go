@@ -230,11 +230,6 @@ func (p Pattern) Len() int { return len(p.Steps) }
 // Last returns the final step. It panics on the zero pattern.
 func (p Pattern) Last() Step { return p.Steps[len(p.Steps)-1] }
 
-// LeafKind returns the node test kind of the final step, which determines
-// what an index on this pattern stores (element values, attribute values,
-// or text).
-func (p Pattern) LeafKind() TestKind { return p.Last().Kind }
-
 // Equal reports structural equality.
 func (p Pattern) Equal(q Pattern) bool {
 	if len(p.Steps) != len(q.Steps) {

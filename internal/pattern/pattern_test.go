@@ -195,23 +195,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestContainsProperlyAndEquivalent(t *testing.T) {
-	if !ContainsProperly(MustParse("//c"), MustParse("/a/c")) {
-		t.Error("//c should properly contain /a/c")
-	}
-	if ContainsProperly(MustParse("/a/c"), MustParse("/a/c")) {
-		t.Error("pattern should not properly contain itself")
-	}
-	// //*//c and //c are equivalent? //*//c requires depth>=2 while //c
-	// also matches /c at depth 1, so NOT equivalent.
-	if Equivalent(MustParse("//*//c"), MustParse("//c")) {
-		t.Error("//*//c and //c must not be equivalent")
-	}
-	if !Equivalent(MustParse("/a//b"), MustParse("/a//b")) {
-		t.Error("identical patterns must be equivalent")
-	}
-}
-
 func TestOverlaps(t *testing.T) {
 	cases := []struct {
 		p, q string
@@ -265,9 +248,6 @@ func TestHelpers(t *testing.T) {
 	}
 	if p.DescendantCount() != 1 {
 		t.Errorf("DescendantCount = %d", p.DescendantCount())
-	}
-	if p.LeafKind() != TestAttr {
-		t.Errorf("LeafKind = %v", p.LeafKind())
 	}
 	names := strings.Join(p.Names(), ",")
 	if names != "a,c,d,id" {

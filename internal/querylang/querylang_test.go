@@ -182,6 +182,26 @@ func TestXQueryErrors(t *testing.T) {
 	}
 }
 
+// TestXQueryPunctuationByKind pins that clause punctuation is read by
+// token kind: a string literal spelling `(`, `)`, `,` or `}` does not
+// stand in for it.
+func TestXQueryPunctuationByKind(t *testing.T) {
+	cases := []struct{ good, bad string }{
+		{`for $i in collection("c")/a return $i`, `for $i in collection"(""c"")"/a return $i`},
+		{`for $i in collection("c")/a return ($i/b, $i/c)`, `for $i in collection("c")/a return ($i/b "," $i/c ")"`},
+		{`for $i in collection("c")/a return count($i/b)`, `for $i in collection("c")/a return count"("$i/b")"`},
+		{`for $i in collection("c")/a return <r>{$i/b}</r>`, `for $i in collection("c")/a return <r>{$i/b"}"</r>`},
+	}
+	for _, tc := range cases {
+		if _, err := ParseXQuery(tc.good); err != nil {
+			t.Errorf("ParseXQuery(%q): %v", tc.good, err)
+		}
+		if q, err := ParseXQuery(tc.bad); err == nil {
+			t.Errorf("ParseXQuery(%q) = binding %v, returns %v; want an error", tc.bad, q.Binding, q.Returns)
+		}
+	}
+}
+
 func TestSQLXMLBasic(t *testing.T) {
 	q, err := ParseSQLXML(`SELECT 1 FROM items WHERE XMLEXISTS('$d/site/item[price > 100]' PASSING doc AS "d")`)
 	if err != nil {

@@ -90,15 +90,15 @@ func isWord(t xpath.Token, w string) bool {
 	return t.Kind == xpath.TokIdent && len(t.Text) == len(w) && strings.EqualFold(t.Text, w)
 }
 
-// sqlHost resolves the PASSING variable, whatever its name, to the
-// document root: an embedded path is absolute, its leading / optional.
-var sqlHost = xpath.Host{Var: func(string) (*xpath.PathExpr, error) { return &xpath.PathExpr{}, nil }}
+// docRoot resolves the PASSING variable, whatever its name, to the
+// document root.
+func docRoot(string) (*xpath.PathExpr, error) { return &xpath.PathExpr{}, nil }
 
 // embeddedPath parses an XMLEXISTS/XMLQUERY argument: a path written
 // after the PASSING variable ($d/site/item) or alone (/site/item).
 func embeddedPath(src string) (*xpath.PathExpr, error) {
 	s := strings.TrimSpace(src)
-	e, end, err := xpath.ParsePrefix(s, 0, false, sqlHost)
+	e, end, err := xpath.ParsePrefix(s, 0, false, docRoot)
 	if err == nil && end < len(s) {
 		err = fmt.Errorf("trailing input at %q", s[end:])
 	}

@@ -21,7 +21,11 @@ import (
 // constructor whose {...} holes contain var-rooted paths.
 //
 // Every path and condition is parsed by xpath.ParsePrefix, the grammar
-// SQL/XML's embedded paths share (README "Query language"). Restrictions:
+// SQL/XML's embedded paths share (README "Query language"): the path
+// after collection()/doc() starts with / or // (no path means /*), and
+// every other path is a variable, alone or followed by a path that
+// starts with / or //. The punctuation (, ), ",", { and } is matched by
+// token kind, so a quoted "(" never stands in for it. Restrictions:
 // paths in where/return clauses may not carry their own [...] predicates
 // (put those in the binding path), and order by / group by clauses are
 // not supported. These features would not produce additional index
@@ -64,6 +68,10 @@ func (p *xqParser) isKeyword(kw string) bool {
 // isVar reports whether t names a variable; a bare `$` names none.
 func isVar(t xpath.Token) bool { return t.Kind == xpath.TokVar && t.Text != "" }
 
+// isChar reports whether t is c, a character such as `:`, `{` or `}`
+// that no xpath token starts with; a quoted c is a string token instead.
+func isChar(t xpath.Token, c string) bool { return t.Kind == xpath.TokBad && t.Text == c }
+
 func (p *xqParser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("querylang: %s (near offset %d in %q)", fmt.Sprintf(format, args...), p.tok.Pos, p.src)
 }
@@ -88,7 +96,7 @@ func (p *xqParser) parse() (*Query, error) {
 				return nil, p.errf("where before any for clause")
 			}
 			p.next()
-			e, err := p.embedded(true, xpath.Host{Var: p.resolve})
+			e, err := p.embedded(true, p.resolve)
 			if err != nil {
 				return nil, err
 			}
@@ -136,7 +144,7 @@ func (p *xqParser) parseLet() error {
 	}
 	// `:=` lexes as `:` (a character no token starts with) and `=`.
 	colon := p.next()
-	if colon.Kind != xpath.TokBad || colon.Text != ":" || p.tok.Kind != xpath.TokOp || p.tok.Text != "=" || p.tok.Pos != colon.End {
+	if !isChar(colon, ":") || p.tok.Kind != xpath.TokOp || p.tok.Text != "=" || p.tok.Pos != colon.End {
 		return p.errf("expected := in let clause")
 	}
 	p.next()
@@ -146,15 +154,12 @@ func (p *xqParser) parseLet() error {
 	return p.bindVar(v.Text)
 }
 
-// clauseKeywords end a binding path.
-var clauseKeywords = []string{"for", "let", "where", "return", "order", "stable", "group"}
-
 func (p *xqParser) bindVar(name string) error {
 	t := p.tok
 	switch {
 	case t.Kind == xpath.TokIdent && (t.Text == "collection" || t.Text == "doc"):
 		p.next()
-		if p.tok.Text != "(" {
+		if p.tok.Kind != xpath.TokLParen {
 			return p.errf("expected ( after %s", t.Text)
 		}
 		p.next()
@@ -162,7 +167,7 @@ func (p *xqParser) bindVar(name string) error {
 		if arg.Kind != xpath.TokString {
 			return p.errf("%s() needs a string argument", t.Text)
 		}
-		if p.tok.Text != ")" {
+		if p.tok.Kind != xpath.TokRParen {
 			return p.errf("expected ) after %s(...", t.Text)
 		}
 		p.next()
@@ -170,7 +175,7 @@ func (p *xqParser) bindVar(name string) error {
 			return p.errf("only one collection()/doc() binding is supported")
 		}
 		p.q.Collection = arg.Text
-		e, err := p.embedded(false, xpath.Host{Keywords: clauseKeywords})
+		e, err := p.embedded(false, nil)
 		if err != nil {
 			return err
 		}
@@ -181,7 +186,7 @@ func (p *xqParser) bindVar(name string) error {
 		p.vars[name] = &xpath.PathExpr{Relative: true, Dot: true}
 		return nil
 	case isVar(t):
-		e, err := p.embedded(false, xpath.Host{Var: p.resolve, Keywords: clauseKeywords})
+		e, err := p.embedded(false, p.resolve)
 		if err != nil {
 			return err
 		}
@@ -204,9 +209,10 @@ func (p *xqParser) resolve(name string) (*xpath.PathExpr, error) {
 }
 
 // embedded parses the path or condition that starts at the next token
-// with xpath's grammar and resumes at the offset where it ends.
-func (p *xqParser) embedded(cond bool, h xpath.Host) (xpath.BoolExpr, error) {
-	e, end, err := xpath.ParsePrefix(p.src, p.tok.Pos, cond, h)
+// with xpath's grammar, its variables resolved by vars, and resumes at
+// the offset where it ends.
+func (p *xqParser) embedded(cond bool, vars func(string) (*xpath.PathExpr, error)) (xpath.BoolExpr, error) {
+	e, end, err := xpath.ParsePrefix(p.src, p.tok.Pos, cond, vars)
 	if err != nil {
 		return nil, fmt.Errorf("querylang: %w", err)
 	}
@@ -219,7 +225,7 @@ func (p *xqParser) returnPath() (*xpath.PathExpr, error) {
 	if !isVar(p.tok) {
 		return nil, p.errf("expected $var, found %q", p.tok.Text)
 	}
-	e, err := p.embedded(true, xpath.Host{Var: p.resolve})
+	e, err := p.embedded(true, p.resolve)
 	if err != nil {
 		return nil, err
 	}
@@ -241,13 +247,13 @@ func (p *xqParser) parseReturn() error {
 			if err := p.parseReturnItem(); err != nil {
 				return err
 			}
-			if p.tok.Text == "," {
+			if p.tok.Kind == xpath.TokComma {
 				p.next()
 				continue
 			}
 			break
 		}
-		if p.tok.Text != ")" {
+		if p.tok.Kind != xpath.TokRParen {
 			return p.errf("expected ) in return sequence")
 		}
 		p.next()
@@ -266,7 +272,7 @@ func (p *xqParser) parseReturnItem() error {
 	switch {
 	case t.Kind == xpath.TokIdent && (t.Text == "count" || t.Text == "data" || t.Text == "string" || t.Text == "sum" || t.Text == "avg"):
 		p.next()
-		if p.tok.Text != "(" {
+		if p.tok.Kind != xpath.TokLParen {
 			return p.errf("expected ( after %s", t.Text)
 		}
 		p.next()
@@ -274,7 +280,7 @@ func (p *xqParser) parseReturnItem() error {
 		if err != nil {
 			return err
 		}
-		if p.tok.Text != ")" {
+		if p.tok.Kind != xpath.TokRParen {
 			return p.errf("expected ) after %s(...", t.Text)
 		}
 		p.next()
@@ -305,12 +311,12 @@ func (p *xqParser) parseConstructorReturn() error {
 			return nil
 		case t.Kind == xpath.TokVar && !isVar(t), t.Kind == xpath.TokBad && (t.Text[0] == '"' || t.Text[0] == '\''):
 			return p.errf("bad token %q in element constructor", t.Text)
-		case t.Kind == xpath.TokBad && t.Text == "{":
+		case isChar(t, "{"):
 			p.next()
 			if err := p.parseReturnItem(); err != nil {
 				return err
 			}
-			if p.tok.Text != "}" {
+			if !isChar(p.tok, "}") {
 				return p.errf("expected } in constructor")
 			}
 		}

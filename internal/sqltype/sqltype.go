@@ -196,17 +196,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Rangeable reports whether the operator can be answered by a B+ tree
-// point or range scan (everything except Ne and ContainsSubstr, which
-// need a full index or document scan).
-func (op CmpOp) Rangeable() bool {
-	switch op {
-	case Eq, Lt, Le, Gt, Ge:
-		return true
-	}
-	return false
-}
-
 // Eval applies the operator to a raw node value and a typed constant. The
 // raw value is cast to the constant's type first; a failed cast yields
 // false (the node cannot satisfy a typed comparison).

@@ -142,16 +142,6 @@ func TestOpStringsAndRangeable(t *testing.T) {
 	if Eq.String() != "=" || Lt.String() != "<" || Exists.String() != "exists" {
 		t.Error("op String broken")
 	}
-	for _, op := range []CmpOp{Eq, Lt, Le, Gt, Ge} {
-		if !op.Rangeable() {
-			t.Errorf("%v should be rangeable", op)
-		}
-	}
-	for _, op := range []CmpOp{Ne, ContainsSubstr, Exists} {
-		if op.Rangeable() {
-			t.Errorf("%v should not be rangeable", op)
-		}
-	}
 }
 
 // Property: Eval(raw, Eq, Cast(raw)) holds for any float-formatted raw.

@@ -51,17 +51,6 @@ func (c *Collection) Name() string { return c.name }
 // PageSize returns the simulated page size in bytes.
 func (c *Collection) PageSize() int { return c.pageSize }
 
-// SetPageSize changes the simulated page size. It affects only page-count
-// reporting, not stored data.
-func (c *Collection) SetPageSize(n int) {
-	if n <= 0 {
-		panic("store: page size must be positive")
-	}
-	c.mu.Lock()
-	c.pageSize = n
-	c.mu.Unlock()
-}
-
 // docBytes estimates the stored size of a document.
 func docBytes(d *xmldoc.Document) int64 {
 	var b int64
@@ -230,17 +219,6 @@ func (s *Store) Get(name string) *Collection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cols[name]
-}
-
-// Drop removes the named collection, reporting whether it existed.
-func (s *Store) Drop(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cols[name]; !ok {
-		return false
-	}
-	delete(s.cols, name)
-	return true
 }
 
 // Names returns the collection names in sorted order.

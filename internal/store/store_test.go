@@ -148,24 +148,4 @@ func TestStoreCollections(t *testing.T) {
 	if s.Get("a") == nil || s.Get("zzz") != nil {
 		t.Error("Get broken")
 	}
-	if !s.Drop("a") || s.Drop("a") {
-		t.Error("Drop semantics broken")
-	}
-}
-
-func TestSetPageSize(t *testing.T) {
-	c := NewCollection("x")
-	c.InsertXML(`<a>` + string(make([]byte, 0)) + `<b>some text content here</b></a>`)
-	p1 := c.Pages()
-	c.SetPageSize(64)
-	p2 := c.Pages()
-	if p2 <= p1 {
-		t.Errorf("smaller pages should mean more pages: %d -> %d", p1, p2)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetPageSize(0) should panic")
-		}
-	}()
-	c.SetPageSize(0)
 }

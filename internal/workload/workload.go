@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -170,32 +169,6 @@ func (w *Workload) Split(trainFrac float64, seed int64) (train, test *Workload) 
 		}
 	}
 	return train, test
-}
-
-// Compress merges queries whose normalized legs are identical, summing
-// their weights. Such queries are indistinguishable to the advisor (the
-// optimizer sees only legs), so compression reduces Evaluate Indexes
-// calls without changing any recommendation. The first query of each
-// class is kept as the representative.
-func (w *Workload) Compress() *Workload {
-	out := &Workload{Name: w.Name + "-compressed", Updates: w.Updates}
-	classes := map[string]int{} // leg signature -> index in out.Queries
-	for _, e := range w.Queries {
-		legs := e.Query.Legs()
-		keys := make([]string, len(legs))
-		for i, l := range legs {
-			keys[i] = l.Key()
-		}
-		sort.Strings(keys)
-		sig := e.Query.Collection + "||" + strings.Join(keys, "|")
-		if i, ok := classes[sig]; ok {
-			out.Queries[i].Weight += e.Weight
-			continue
-		}
-		classes[sig] = len(out.Queries)
-		out.Queries = append(out.Queries, Entry{Query: e.Query, Weight: e.Weight})
-	}
-	return out
 }
 
 // Parse reads the text format: one record per non-empty line, fields

@@ -154,33 +154,3 @@ func TestFormatMentionsCounts(t *testing.T) {
 		t.Errorf("Format header: %s", w.Format())
 	}
 }
-
-func TestCompressMergesEquivalentQueries(t *testing.T) {
-	w := &Workload{Name: "c"}
-	w.MustAddQuery(3, `for $i in collection("c")/a/b where $i/x > 5 return $i/y`)
-	w.MustAddQuery(4, `for $j in collection("c")/a/b where $j/x > 5 return $j/y`) // same legs, different var
-	w.MustAddQuery(2, `for $i in collection("c")/a/b where $i/x > 6 return $i/y`) // different constant
-	w.AddInsert(1, "c", "<a/>")
-	cw := w.Compress()
-	if len(cw.Queries) != 2 {
-		t.Fatalf("compressed to %d queries, want 2", len(cw.Queries))
-	}
-	if cw.Queries[0].Weight != 7 {
-		t.Errorf("merged weight = %f, want 7", cw.Queries[0].Weight)
-	}
-	if cw.TotalQueryWeight() != w.TotalQueryWeight() {
-		t.Error("compression changed total weight")
-	}
-	if len(cw.Updates) != 1 {
-		t.Error("updates lost")
-	}
-}
-
-func TestCompressKeepsDistinctCollections(t *testing.T) {
-	w := &Workload{}
-	w.MustAddQuery(1, `for $i in collection("c1")/a/b return $i`)
-	w.MustAddQuery(1, `for $i in collection("c2")/a/b return $i`)
-	if got := len(w.Compress().Queries); got != 2 {
-		t.Errorf("cross-collection queries merged: %d", got)
-	}
-}

@@ -170,9 +170,9 @@ type ScanResult struct {
 	TreeTraveld int // root-to-leaf descent length
 }
 
-// Scan evaluates (op, value) against the index. Rangeable operators use a
-// B+ tree descent plus a bounded leaf walk; Ne and ContainsSubstr fall
-// back to a full leaf scan with residual filtering.
+// Scan evaluates (op, value) against the index. Eq and the range
+// operators use a B+ tree descent plus a bounded leaf walk; Ne and
+// ContainsSubstr fall back to a full leaf scan with residual filtering.
 func (ix *Index) Scan(op sqltype.CmpOp, v sqltype.Value) (ScanResult, error) {
 	if op != sqltype.Exists && op != sqltype.ContainsSubstr && v.Type != ix.Type {
 		return ScanResult{}, fmt.Errorf("xindex: %s scan with %v constant on %v index", ix.Name, v.Type, ix.Type)

@@ -127,16 +127,6 @@ func (n *Node) ChildElement(name string) *Node {
 	return nil
 }
 
-// Depth returns the number of ancestors of n (the document root element has
-// depth 0).
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // PathSteps returns the labels from the document root element down to n,
 // inclusive. Attribute nodes contribute "@name"; text nodes contribute
 // "text()".

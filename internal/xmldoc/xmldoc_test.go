@@ -336,17 +336,6 @@ func TestAttrHelpers(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	doc := MustParse(`<a><b><c/></b></a>`)
-	c := doc.Root.ChildElement("b").ChildElement("c")
-	if c.Depth() != 2 {
-		t.Errorf("Depth = %d, want 2", c.Depth())
-	}
-	if doc.Root.Depth() != 0 {
-		t.Errorf("root Depth = %d, want 0", doc.Root.Depth())
-	}
-}
-
 func BenchmarkParseSample(b *testing.B) {
 	src := []byte(sampleDoc)
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -20,17 +19,15 @@ import (
 // String literals that parse as dates are typed DATE so date indexes can
 // match them; numbers are DOUBLE; other strings are VARCHAR.
 func Parse(src string) (*PathExpr, error) {
-	p := newParser(src, 0, false, Host{})
-	e, err := p.top()
+	p := newParser(src, 0, false, nil)
+	e, err := p.parsePath()
 	switch {
 	case err != nil:
 		return nil, err
-	case e == nil:
-		return nil, p.errf("expected step, found %q", p.tok.Text)
 	case p.tok.Kind != TokEOF:
 		return nil, p.errf("trailing input at %q", p.tok.Text)
 	}
-	return e.(*ExistsExpr).Path, nil
+	return e, nil
 }
 
 // MustParse parses src and panics on error, for tests and generators.
@@ -42,38 +39,40 @@ func MustParse(src string) *PathExpr {
 	return e
 }
 
-// Host describes the query language a path or condition is embedded in.
-type Host struct {
-	// Var resolves `$name` to the path the variable stands for: relative
-	// to the query's context node (XQuery), or the document root, an
-	// absolute path without steps (SQL/XML's PASSING variable). With Var
-	// set, every path outside brackets is a variable path, and one written
-	// without `$name` continues the unnamed variable `$`. Inside brackets
-	// paths are relative and `$` is an error.
-	Var func(name string) (*PathExpr, error)
-	// Keywords are the host's clause keywords: outside brackets a path
-	// ends before one, and no step is named by one.
-	Keywords []string
-}
-
 // ParsePrefix parses the path (cond false) or boolean condition (cond
 // true) that starts at byte off of src and returns it with the offset
 // just past the last byte it read. The expression ends at the first
-// token or character that cannot continue it, such as a host keyword,
-// `,`, `)` or `}`. A path comes back as an *ExistsExpr; in path mode a
-// nil expression means that no path starts at off.
+// token that cannot continue it, such as a clause keyword, `,`, `)` or
+// `}`. A path comes back as an *ExistsExpr.
 //
-// The text after a variable depends on what the variable stands for and
-// where the path is. After the document root an absolute path follows,
-// its leading slash optional but, when written, directly after the name:
-// `$d/a` and `$d a` parse, `$d /a` does not. In a path after any other
-// variable, a relative path follows, optionally after one `/`: `$v/a`,
-// `$v//a`, `$v a` and `$v/.` all parse. In a condition only `/` and `//`
-// continue a variable, and its steps take no predicates.
-func ParsePrefix(src string, off int, cond bool, h Host) (BoolExpr, int, error) {
-	p := newParser(src, off, cond, h)
-	e, err := p.top()
-	return e, p.last, err
+// Outside brackets paths follow XPath's spelling:
+//   - `$name` stands alone or is followed by a path that starts with `/`
+//     or `//`; blanks may come between them.
+//   - A path without a variable starts with `/` or `//` and continues the
+//     unnamed variable `$`.
+//   - In a condition, paths take no predicates.
+//
+// vars resolves a variable's name ("" for the unnamed one) to the path it
+// stands for: a path relative to the query's context node (XQuery), or
+// the document root, an absolute path without steps that a path must
+// follow (SQL/XML's PASSING variable). With vars nil no variable is in
+// scope: a path is absolute, and a nil expression means that no path
+// starts at off. Inside brackets paths are relative, as in Parse, and
+// take no variable.
+func ParsePrefix(src string, off int, cond bool, vars func(name string) (*PathExpr, error)) (BoolExpr, int, error) {
+	p := newParser(src, off, cond, vars)
+	switch {
+	case cond:
+		e, err := p.parseOr()
+		return e, p.last, err
+	case vars == nil && p.tok.Kind != TokSlash && p.tok.Kind != TokDSlash:
+		return nil, p.last, nil
+	}
+	path, err := p.varPath()
+	if err != nil {
+		return nil, p.last, err
+	}
+	return &ExistsExpr{Path: path}, p.last, nil
 }
 
 // TokKind is the kind of a Token.
@@ -182,13 +181,13 @@ type parser struct {
 	src   string
 	tok   Token // the next unread token
 	last  int   // offset just past the last token read
-	host  Host
+	vars  func(name string) (*PathExpr, error)
 	cond  bool
 	depth int // bracket nesting
 }
 
-func newParser(src string, off int, cond bool, h Host) *parser {
-	p := &parser{src: src, last: off, host: h, cond: cond}
+func newParser(src string, off int, cond bool, vars func(string) (*PathExpr, error)) *parser {
+	p := &parser{src: src, last: off, vars: vars, cond: cond}
 	p.tok = Lex(p.src, off)
 	return p
 }
@@ -208,96 +207,47 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("xpath: %s (in %q)", fmt.Sprintf(format, args...), p.src)
 }
 
-// isName reports whether t can name a step here: an identifier that is
-// not a host keyword outside brackets.
-func (p *parser) isName(t Token) bool {
-	return t.Kind == TokIdent && (p.depth > 0 || !slices.Contains(p.host.Keywords, t.Text))
-}
-
-// startsStep and startsPath report whether the next token can begin a
-// step or a path.
-func (p *parser) startsStep() bool {
-	return p.isName(p.tok) || p.tok.Kind == TokStar || p.tok.Kind == TokAt
-}
-
-func (p *parser) startsPath() bool {
-	k := p.tok.Kind
-	return p.startsStep() || k == TokDot || k == TokSlash || k == TokDSlash
-}
-
-// top parses the whole expression of the parser's mode.
-func (p *parser) top() (BoolExpr, error) {
-	switch {
-	case p.cond:
-		return p.parseOr()
-	case p.host.Var == nil && !p.startsPath():
-		return nil, nil
-	}
-	path, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	return &ExistsExpr{Path: path}, nil
-}
-
-// operand parses a path: a variable path outside brackets when the host
-// has variables, a plain path otherwise.
+// operand parses a path: a variable path outside brackets, a plain path
+// inside them.
 func (p *parser) operand() (*PathExpr, error) {
-	if p.depth == 0 && p.host.Var != nil {
+	if p.depth == 0 {
 		return p.varPath()
 	}
 	return p.parsePath()
 }
 
-// varPath parses `$name` (or nothing, for the unnamed variable) and the
-// path that continues it, by the rules ParsePrefix lists.
+// varPath parses a path outside brackets by the rule ParsePrefix
+// states: `$name` (or nothing, for the unnamed variable) and the path
+// that continues it.
 func (p *parser) varPath() (*PathExpr, error) {
-	name, end := "", p.tok.Pos
+	name := ""
 	if p.tok.Kind == TokVar {
-		t := p.next()
-		name, end = t.Text, t.End
+		name = p.next().Text
 	}
-	base, err := p.host.Var(name)
-	if err != nil {
-		return nil, p.errf("%v", err)
-	}
-	var rel *PathExpr
-	switch {
-	case !base.Relative:
-		slash := p.tok.Kind == TokSlash || p.tok.Kind == TokDSlash
-		if !(slash && p.tok.Pos == end || p.startsStep()) {
-			return nil, p.errf("expected a path after $%s, found %q", name, p.tok.Text)
+	base := &PathExpr{}
+	if p.vars != nil {
+		var err error
+		if base, err = p.vars(name); err != nil {
+			return nil, p.errf("%v", err)
 		}
-		rel, err = p.parsePath()
-	case p.tok.Kind == TokSlash:
-		p.next()
-		if p.cond && p.tok.Kind == TokDot {
-			return nil, p.errf("expected step after $%s/", name)
-		}
-		rel, err = p.parsePath()
-	case p.tok.Kind == TokDSlash || !p.cond && p.startsPath():
-		rel, err = p.parsePath()
 	}
+	if p.tok.Kind != TokSlash && p.tok.Kind != TokDSlash {
+		if !base.Relative {
+			return nil, p.errf("expected a path starting with / or // after $%s, found %q", name, p.tok.Text)
+		}
+		return base, nil
+	}
+	rel, err := p.parsePath()
 	switch {
 	case err != nil:
 		return nil, err
-	case p.cond && rel != nil && rel.HasPredicates():
+	case p.cond && rel.HasPredicates():
 		return nil, p.errf("a path after $%s in a condition takes no predicates", name)
 	}
-	return join(base, rel), nil
-}
-
-// join continues base with the steps of rel; rel's own absoluteness is
-// dropped.
-func join(base, rel *PathExpr) *PathExpr {
-	switch {
-	case rel == nil || rel.Dot:
-		return base
-	case base.Dot:
-		return &PathExpr{Relative: true, Steps: rel.Steps}
-	}
+	// rel continues base; a Dot base has no steps, so the result is
+	// base's steps then rel's, as relative as base.
 	steps := append(append([]Step(nil), base.Steps...), rel.Steps...)
-	return &PathExpr{Relative: base.Relative, Steps: steps}
+	return &PathExpr{Relative: base.Relative, Steps: steps}, nil
 }
 
 // parsePath parses a linear path with its predicates.
@@ -351,14 +301,14 @@ func (p *parser) parseStep(axis pattern.Axis) (Step, error) {
 		case nt.Kind == TokStar:
 			p.next()
 			st.Kind = pattern.TestAttr
-		case p.isName(nt):
+		case nt.Kind == TokIdent:
 			p.next()
 			st.Kind = pattern.TestAttr
 			st.Name = nt.Text
 		default:
 			return st, p.errf("expected attribute name after @")
 		}
-	case p.isName(t):
+	case t.Kind == TokIdent:
 		p.next()
 		if t.Text == "text" && p.tok.Kind == TokLParen {
 			p.next()
