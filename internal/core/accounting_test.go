@@ -16,21 +16,19 @@ import (
 var accountingBudgets = []int64{40, 80, 160, 320, 640, 1280}
 
 // accountingSession prepares a fresh advisor's session over the
-// xmark workload. For strategies that run lp it builds the benefit
-// matrix up front: only the first request on a session builds it, so
+// xmark workload and builds its benefit matrix up front, which every
+// strategy ranks by: only the first request on a session builds it, so
 // leaving it to the requests would make their lookup counts depend on
 // which one got there first.
-func accountingSession(t *testing.T, cat *catalog.Catalog, kind SearchKind) *Prepared {
+func accountingSession(t *testing.T, cat *catalog.Catalog) *Prepared {
 	t.Helper()
 	ctx := context.Background()
 	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind == "lp" || kind == SearchRace {
-		if _, err := p.BenefitMatrix(ctx); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := p.BenefitMatrix(ctx); err != nil {
+		t.Fatal(err)
 	}
 	return p
 }
@@ -48,7 +46,7 @@ func TestConcurrentRecommendsAccountExactly(t *testing.T) {
 	}
 	cat := catalog.New(st)
 	ctx := context.Background()
-	serialSession := accountingSession(t, cat, "lp")
+	serialSession := accountingSession(t, cat)
 
 	for _, kind := range []SearchKind{SearchGreedyHeuristic, SearchTopDown, "lp", SearchRace} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -61,7 +59,7 @@ func TestConcurrentRecommendsAccountExactly(t *testing.T) {
 				serial[i] = rec.Cache
 			}
 
-			p := accountingSession(t, cat, kind)
+			p := accountingSession(t, cat)
 			before := p.a.cost.Stats()
 			recs := make([]*Recommendation, len(accountingBudgets))
 			errs := make([]error, len(accountingBudgets))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/pattern"
@@ -51,7 +52,7 @@ type evaluator struct {
 
 // configEval is the derived evaluation of one configuration with the
 // per-query detail assembly reports: the workload-level figures
-// (QueryBenefit, UpdateCost, Net, Used) plus each query's cost and the
+// (QueryBenefit, UpdateCost, Net, Usage) plus each query's cost and the
 // candidates its plan uses.
 type configEval struct {
 	search.Eval
@@ -115,7 +116,6 @@ func (ev *evaluator) eval(ctx context.Context, cfg []*Candidate) (*configEval, e
 // overclaims.
 func (ev *evaluator) degradedEval(cfg []*Candidate) *configEval {
 	out := &configEval{
-		Eval:      search.Eval{Used: map[int]bool{}},
 		queryCost: append([]float64(nil), ev.baseCost...),
 		usedBy:    make([][]int, len(ev.baseCost)),
 	}
@@ -125,26 +125,30 @@ func (ev *evaluator) degradedEval(cfg []*Candidate) *configEval {
 }
 
 // aggregate turns the engine's per-query costs into the workload-level
-// figures strategies rank by: weighted benefit, update cost, and the
-// candidates some query's plan uses (Used stays nil when none is). No
-// optimizer calls.
+// figures strategies rank by: weighted benefit and update cost. Plan
+// usage stays the engine's per-query result, resolved only when a
+// strategy reclaims. No optimizer calls.
 func (ev *evaluator) aggregate(res *whatif.ConfigEval, cfg []*Candidate) search.Eval {
-	var out search.Eval
+	out := search.Eval{Usage: (*planUsage)(res)}
 	for qi, e := range ev.w.Queries {
-		qe := res.Queries[qi]
-		for _, name := range qe.UsedIndexes {
-			if id, ok := candidateNamed(cfg, name); ok {
-				if out.Used == nil {
-					out.Used = map[int]bool{}
-				}
-				out.Used[id] = true
-			}
-		}
-		out.QueryBenefit += e.Weight * (ev.baseCost[qi] - qe.Cost)
+		out.QueryBenefit += e.Weight * (ev.baseCost[qi] - res.Queries[qi].Cost)
 	}
 	out.UpdateCost = ev.updateCost(cfg)
 	out.Net = out.QueryBenefit - out.UpdateCost
 	return out
+}
+
+// planUsage reads plan usage off the engine's per-query results in
+// place: a member is used when some query's plan names its index.
+type planUsage whatif.ConfigEval
+
+func (u *planUsage) Uses(c *Candidate) bool {
+	for _, qe := range u.Queries {
+		if slices.Contains(qe.UsedIndexes, c.Def.Name) {
+			return true
+		}
+	}
+	return false
 }
 
 // derive is aggregate plus the per-query detail assembly reports.

@@ -9,11 +9,11 @@ import (
 	"repro/internal/whatif"
 )
 
-// BenchmarkWarmStandalonePass runs the greedy heuristic on a warm xmark
-// session: the standalone pass over every candidate plus one lazy
-// greedy run, every atom already cached. lookups/op counts the what-if
+// BenchmarkWarmGreedy runs the greedy heuristic on a warm xmark
+// session: one lazy greedy run ranked by the session's memoized benefit
+// matrix, every atom already cached. lookups/op counts the what-if
 // atoms the engine keys per run.
-func BenchmarkWarmStandalonePass(b *testing.B) {
+func BenchmarkWarmGreedy(b *testing.B) {
 	cat := xmarkFixture(b, 300)
 	ctx := context.Background()
 	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))

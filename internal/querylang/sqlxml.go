@@ -95,12 +95,12 @@ func isWord(t xpath.Token, w string) bool {
 func docRoot(string) (*xpath.PathExpr, error) { return &xpath.PathExpr{}, nil }
 
 // embeddedPath parses an XMLEXISTS/XMLQUERY argument: a path written
-// after the PASSING variable ($d/site/item) or alone (/site/item).
+// after the PASSING variable ($d/site/item) or alone (/site/item). Only
+// the lexer's blanks may surround it.
 func embeddedPath(src string) (*xpath.PathExpr, error) {
-	s := strings.TrimSpace(src)
-	e, end, err := xpath.ParsePrefix(s, 0, false, docRoot)
-	if err == nil && end < len(s) {
-		err = fmt.Errorf("trailing input at %q", s[end:])
+	e, end, err := xpath.ParsePrefix(src, 0, false, docRoot)
+	if err == nil && xpath.Lex(src, end).Kind != xpath.TokEOF {
+		err = fmt.Errorf("trailing input at %q", src[end:])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("querylang: embedded XPath: %w", err)

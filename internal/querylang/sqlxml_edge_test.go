@@ -156,6 +156,28 @@ func TestSQLXMLWhitespaceBeforeParen(t *testing.T) {
 	}
 }
 
+// TestSQLXMLArgumentBlanks pins that an embedded path may be surrounded
+// by exactly the blanks the lexer skips, wherever they stand: before the
+// path, between the PASSING variable and its path, or after the path.
+// Other white space, such as a form feed, is an error in every place.
+func TestSQLXMLArgumentBlanks(t *testing.T) {
+	stmt := func(arg string) string { return "SELECT 1 FROM t WHERE XMLEXISTS('" + arg + "')" }
+	for _, blank := range []string{" ", "\t", "\n", "\r", " \r\n\t"} {
+		for _, arg := range []string{blank + "/a", "$d" + blank + "/a", "/a" + blank, blank + "$d/a" + blank} {
+			if got := sqlOutcome(stmt(arg)); got != "table t binding /a" {
+				t.Errorf("%q: got %s, want the path /a", arg, got)
+			}
+		}
+	}
+	for _, blank := range []string{"\f", "\v"} {
+		for _, arg := range []string{blank + "/a", "$d" + blank + "/a", "/a" + blank, blank + "$d/a"} {
+			if got := sqlOutcome(stmt(arg)); got != "error" {
+				t.Errorf("%q: got %s, want an error", arg, got)
+			}
+		}
+	}
+}
+
 func TestSQLXMLQueryLiteralNamingXMLEXISTS(t *testing.T) {
 	got := sqlOutcome(`SELECT XMLQUERY('$d/a[name = "XMLEXISTS(x)"]' PASSING doc AS "d") FROM t`)
 	if want := `table t binding /a[name = "XMLEXISTS(x)"]`; got != want {

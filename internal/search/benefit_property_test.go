@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/datagen"
 	"repro/internal/querylang"
 	"repro/internal/search"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // TestBenefitMatrixMatchesStandaloneWhatIf is the benefit-matrix
@@ -92,5 +94,78 @@ func TestBenefitMatrixMatchesStandaloneWhatIf(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// coldUpdateWorkload is the cold-with-updates golden's workload for a
+// seed (internal/core): 20 XMark and 10 TPoX queries plus an XMark
+// insert/delete pair weighing a fifth of the query weight.
+func coldUpdateWorkload(seed int64) *workload.Workload {
+	w := &workload.Workload{Name: fmt.Sprintf("cold-updates-%d", seed)}
+	for _, src := range []*workload.Workload{
+		datagen.XMarkWorkload(20, seed),
+		datagen.TPoXWorkload(10, seed, 25),
+	} {
+		for _, e := range src.Queries {
+			w.MustAddQuery(e.Weight, e.Query.Text)
+		}
+	}
+	datagen.XMarkUpdates(w, w.TotalQueryWeight()/5, seed)
+	return w
+}
+
+// TestStandaloneFromMatrixIsExact pins the benefit model as the one
+// standalone pricing: for every candidate, the evaluation strategies
+// derive from Space.Benefits equals the evaluator's own evaluation of
+// the candidate alone, bit for bit in QueryBenefit, UpdateCost and Net,
+// and in plan usage wherever the net is positive. It runs on xmark,
+// TPoX and paper, on the cold workloads with inserts and deletes, and
+// on the 1k synthetic spaces with and without a what-if engine.
+func TestStandaloneFromMatrixIsExact(t *testing.T) {
+	ctx := context.Background()
+	a := testAdvisor(t)
+	workloads := propertyWorkloads(t)
+	for seed := int64(1); seed <= 6; seed++ {
+		workloads[fmt.Sprintf("cold-updates-%d", seed)] = coldUpdateWorkload(seed)
+	}
+	spaces := map[string]*search.Space{"synthetic-1k": search.NewSyntheticSpace(1000, 42)}
+	spaces["synthetic-whatif-1k"], _ = search.NewSyntheticWhatIfSpace(1000, 42, whatif.Options{})
+	for name, w := range workloads {
+		prep, err := a.Prepare(ctx, w)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		spaces[name] = prep.Space()
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, sp := range spaces {
+		alone, err := search.StandaloneEvals(ctx, sp, sp.Candidates)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		positive, charged := 0, 0
+		for _, c := range sp.Candidates {
+			got := &alone[c.ID]
+			want, err := sp.Eval.Evaluate(ctx, []*search.Candidate{c})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !same(got.QueryBenefit, want.QueryBenefit) || !same(got.UpdateCost, want.UpdateCost) || !same(got.Net, want.Net) {
+				t.Errorf("%s %s: from the matrix qb=%v uc=%v net=%v, evaluated qb=%v uc=%v net=%v", name, c.Key(),
+					got.QueryBenefit, got.UpdateCost, got.Net, want.QueryBenefit, want.UpdateCost, want.Net)
+			}
+			if want.Net > 0 {
+				positive++
+				if got.Uses(c) != want.Uses(c) {
+					t.Errorf("%s %s: used=%t from the matrix, %t evaluated", name, c.Key(), got.Uses(c), want.Uses(c))
+				}
+			}
+			if want.UpdateCost > 0 {
+				charged++
+			}
+		}
+		if w := workloads[name]; positive == 0 || ((w == nil || len(w.Updates) > 0) && charged == 0) {
+			t.Errorf("%s: %d candidates net positive, %d charged for updates; the comparison checks too little", name, positive, charged)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // as in the strategy. Stats.Evals counts the oracle's own evaluations.
 func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, "greedy-eager", sp)
-	alone, err := standalone(ctx, tr.ev, sp.Candidates)
+	alone, err := standalone(ctx, sp, sp.Candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,10 @@ func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 			positive = append(positive, c)
 		}
 	}
-	remaining := rankByDensity(positive, alone)
+	remaining := make([]*Candidate, len(positive))
+	for k, i := range rankByDensity(positive, func(i int) float64 { return alone[positive[i].ID].Net }) {
+		remaining[k] = positive[i]
+	}
 
 	width := bitsetWidth(sp.Candidates)
 	var config []*Candidate
@@ -83,7 +86,7 @@ func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 
 		pruned := config[:0:0]
 		for _, c := range config {
-			if curEval.Used[c.ID] {
+			if curEval.Uses(c) {
 				pruned = append(pruned, c)
 			}
 		}

@@ -23,14 +23,14 @@ func (greedyBasic) Name() string { return "greedy-basic" }
 
 func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, g.Name(), sp)
-	alone, err := standalone(ctx, tr.ev, sp.Candidates)
+	alone, err := standalone(ctx, sp, sp.Candidates)
 	if err != nil {
 		return tr.fail(err, nil, nil)
 	}
-	order := rankByDensity(sp.Candidates, alone)
 	var config []*Candidate
 	var pages int64
-	for _, c := range order {
+	for _, i := range rankByDensity(sp.Candidates, func(i int) float64 { return alone[sp.Candidates[i].ID].Net }) {
+		c := sp.Candidates[i]
 		if alone[c.ID].Net <= 0 {
 			break
 		}
@@ -73,7 +73,7 @@ func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error)
 	// index-ANDed plan, but its standalone benefit is a tight upper
 	// bound in practice and evaluating every (config, candidate) pair
 	// without it would be quadratic in optimizer calls.
-	alone, err := standalone(ctx, tr.ev, sp.Candidates)
+	alone, err := standalone(ctx, sp, sp.Candidates)
 	if err != nil {
 		return tr.fail(err, nil, nil)
 	}
@@ -85,7 +85,10 @@ func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error)
 	}
 	// Consider high-density candidates first: the lazy heap's initial
 	// order, and the standalone mode's selection order.
-	remaining := rankByDensity(positive, alone)
+	remaining := make([]*Candidate, len(positive))
+	for k, i := range rankByDensity(positive, func(i int) float64 { return alone[positive[i].ID].Net }) {
+		remaining[k] = positive[i]
+	}
 	if sp.InteractionAware {
 		return g.lazy(ctx, sp, tr, alone, remaining)
 	}
@@ -155,7 +158,7 @@ func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *trac
 func reclaim(tr *tracer, config []*Candidate, ev *Eval) []*Candidate {
 	pruned := config[:0:0]
 	for _, c := range config {
-		if ev.Used[c.ID] {
+		if ev.Uses(c) {
 			pruned = append(pruned, c)
 		} else {
 			tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under current config"})

@@ -63,8 +63,8 @@ func (h *lazyHeap) Pop() any {
 // several tops at once would make the selection depend on how many got
 // refreshed (a grown marginal can surface early), and a burst sized by
 // the worker count would make recommendations depend on the parallelism
-// setting, which E12 pins they do not. Parallel workers still serve the
-// standalone seeding pass.
+// setting, which E12 pins they do not. The seeding keys cost no
+// evaluation: they come from the space's benefit model.
 //
 // Two situations fall back to first principles: a candidate that fails
 // the budget or redundancy filter is parked for the round and re-tried
@@ -73,7 +73,7 @@ func (h *lazyHeap) Pop() any {
 // every key to its standalone upper bound (marginals may have grown
 // back, so last-known marginals are no longer bounds).
 func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
-	alone map[int]*Eval, order []*Candidate) (*Result, error) {
+	alone []Eval, order []*Candidate) (*Result, error) {
 	width := bitsetWidth(sp.Candidates)
 	var config []*Candidate
 	covered := candidate.NewBitset(width)
@@ -87,7 +87,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 	// selection costs no re-evaluations at all.
 	h := make(lazyHeap, 0, len(order))
 	for i, c := range order {
-		h = append(h, &lazyItem{c: c, key: ratio(alone[c.ID].Net, c.Pages()), pos: i, round: 1, eval: alone[c.ID]})
+		h = append(h, &lazyItem{c: c, key: ratio(alone[c.ID].Net, c.Pages()), pos: i, round: 1, eval: &alone[c.ID]})
 	}
 	heap.Init(&h)
 
@@ -153,7 +153,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 			for _, it := range h {
 				it.key = ratio(alone[it.c.ID].Net, it.c.Pages())
 				it.round = 0
-				it.eval = alone[it.c.ID]
+				it.eval = &alone[it.c.ID]
 			}
 			heap.Init(&h)
 		}

@@ -1,14 +1,10 @@
 package search
 
 import (
-	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/lp"
 	"repro/internal/whatif"
@@ -17,7 +13,7 @@ import (
 // The lp strategy is the CoPhy-style relaxation search: instead of
 // pricing configurations one what-if call at a time, it solves the
 // fractional index-selection LP over the space's standalone benefit
-// matrix (Space.Benefits, which lp requires) — per-(query, candidate)
+// matrix (Space.Benefits) — per-(query, candidate)
 // benefit coefficients, modular private benefits and update costs, the
 // page budget as a knapsack row, and at-most-one side constraints over
 // containment chains from the DAG — then deterministically rounds the
@@ -53,17 +49,16 @@ func (lpStrategy) Name() string { return "lp" }
 func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, "lp", sp)
 
-	m, err := lpMatrix(ctx, sp)
+	m, err := benefitMatrix(ctx, sp)
 	if err != nil {
 		return tr.fail(err, nil, nil)
 	}
 
 	// Canonical item order: surrogate standalone net density, densest
-	// first, with the same content-only tie-breaks as rankByDensity —
-	// the LP's item indices, the rounding heap's tie-breaks, and
-	// therefore the recommendation are byte-stable under candidate
-	// permutation.
-	order := lpOrder(sp.Candidates, m)
+	// first, with the greedy strategies' content-only tie-breaks — the
+	// LP's item indices, the rounding heap's tie-breaks, and therefore
+	// the recommendation are byte-stable under candidate permutation.
+	order := rankByDensity(sp.Candidates, func(ci int) float64 { return m.StandaloneBenefit(ci) - m.UpdateCost(ci) })
 
 	prob := lpProblem(sp, m, order)
 	sol := lp.Solve(prob, lp.Options{})
@@ -149,59 +144,6 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 		tr.lp.RoundedNet = curEval.Net
 	}
 	return tr.finish(ctx, r.config, curEval)
-}
-
-// lpMatrix obtains the benefit model from the space's Benefits hook,
-// which lp requires. The matrix must have one row per candidate, and
-// Private and Update, when set, one entry per candidate; any other
-// shape is an error.
-func lpMatrix(ctx context.Context, sp *Space) (*whatif.BenefitMatrix, error) {
-	if sp.Benefits == nil {
-		return nil, errors.New("lp: the space has no benefit model (Space.Benefits is nil)")
-	}
-	m, err := sp.Benefits(ctx)
-	if err != nil {
-		return nil, err
-	}
-	switch n := len(sp.Candidates); {
-	case m == nil:
-		return nil, errors.New("lp: Space.Benefits returned no matrix")
-	case len(m.Rows) != n:
-		return nil, fmt.Errorf("lp: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
-	case m.Private != nil && len(m.Private) != n:
-		return nil, fmt.Errorf("lp: benefit matrix has %d private benefits for %d candidates", len(m.Private), n)
-	case m.Update != nil && len(m.Update) != n:
-		return nil, fmt.Errorf("lp: benefit matrix has %d update costs for %d candidates", len(m.Update), n)
-	}
-	return m, nil
-}
-
-// lpOrder returns the candidates in surrogate standalone net density
-// order (content-only tie-breaks, mirroring rankByDensity). Each
-// candidate's density and pattern counts are computed once, before the
-// sort; keys are built only to break full ties.
-func lpOrder(cands []*Candidate, m *whatif.BenefitMatrix) []int {
-	type keyed struct {
-		ci          int
-		density     float64
-		desc, wilds int
-	}
-	ks := make([]keyed, len(cands))
-	for ci, c := range cands {
-		ks[ci] = keyed{ci: ci, density: ratio(m.StandaloneBenefit(ci)-m.UpdateCost(ci), c.Pages()),
-			desc: c.Pattern.DescendantCount(), wilds: c.Pattern.WildcardCount()}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Or(cmp.Compare(b.density, a.density), cmp.Compare(a.desc, b.desc), cmp.Compare(a.wilds, b.wilds)); c != 0 {
-			return c
-		}
-		return strings.Compare(cands[a.ci].Key(), cands[b.ci].Key())
-	})
-	order := make([]int, len(ks))
-	for i, k := range ks {
-		order[i] = k.ci
-	}
-	return order
 }
 
 // lpProblem assembles the relaxation: weights are the modular nets
@@ -495,7 +437,7 @@ func (r *lpRounder) repair(ctx context.Context, tr *tracer, curEval *Eval) (*Eva
 
 		pruned := r.config[:0:0]
 		for _, c := range r.config {
-			if curEval.Used[c.ID] {
+			if curEval.Uses(c) {
 				pruned = append(pruned, c)
 				continue
 			}

@@ -180,8 +180,12 @@ func TestProjectionDifferentialSynthetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(p.Used, m.Used) ||
-			relDiff(p.QueryBenefit, m.QueryBenefit) > 1e-9 ||
+		for _, c := range cfg {
+			if p.Uses(c) != m.Uses(c) {
+				t.Fatalf("trial %d: engine-backed eval says member %s used=%t, model says %t", trial, c.Key(), p.Uses(c), m.Uses(c))
+			}
+		}
+		if relDiff(p.QueryBenefit, m.QueryBenefit) > 1e-9 ||
 			relDiff(p.UpdateCost, m.UpdateCost) > 1e-9 ||
 			relDiff(p.Net, m.Net) > 1e-9 {
 			t.Fatalf("trial %d: engine-backed vs model eval differ: %+v vs %+v", trial, p, m)
@@ -219,6 +223,10 @@ func TestBenefitMatrixSynthetic(t *testing.T) {
 			ev, err := sp.Eval.Evaluate(ctx, []*search.Candidate{c})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if m.PrivateBenefit(ci) <= 0 {
+				t.Fatalf("engineBacked=%v candidate %d: private benefit %v; the model counts every member used because it is positive",
+					engineBacked, ci, m.PrivateBenefit(ci))
 			}
 			if got, want := m.StandaloneBenefit(ci), ev.QueryBenefit; math.Abs(got-want) > 1e-6 {
 				t.Fatalf("engineBacked=%v candidate %d: matrix standalone benefit %.6f != evaluated %.6f",

@@ -17,10 +17,11 @@ func init() {
 // race is the portfolio strategy: it runs every other registered
 // strategy concurrently over the same space — same candidates, same
 // budget, same shared what-if cache, one shared context/deadline — and
-// returns the best-net configuration found. Because the members share
-// the memoizing what-if engine, their evaluations overlap heavily (the
-// standalone evaluations are common to all three paper strategies), so
-// the portfolio costs far less than the sum of its members run cold.
+// returns the best-net configuration found. Every member ranks by the
+// space's one memoized benefit matrix, built at most once for all of
+// them, and the members share the memoizing what-if engine, so their
+// configurations share atoms and the portfolio costs far less than the
+// sum of its members run cold.
 //
 // The winner is deterministic: highest final net benefit, ties broken
 // by fewer pages, then by strategy name — so racing in parallel returns

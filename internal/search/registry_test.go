@@ -91,16 +91,27 @@ type flatEval struct {
 }
 
 func (f flatEval) Evaluate(_ context.Context, cfg []*Candidate) (*Eval, error) {
-	out := &Eval{Used: map[int]bool{}}
+	out := &Eval{Usage: uniformUsage(true)}
 	for _, c := range cfg {
 		out.Net += f.net[c.ID]
 		out.QueryBenefit += f.net[c.ID]
-		out.Used[c.ID] = true
 	}
 	return out, nil
 }
 
 func (f flatEval) Workers() int { return 2 }
+
+// space is a space over cands priced by f, whose benefit model holds
+// each candidate's net as its private benefit, row by row in cands
+// order.
+func (f flatEval) space(cands []*Candidate, budget int64) *Space {
+	m := &whatif.BenefitMatrix{Rows: make([][]whatif.BenefitEntry, len(cands)), Private: make([]float64, len(cands))}
+	for i, c := range cands {
+		m.Private[i] = f.net[c.ID]
+	}
+	return &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, BudgetPages: budget, Eval: f,
+		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) { return m, nil }}
+}
 
 // TestGreedyRankingTiesAreDeterministic is the regression test for the
 // equal-density tie-break: candidates with identical benefit/page
@@ -131,14 +142,15 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		cands, ev := build(perm)
-		alone, err := standalone(context.Background(), &countingEvaluator{inner: ev}, cands)
+		sp := ev.space(cands, 10)
+		alone, err := standalone(context.Background(), sp, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := rankByDensity(cands, alone)
-		for i, c := range order {
-			if c.Pattern.String() != wantOrder[i] {
-				t.Fatalf("perm %v: rank[%d] = %s, want %s", perm, i, c.Pattern, wantOrder[i])
+		order := rankByDensity(cands, func(i int) float64 { return alone[cands[i].ID].Net })
+		for k, i := range order {
+			if c := cands[i]; c.Pattern.String() != wantOrder[k] {
+				t.Fatalf("perm %v: rank[%d] = %s, want %s", perm, k, c.Pattern, wantOrder[k])
 			}
 		}
 
@@ -148,13 +160,35 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := &Space{Candidates: cands, BudgetPages: 10, Eval: ev}
 		res, err := strat.Search(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Config) != 1 || res.Config[0].Pattern.String() != "/a/b/x" {
 			t.Fatalf("perm %v: greedy-basic picked %v, want the most specific tie winner /a/b/x", perm, res.Config)
+		}
+	}
+}
+
+// TestStandaloneNeedsDenseIDs pins the benefit matrix's alignment
+// contract: strategies find a candidate's row through its ID, so a
+// candidate whose ID is out of range, or a DAG node that is not the
+// space's candidate under its ID, fails the search.
+func TestStandaloneNeedsDenseIDs(t *testing.T) {
+	ev := flatEval{net: map[int]float64{0: 5, 1: 3, 7: 2}}
+	sparse := ev.space([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 7, "/a/c", 1)}, 0)
+	stray := ev.space([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 1, "/a/c", 1)}, 0)
+	stray.DAG = &DAG{Nodes: []*Candidate{stray.Candidates[0], testCand(t, 1, "/a/d", 1)}, Roots: stray.Candidates[:1]}
+	for _, tc := range []struct {
+		strategy string
+		sp       *Space
+	}{{"greedy-basic", sparse}, {"greedy-heuristic", sparse}, {"topdown", sparse}, {"topdown", stray}} {
+		strat, err := Lookup(tc.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := strat.Search(context.Background(), tc.sp); err == nil || !strings.Contains(err.Error(), "does not index it") {
+			t.Errorf("%s: got error %v, want one naming the ID", tc.strategy, err)
 		}
 	}
 }
@@ -193,11 +227,7 @@ func TestTraceRendering(t *testing.T) {
 // winner among whichever members happened to finish.
 func TestRaceAbortsOnDeadContext(t *testing.T) {
 	cands := []*Candidate{testCand(t, 0, "/a/b", 1)}
-	ev := flatEval{net: map[int]float64{0: 5}}
-	sp := &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, Eval: ev,
-		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) {
-			return &whatif.BenefitMatrix{Rows: make([][]whatif.BenefitEntry, 1), Private: []float64{5}}, nil
-		}}
+	sp := flatEval{net: map[int]float64{0: 5}}.space(cands, 0)
 	strat, err := Lookup("race")
 	if err != nil {
 		t.Fatal(err)

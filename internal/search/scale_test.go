@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/search"
+	"repro/internal/whatif"
 )
 
 // lazyEagerPair runs the greedy-heuristic strategy and the eager
@@ -96,18 +97,49 @@ func TestLazyMatchesEagerOnSyntheticPermuted(t *testing.T) {
 	}
 	want := configKey(lazy)
 	for _, seed := range []int64{1, 2, 3} {
-		perm := sp.WithBudget(sp.BudgetPages)
-		cands := append([]*search.Candidate(nil), sp.Candidates...)
-		rand.New(rand.NewSource(seed)).Shuffle(len(cands), func(i, j int) {
-			cands[i], cands[j] = cands[j], cands[i]
-		})
-		perm.Candidates = cands
-		pl, pe := lazyEagerPair(t, perm)
+		pl, pe := lazyEagerPair(t, permuted(t, sp, seed))
 		requireSameChoice(t, "permuted", pl, pe)
 		if configKey(pl) != want {
 			t.Errorf("seed %d: permuting the candidate order changed the recommendation", seed)
 		}
 	}
+}
+
+// permuted returns a view of sp with its candidates shuffled and its
+// benefit model's rows shuffled with them, so that row i stays
+// Candidates[i].
+func permuted(t *testing.T, sp *search.Space, seed int64) *search.Space {
+	t.Helper()
+	m, err := sp.Benefits(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, len(sp.Candidates))
+	for i := range idx {
+		idx[i] = i
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	pm := &whatif.BenefitMatrix{NumQueries: m.NumQueries, Rows: make([][]whatif.BenefitEntry, len(idx))}
+	if m.Private != nil {
+		pm.Private = make([]float64, len(idx))
+	}
+	if m.Update != nil {
+		pm.Update = make([]float64, len(idx))
+	}
+	perm := sp.WithBudget(sp.BudgetPages)
+	perm.Candidates = make([]*search.Candidate, len(idx))
+	for i, from := range idx {
+		perm.Candidates[i] = sp.Candidates[from]
+		pm.Rows[i] = m.Rows[from]
+		if pm.Private != nil {
+			pm.Private[i] = m.Private[from]
+		}
+		if pm.Update != nil {
+			pm.Update[i] = m.Update[from]
+		}
+	}
+	perm.Benefits = func(context.Context) (*whatif.BenefitMatrix, error) { return pm, nil }
+	return perm
 }
 
 // TestStandaloneGreedyMatchesOracle pins greedy-heuristic without

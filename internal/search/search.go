@@ -24,21 +24,26 @@
 // budget point.
 //
 // The search contract is one shape for every strategy. A Space carries
-// its benefit model (Space.Benefits), which lp requires. Strategies
-// price configurations only through their tracer's counting evaluator,
-// which batches through the Evaluator's EvaluateBatch when it has one
-// (BoundEvaluator, the adaptor over a whatif.Bound, does) and fans out
-// otherwise. And every strategy fails through one exit: an open
-// circuit breaker becomes a Degraded best-so-far result, and any other
-// error fails the search. Best-so-far holds at a deadline too: a race
-// cut off by an expired deadline returns its best finished member.
+// its benefit model (Space.Benefits), the only standalone pricing: every
+// strategy requires it, and none prices a candidate alone through the
+// evaluator. Strategies price configurations only through their
+// tracer's counting evaluator, which batches through the Evaluator's
+// EvaluateBatch when it has one (BoundEvaluator, the adaptor over a
+// whatif.Bound, does) and fans out otherwise; plan usage is read on
+// demand (Eval.Uses), only where a strategy drops unused members. And
+// every strategy fails through one exit: an open circuit breaker
+// becomes a Degraded best-so-far result, and any other error fails the
+// search. Best-so-far holds at a deadline too: a race cut off by an
+// expired deadline returns its best finished member.
 package search
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +60,8 @@ type Candidate = candidate.Candidate
 type DAG = candidate.DAG
 
 // Eval is one configuration evaluation as the search sees it: the
-// workload-level aggregates the strategies rank configurations by.
+// workload-level aggregates the strategies rank configurations by, and
+// the plan usage reclamation reads.
 type Eval struct {
 	// QueryBenefit is the weighted query benefit (no update cost).
 	QueryBenefit float64
@@ -63,9 +69,27 @@ type Eval struct {
 	UpdateCost float64
 	// Net is QueryBenefit - UpdateCost.
 	Net float64
-	// Used is the set of candidate IDs used by at least one query plan.
-	Used map[int]bool
+	// Usage resolves which members of the evaluated configuration some
+	// query plan uses; nil means none is. Read it through Uses.
+	Usage Usage
 }
+
+// Usage answers, on demand, whether some query plan of an evaluated
+// configuration uses its member c. Every evaluator represents plan
+// usage this way, so an evaluation costs no usage work until a strategy
+// reclaims. Implementations hold no configuration slice a strategy can
+// later change, and are safe for concurrent reads.
+type Usage interface{ Uses(c *Candidate) bool }
+
+// Uses reports whether some query plan of the evaluated configuration
+// uses its member c.
+func (e *Eval) Uses(c *Candidate) bool { return e.Usage != nil && e.Usage.Uses(c) }
+
+// uniformUsage gives every member the same answer: a one-member
+// configuration's usage is whether its lone member is used.
+type uniformUsage bool
+
+func (u uniformUsage) Uses(*Candidate) bool { return bool(u) }
 
 // Evaluator prices candidate configurations. Implementations must be
 // safe for concurrent use: strategies evaluate many configurations at
@@ -127,7 +151,7 @@ func (c *countingEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Ca
 type BoundEvaluator struct {
 	Bound *whatif.Bound
 	// Derive turns the engine's per-query costs of cfg into its
-	// workload evaluation.
+	// workload evaluation. It must not retain cfg.
 	Derive func(res *whatif.ConfigEval, cfg []*Candidate) Eval
 	// Parallel is the useful concurrency Workers reports.
 	Parallel int
@@ -161,15 +185,14 @@ func (b BoundEvaluator) EvaluateBatch(ctx context.Context, base, cands []*Candid
 	if err != nil {
 		return nil, err
 	}
-	// Derive sees each configuration base+{c}: one backing array holds
-	// them all.
-	w := len(base) + 1
-	cfgs := make([]*Candidate, 0, len(cands)*w)
+	// Derive retains no configuration, so every base+{c} fills one
+	// buffer of its own.
+	cfg := append(slices.Clip(base), nil)
 	evals := make([]Eval, len(cands))
 	out := make([]*Eval, len(cands))
 	for i, res := range results {
-		cfgs = append(append(cfgs, base...), cands[i])
-		evals[i] = b.Derive(res, cfgs[i*w:(i+1)*w:(i+1)*w])
+		cfg[len(base)] = cands[i]
+		evals[i] = b.Derive(res, cfg)
 		out[i] = &evals[i]
 	}
 	return out, nil
@@ -209,11 +232,12 @@ type Space struct {
 	InteractionAware bool
 	// Benefits produces the standalone per-(query, candidate) benefit
 	// matrix, rows aligned with Candidates order: the decomposed
-	// benefit model the CoPhy-style lp strategy optimizes over. lp
-	// requires it and fails on a space without one; the other
-	// strategies ignore it. Producers memoize: the first call may cost
-	// one standalone what-if evaluation per candidate (deduplicated
-	// through the engine's atom cache), repeat calls are free.
+	// benefit model the paper strategies rank by and the CoPhy-style
+	// lp strategy optimizes over. Every strategy requires it and fails
+	// on a space without one. Producers memoize: the first call may
+	// cost one standalone what-if evaluation per candidate
+	// (deduplicated through the engine's atom cache), repeat calls are
+	// free.
 	Benefits func(ctx context.Context) (*whatif.BenefitMatrix, error)
 	// Observer, when non-nil, receives every trace event as it is
 	// emitted — the streaming-progress hook. Events still accumulate in
@@ -303,41 +327,35 @@ func bitsetWidth(cands []*Candidate) int {
 	return n
 }
 
-// rankByDensity orders candidates by standalone net benefit per page,
-// densest first. Equal densities tie-break on candidate content only —
-// the more specific pattern first (fewest descendant axes, then fewest
-// wildcards: indexing `/a/*/x` is a safer bet than `//x` at the same
-// density), then the candidate key — never on ID assignment or input
-// order, so the ranking and every recommendation derived from it are
-// byte-stable across map iteration order and pipeline internals.
-func rankByDensity(cands []*Candidate, alone map[int]*Eval) []*Candidate {
-	// Each candidate's density and key are computed once, not per
-	// comparison.
-	type ranked struct {
-		c       *Candidate
-		density float64
-		key     string
+// rankByDensity returns the positions of cands ordered by standalone
+// net benefit per page, densest first; net(i) is cands[i]'s net. Equal
+// densities tie-break on candidate content only — the more specific
+// pattern first (fewest descendant axes, then fewest wildcards:
+// indexing `/a/*/x` is a safer bet than `//x` at the same density),
+// then the candidate key — never on ID assignment or input order, so
+// the ranking and every recommendation derived from it are byte-stable
+// across map iteration order and pipeline internals. Densities and
+// pattern counts are computed once; keys only to break full ties.
+func rankByDensity(cands []*Candidate, net func(i int) float64) []int {
+	type keyed struct {
+		i           int
+		density     float64
+		desc, wilds int
 	}
-	rs := make([]ranked, len(cands))
+	ks := make([]keyed, len(cands))
 	for i, c := range cands {
-		rs[i] = ranked{c: c, density: ratio(alone[c.ID].Net, c.Pages()), key: c.Key()}
+		ks[i] = keyed{i: i, density: ratio(net(i), c.Pages()),
+			desc: c.Pattern.DescendantCount(), wilds: c.Pattern.WildcardCount()}
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := &rs[i], &rs[j]
-		if a.density != b.density {
-			return a.density > b.density
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Or(cmp.Compare(b.density, a.density), cmp.Compare(a.desc, b.desc), cmp.Compare(a.wilds, b.wilds)); c != 0 {
+			return c
 		}
-		if da, db := a.c.Pattern.DescendantCount(), b.c.Pattern.DescendantCount(); da != db {
-			return da < db
-		}
-		if wa, wb := a.c.Pattern.WildcardCount(), b.c.Pattern.WildcardCount(); wa != wb {
-			return wa < wb
-		}
-		return a.key < b.key
+		return strings.Compare(cands[a.i].Key(), cands[b.i].Key())
 	})
-	order := make([]*Candidate, len(rs))
-	for i := range rs {
-		order[i] = rs[i].c
+	order := make([]int, len(ks))
+	for k, e := range ks {
+		order[k] = e.i
 	}
 	return order
 }
@@ -386,18 +404,58 @@ func fanOutEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]
 	return out, nil
 }
 
-// standalone returns each candidate's evaluation alone, keyed by
-// candidate ID, priced as one burst.
-func standalone(ctx context.Context, ev *countingEvaluator, cands []*Candidate) (map[int]*Eval, error) {
-	evals, err := ev.EvaluateBatch(ctx, nil, cands)
+// standalone derives every candidate's evaluation alone from the
+// space's benefit model, in a table indexed by candidate ID: the
+// matrix's standalone benefit and update cost, their difference as the
+// net, and the candidate used iff its standalone benefit is positive.
+// Matrix row i is Space.Candidates[i]. Candidate IDs must be dense, and
+// each of cands — the candidates the strategy looks up, such as the DAG
+// nodes — must be the space's candidate under its ID. It spends no
+// what-if evaluation.
+func standalone(ctx context.Context, sp *Space, cands []*Candidate) ([]Eval, error) {
+	m, err := benefitMatrix(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int]*Eval, len(cands))
-	for i, c := range cands {
-		out[c.ID] = evals[i]
+	alone := make([]Eval, len(sp.Candidates))
+	byID := make([]*Candidate, len(sp.Candidates))
+	for i, c := range sp.Candidates {
+		if c.ID >= 0 && c.ID < len(byID) {
+			qb, uc := m.StandaloneBenefit(i), m.UpdateCost(i)
+			alone[c.ID], byID[c.ID] = Eval{QueryBenefit: qb, UpdateCost: uc, Net: qb - uc, Usage: uniformUsage(qb > 0)}, c
+		}
 	}
-	return out, nil
+	for _, c := range cands {
+		if c.ID < 0 || c.ID >= len(byID) || byID[c.ID] != c {
+			return nil, fmt.Errorf("search: candidate %s: ID %d does not index it among the space's %d candidates", c.Key(), c.ID, len(byID))
+		}
+	}
+	return alone, nil
+}
+
+// benefitMatrix obtains the benefit model from the space's Benefits
+// hook, which every strategy requires. The matrix must have one row
+// per candidate, and Private and Update, when set, one entry per
+// candidate; any other shape is an error.
+func benefitMatrix(ctx context.Context, sp *Space) (*whatif.BenefitMatrix, error) {
+	if sp.Benefits == nil {
+		return nil, errors.New("search: the space has no benefit model (Space.Benefits is nil)")
+	}
+	m, err := sp.Benefits(ctx)
+	if err != nil {
+		return nil, err
+	}
+	switch n := len(sp.Candidates); {
+	case m == nil:
+		return nil, errors.New("search: Space.Benefits returned no matrix")
+	case len(m.Rows) != n:
+		return nil, fmt.Errorf("search: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
+	case m.Private != nil && len(m.Private) != n:
+		return nil, fmt.Errorf("search: benefit matrix has %d private benefits for %d candidates", len(m.Private), n)
+	case m.Update != nil && len(m.Update) != n:
+		return nil, fmt.Errorf("search: benefit matrix has %d update costs for %d candidates", len(m.Update), n)
+	}
+	return m, nil
 }
 
 // fail is every strategy's one failure exit. When err is the circuit

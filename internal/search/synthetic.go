@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/candidate"
 	"repro/internal/catalog"
@@ -245,6 +246,7 @@ func NewSyntheticSpace(n int, seed uint64) *Space {
 		gi++
 	}
 
+	benefits := sync.OnceValue(ev.benefits)
 	return &Space{
 		Candidates:       all,
 		DAG:              &candidate.DAG{Nodes: all, Roots: roots},
@@ -252,7 +254,7 @@ func NewSyntheticSpace(n int, seed uint64) *Space {
 		Eval:             ev,
 		InteractionAware: true,
 		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) {
-			return ev.benefits(), nil
+			return benefits(), nil
 		},
 	}
 }
@@ -285,10 +287,8 @@ type synthEval struct {
 }
 
 // Evaluate prices one configuration: each shared query is served by its
-// best configuration member (ties to the lowest candidate ID, so
-// results are independent of configuration order), benefit is the sum
-// over queries plus the members' private benefits, update cost the sum
-// over members.
+// best configuration member, benefit is the sum over queries plus the
+// members' private benefits, update cost the sum over members.
 func (s *synthEval) Evaluate(ctx context.Context, cfg []*Candidate) (*Eval, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -342,46 +342,38 @@ func (s *synthEval) benefits() *whatif.BenefitMatrix {
 	return m
 }
 
+// eval prices a configuration. Every synthetic candidate carries a
+// positive private benefit, which keeps it used, so every member is.
 func (s *synthEval) eval(cfg []*Candidate) *Eval {
-	out := &Eval{Used: map[int]bool{}}
+	out := &Eval{Usage: uniformUsage(true)}
 	if len(cfg) == 0 {
 		return out
 	}
 	if len(cfg) == 1 {
-		// Standalone fast path: the lone member wins every query it
-		// serves. This is the bulk of every strategy's eval traffic, and
-		// skipping the m-sized scratch keeps it allocation-light.
+		// The lone member wins every query it serves. Its benefit is
+		// summed as the benefit matrix sums its row, query by query and
+		// then the private benefit, so it equals the matrix bit for bit.
 		c := cfg[0]
-		out.QueryBenefit = s.base[c.ID] + s.vals[c.ID]*float64(len(s.queries[c.ID]))
+		for range s.queries[c.ID] {
+			out.QueryBenefit += s.vals[c.ID]
+		}
+		out.QueryBenefit += s.base[c.ID]
 		out.UpdateCost = s.upd[c.ID]
 		out.Net = out.QueryBenefit - out.UpdateCost
-		if s.base[c.ID] > 0 || len(s.queries[c.ID]) > 0 {
-			out.Used[c.ID] = true
-		}
 		return out
 	}
 	bestV := make([]float64, s.m)
-	bestID := make([]int32, s.m)
 	for _, c := range cfg {
 		v := s.vals[c.ID]
 		out.QueryBenefit += s.base[c.ID]
 		out.UpdateCost += s.upd[c.ID]
-		if s.base[c.ID] > 0 {
-			out.Used[c.ID] = true
-		}
 		for _, q := range s.queries[c.ID] {
-			switch {
-			case v > bestV[q]:
-				bestV[q], bestID[q] = v, int32(c.ID)
-			case v == bestV[q] && v > 0 && int32(c.ID) < bestID[q]:
-				bestID[q] = int32(c.ID)
-			}
+			bestV[q] = max(bestV[q], v)
 		}
 	}
-	for q, v := range bestV {
+	for _, v := range bestV {
 		if v > 0 {
 			out.QueryBenefit += v
-			out.Used[int(bestID[q])] = true
 		}
 	}
 	out.Net = out.QueryBenefit - out.UpdateCost

@@ -76,23 +76,22 @@ func (b *SyntheticBackend) serves(id, qi int) bool {
 
 // derive folds the engine's per-query costs back into the
 // synthetic model's workload aggregates, adding the modular private
-// benefit and update cost outside the engine exactly as synthEval
-// computes them, so the whatif-backed space chooses the same
-// configurations as the plain synthetic space.
+// benefit (which keeps every member used) and update cost outside the
+// engine exactly as synthEval computes them, so the whatif-backed space
+// chooses the same configurations as the plain synthetic space. A lone
+// member is priced by the model itself: subtracting the engine's costs
+// loses the last bits of its values, and the benefit matrix has them.
 func (b *SyntheticBackend) derive(res *whatif.ConfigEval, cfg []*Candidate) Eval {
-	out := Eval{Used: map[int]bool{}}
+	if len(cfg) == 1 {
+		return *b.model.eval(cfg)
+	}
+	out := Eval{Usage: uniformUsage(true)}
 	for _, qe := range res.Queries {
 		out.QueryBenefit += qe.CostNoIndexes - qe.Cost
-		for _, name := range qe.UsedIndexes {
-			out.Used[b.byName[name]] = true
-		}
 	}
 	for _, c := range cfg {
 		out.QueryBenefit += b.model.base[c.ID]
 		out.UpdateCost += b.model.upd[c.ID]
-		if b.model.base[c.ID] > 0 {
-			out.Used[c.ID] = true
-		}
 	}
 	out.Net = out.QueryBenefit - out.UpdateCost
 	return out

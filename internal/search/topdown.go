@@ -24,7 +24,7 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		return nil, fmt.Errorf("search: topdown needs a containment DAG (Space.DAG is nil)")
 	}
 	ctx, tr := newTracer(ctx, t.Name(), sp)
-	alone, err := standalone(ctx, tr.ev, sp.DAG.Nodes)
+	alone, err := standalone(ctx, sp, sp.DAG.Nodes)
 	if err != nil {
 		return tr.fail(err, nil, nil)
 	}
@@ -85,7 +85,7 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		lastEval = full
 		kept := config[:0:0]
 		for _, c := range config {
-			if full.Used[c.ID] {
+			if full.Uses(c) {
 				kept = append(kept, c)
 			} else {
 				tr.emit(TraceEvent{Action: ActionDrop, Candidate: c.Key(), Note: "unused"})
