@@ -549,8 +549,8 @@ func (s *shell) cmdCandidates(rest string) error {
 // [budget-pages]" and compares every registered search strategy
 // side-by-side: one advisor prepares the candidate space once (or the
 // deterministic synthetic generator builds it), then each strategy
-// searches it at the same budget. The evals column is each strategy's
-// exact what-if call count.
+// searches it at the same budget. The evals column is the count of
+// configurations each strategy priced.
 func (s *shell) cmdSearch(rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) >= 1 && fields[0] == "-synthetic" {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"repro/internal/pattern"
 	"repro/internal/search"
@@ -17,10 +16,9 @@ import (
 // per-query evaluations across a worker pool and memoizes configuration
 // results; the evaluator only derives workload-level aggregates (weighted
 // benefit, update cost, candidate usage) from the engine's per-query
-// costs. It is safe for concurrent use, so searches can evaluate many
-// configurations at once.
+// costs. Everything it holds is written once, when it is built, so
+// concurrent searches evaluate configurations through it without a lock.
 type evaluator struct {
-	a *Advisor
 	w *workload.Workload
 
 	// bound scopes the engine to the workload's query list, with the
@@ -28,26 +26,11 @@ type evaluator struct {
 	bound *whatif.Bound
 	// baseCost[qi] is the document-scan cost of query qi.
 	baseCost []float64
-	// insertNodes holds, per update index, an insert's sample document
-	// as the nodes an index can hold (parsed root-path word and raw
-	// value), built once per session so pricing a candidate only matches
-	// and casts; nil for a delete.
-	insertNodes [][]xindex.DocNode
-	// deleteDocs holds, per update index, the document count of a
-	// delete's collection, read once: a Prepared assumes fixed
-	// statistics for its lifetime. 0 means the delete is not charged.
-	deleteDocs []int64
-	// deleteScope holds, per update index, the document-root scope of a
-	// path-restricted delete (zero otherwise).
-	deleteScope []pattern.Pattern
-
-	// entryMu guards the memoized per-(update, candidate) state behind
-	// updateCost, shared across concurrent evals: entryCount holds
-	// index-entry counts (the one expensive non-optimizer computation),
-	// delOverlap holds delete-scope overlap decisions.
-	entryMu    sync.Mutex
-	entryCount map[[2]int]int
-	delOverlap map[[2]int]bool
+	// maint[ui][id] is update ui's maintenance charge for the candidate
+	// with that ID. The charge is modular (one fixed amount per update
+	// and index), so every pair is priced once, when the evaluator is
+	// built, and a configuration's update cost is a sum over the table.
+	maint [][]float64
 }
 
 // configEval is the derived evaluation of one configuration with the
@@ -62,9 +45,11 @@ type configEval struct {
 	usedBy [][]int
 }
 
-func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*evaluator, error) {
-	ev := &evaluator{a: a, w: w, bound: a.cost.Bind(w.QueryList()),
-		entryCount: map[[2]int]int{}, delOverlap: map[[2]int]bool{}}
+// newEvaluator binds the workload and prices every update's maintenance
+// for each of cands, whose IDs must be dense: the evaluator can then
+// price any configuration drawn from cands.
+func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload, cands []*Candidate) (*evaluator, error) {
+	ev := &evaluator{w: w, bound: a.cost.Bind(w.QueryList())}
 	// The empty configuration gives every query's document-scan cost.
 	base, err := ev.bound.EvaluateConfig(ctx, nil)
 	if err != nil {
@@ -74,25 +59,49 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 		ev.baseCost = append(ev.baseCost, qe.CostNoIndexes)
 	}
 	for _, u := range w.Updates {
-		var nodes []xindex.DocNode
-		var docs int64
-		var scope pattern.Pattern
-		switch u.Kind {
-		case workload.UpdateInsert:
-			nodes = xindex.DocNodes(u.Doc)
-		case workload.UpdateDelete:
-			if st, err := a.cat.Stats(u.Collection); err == nil {
-				docs = st.Docs
-			}
-			if u.Path != nil {
-				scope = docScope(u.Path.LinearPattern())
-			}
-		}
-		ev.insertNodes = append(ev.insertNodes, nodes)
-		ev.deleteDocs = append(ev.deleteDocs, docs)
-		ev.deleteScope = append(ev.deleteScope, scope)
+		ev.maint = append(ev.maint, a.maintenance(u, cands))
 	}
 	return ev, nil
+}
+
+// maintenance charges update u for the index entries it would add or
+// remove in each of cands' indexes (paper §1: "taking into account the
+// cost of updating the index on data modification"), in a row indexed
+// by candidate ID. An index on another collection pays nothing.
+func (a *Advisor) maintenance(u workload.Update, cands []*Candidate) []float64 {
+	row := make([]float64, len(cands))
+	switch u.Kind {
+	case workload.UpdateInsert:
+		// An insert pays for the exact entries its sample document adds.
+		nodes := xindex.DocNodes(u.Doc)
+		for _, c := range cands {
+			if c.Collection == u.Collection {
+				row[c.ID] = u.Weight * float64(docEntriesFor(nodes, c)) * a.maintPerEntry
+			}
+		}
+	case workload.UpdateDelete:
+		// Deleting a document removes its entries from every index;
+		// estimate with the index's average entries per document,
+		// restricted to docs the delete path selects (approximated by
+		// full overlap when the document roots agree). A Prepared assumes
+		// fixed statistics for its lifetime.
+		st, err := a.cat.Stats(u.Collection)
+		if err != nil || st.Docs == 0 {
+			return row
+		}
+		var scope pattern.Pattern
+		if u.Path != nil {
+			scope = docScope(u.Path.LinearPattern())
+		}
+		for _, c := range cands {
+			if c.Collection != u.Collection || u.Path != nil && !pattern.OverlapsCached(scope, docScope(c.Pattern)) {
+				continue
+			}
+			perDoc := float64(c.Def.EstEntries) / float64(st.Docs)
+			row[c.ID] = u.Weight * perDoc * a.maintPerEntry
+		}
+	}
+	return row
 }
 
 // eval returns the evaluation of a configuration with its per-query
@@ -178,77 +187,16 @@ func candidateNamed(cfg []*Candidate, name string) (int, bool) {
 	return 0, false
 }
 
-// updateCost charges each update statement for the index entries it
-// would add or remove in every configuration index (paper §1: "taking
-// into account the cost of updating the index on data modification").
+// updateCost sums the maintenance table over the configuration's
+// members, update by update.
 func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
-	if len(ev.w.Updates) == 0 {
-		return 0
-	}
-	perEntry := ev.a.maintPerEntry
 	var total float64
-	for ui, u := range ev.w.Updates {
+	for _, row := range ev.maint {
 		for _, c := range cfg {
-			if c.Collection != u.Collection {
-				continue
-			}
-			switch u.Kind {
-			case workload.UpdateInsert:
-				total += u.Weight * float64(ev.docEntries(ui, c)) * perEntry
-			case workload.UpdateDelete:
-				// Deleting a document removes its entries from every
-				// index; estimate with the index's average entries per
-				// document, restricted to docs the delete path selects
-				// (approximated by full overlap when patterns intersect).
-				if ev.deleteDocs[ui] == 0 {
-					continue
-				}
-				perDoc := float64(c.Def.EstEntries) / float64(ev.deleteDocs[ui])
-				if u.Path != nil && !ev.deleteOverlaps(ui, c) {
-					continue
-				}
-				total += u.Weight * perDoc * perEntry
-			}
+			total += row[c.ID]
 		}
 	}
 	return total
-}
-
-// deleteOverlaps is the memoized per-(update, candidate) decision of
-// whether update ui's delete scope shares a document root with
-// candidate c's pattern; updateCost runs once per configuration
-// evaluation, so the candidate's docScope and the kernel lookup are paid
-// at most once per pair.
-func (ev *evaluator) deleteOverlaps(ui int, c *Candidate) bool {
-	key := [2]int{ui, c.ID}
-	ev.entryMu.Lock()
-	v, ok := ev.delOverlap[key]
-	ev.entryMu.Unlock()
-	if ok {
-		return v
-	}
-	v = pattern.OverlapsCached(ev.deleteScope[ui], docScope(c.Pattern))
-	ev.entryMu.Lock()
-	ev.delOverlap[key] = v
-	ev.entryMu.Unlock()
-	return v
-}
-
-// docEntries is the memoized entry count of insert ui's sample document
-// in candidate c's index.
-func (ev *evaluator) docEntries(ui int, c *Candidate) int {
-	key := [2]int{ui, c.ID}
-	ev.entryMu.Lock()
-	n, ok := ev.entryCount[key]
-	ev.entryMu.Unlock()
-	if ok {
-		return n
-	}
-	n = docEntriesFor(ev.insertNodes[ui], c)
-	ev.entryMu.Lock()
-	ev.entryCount[key] = n
-	ev.entryMu.Unlock()
-	return n
 }
 
 // docScope reduces a pattern to its first step: two patterns can share a

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/pattern"
+	"repro/internal/search"
 	"repro/internal/sqltype"
 	"repro/internal/workload"
 	"repro/internal/xindex"
@@ -16,7 +19,7 @@ import (
 // referenceUpdateCost recomputes a configuration's maintenance cost from
 // first principles — uncached pattern.Overlaps, per-call Compile — as
 // the oracle for the kernel-backed updateCost path (OverlapsCached,
-// interned matchers, memoized entry counts).
+// interned matchers, the per-session maintenance table).
 func referenceUpdateCost(t *testing.T, a *Advisor, w *workload.Workload, cfg []*Candidate) float64 {
 	t.Helper()
 	var total float64
@@ -75,10 +78,11 @@ func oracleDocEntries(d *xmldoc.Document, c *Candidate) int {
 // TestInsertEntriesParity checks, for every candidate of the xmark and
 // tpox spaces (every rule's generalizations and the overtrained basics)
 // plus outsider definitions no workload produces, that the entry count
-// the evaluator charges for each insert's sample document equals the
-// per-node oracle and the entries xindex.InsertDoc adds to an empty
-// physical index. The inserts go into auction and order, so attribute
-// and text() paths and double and date casts are all exercised.
+// the maintenance table charges for each insert's sample document
+// (docEntriesFor over its xindex.DocNodes) equals the per-node oracle
+// and the entries xindex.InsertDoc adds to an empty physical index. The
+// inserts go into auction and order, so attribute and text() paths and
+// double and date casts are all exercised.
 func TestInsertEntriesParity(t *testing.T) {
 	cat := coldUpdateCatalog(t)
 	xm := datagen.XMarkWorkload(20, 1)
@@ -118,10 +122,6 @@ func TestInsertEntriesParity(t *testing.T) {
 			for i, o := range outsiders {
 				cands = append(cands, &Candidate{ID: 1_000_000 + i, Pattern: pattern.MustParse(o.pat), Type: o.typ})
 			}
-			ev, err := a.newEvaluator(ctx, w)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for ui, u := range w.Updates {
 				if u.Kind != workload.UpdateInsert {
 					continue
@@ -130,8 +130,9 @@ func TestInsertEntriesParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				nodes := xindex.DocNodes(u.Doc)
 				for _, c := range cands {
-					got := ev.docEntries(ui, c)
+					got := docEntriesFor(nodes, c)
 					want := oracleDocEntries(d, c)
 					phys := xindex.New("PARITY", c.Pattern, c.Type).InsertDoc(d)
 					if got != want || got != phys {
@@ -166,7 +167,7 @@ func TestInsertEntriesParity(t *testing.T) {
 
 // TestUpdateBenefitUnchangedByKernelCache checks the kernel-cached
 // update-cost path (OverlapsCached through the containment kernel)
-// produces exactly the same maintenance charges as the uncached
+// produces bit for bit the same maintenance charges as the uncached
 // reference, on a workload with both inserts and path-scoped deletes.
 func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 	cat := xmarkFixture(t, 200)
@@ -187,7 +188,7 @@ func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 		t.Fatal("workload with updates charged no maintenance cost")
 	}
 	want := referenceUpdateCost(t, a, w, rec.Config)
-	if math.Abs(rec.UpdateCost-want) > 1e-9*math.Max(1, want) {
+	if rec.UpdateCost != want {
 		t.Fatalf("update cost through kernel cache = %v, reference = %v", rec.UpdateCost, want)
 	}
 
@@ -202,11 +203,10 @@ func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 	}
 }
 
-// BenchmarkUpdateCost prices every candidate of a prepared xmark space
-// whose workload inserts a document, each on its own, on a fresh
-// evaluator per iteration: the per-session document preparation plus one
-// maintenance charge per candidate, as the benefit matrix's Update row
-// computes it.
+// BenchmarkUpdateCost builds the evaluator of a prepared xmark space
+// whose workload inserts a document, once per iteration: the base
+// evaluation (a cache hit) plus the maintenance table, which parses the
+// document's node paths once and prices every candidate of the space.
 func BenchmarkUpdateCost(b *testing.B) {
 	cat := xmarkFixture(b, 250)
 	w := datagen.XMarkWorkload(20, 1)
@@ -221,13 +221,72 @@ func BenchmarkUpdateCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev, err := a.newEvaluator(ctx, w)
-		if err != nil {
+		if _, err := a.newEvaluator(ctx, w, cands); err != nil {
 			b.Fatal(err)
-		}
-		for _, c := range cands {
-			ev.updateCost([]*Candidate{c})
 		}
 	}
 	b.ReportMetric(float64(len(cands)), "candidates")
+}
+
+// TestConcurrentMaintenanceMatchesSerial runs, per strategy, six
+// recommends at six budgets concurrently on one session whose workload
+// inserts and deletes, then the same requests one by one on it: every
+// concurrent response must carry the serial run's configuration and the
+// same update cost and net benefit bits. Under -race this pins that the
+// maintenance table, written once at Prepare, is read without a lock.
+func TestConcurrentMaintenanceMatchesSerial(t *testing.T) {
+	cat := xmarkFixture(t, 250)
+	w := datagen.XMarkWorkload(20, 1)
+	datagen.XMarkUpdates(w, w.TotalQueryWeight()/5, 1)
+	ctx := context.Background()
+	p, err := New(cat, DefaultOptions()).Prepare(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		config          []string
+		updateCost, net uint64
+	}
+	outcomeOf := func(rec *Recommendation) outcome {
+		o := outcome{updateCost: math.Float64bits(rec.UpdateCost), net: math.Float64bits(rec.NetBenefit)}
+		for _, c := range rec.Config {
+			o.config = append(o.config, c.Key())
+		}
+		return o
+	}
+	charged := false
+	for _, name := range search.Names() {
+		kind := SearchKind(name)
+		t.Run(name, func(t *testing.T) {
+			recs := make([]*Recommendation, len(accountingBudgets))
+			errs := make([]error, len(accountingBudgets))
+			var wg sync.WaitGroup
+			for i, b := range accountingBudgets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					recs[i], errs[i] = p.RecommendWith(ctx, kind, b)
+				}()
+			}
+			wg.Wait()
+			for i, b := range accountingBudgets {
+				if errs[i] != nil {
+					t.Fatalf("budget %d: %v", b, errs[i])
+				}
+				serial, err := p.RecommendWith(ctx, kind, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := outcomeOf(recs[i]), outcomeOf(serial)
+				if !slices.Equal(got.config, want.config) || got.updateCost != want.updateCost || got.net != want.net {
+					t.Errorf("budget %d: concurrent %v uc=%v net=%v, serial %v uc=%v net=%v", b,
+						got.config, recs[i].UpdateCost, recs[i].NetBenefit, want.config, serial.UpdateCost, serial.NetBenefit)
+				}
+				charged = charged || serial.UpdateCost > 0
+			}
+		})
+	}
+	if !charged {
+		t.Fatal("no recommendation paid maintenance: the updates exercised nothing")
+	}
 }

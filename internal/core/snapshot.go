@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/candidate"
@@ -167,16 +166,8 @@ func (p *Prepared) buildSnapshot() (*snapshot.Snapshot, error) {
 	}
 	s.Space.StatsJSON = statsJSON
 
-	// Only this session's atoms: every key of an evaluation over the
-	// bound workload starts with one of the bound query prefixes.
-	prefixes := map[string]bool{}
-	for _, pre := range p.ev.bound.KeyPrefixes() {
-		prefixes[pre] = true
-	}
-	atoms := a.cost.ExportAtoms(func(key string) bool {
-		i := strings.IndexByte(key, '\x1f')
-		return i >= 0 && prefixes[key[:i+1]]
-	})
+	// Only this session's atoms, out of the engine cache it shares.
+	atoms := p.ev.bound.ExportAtoms()
 	for _, at := range atoms {
 		s.Atoms = append(s.Atoms, snapshot.Atom{
 			Key:           at.Key,

@@ -103,7 +103,7 @@ func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared,
 // snapshot-restore path (which arrives with a deserialized set instead
 // of a pipeline run).
 func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candidate.Set) (*Prepared, error) {
-	ev, err := a.newEvaluator(ctx, w)
+	ev, err := a.newEvaluator(ctx, w, set.All)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func defsOfCandidates(cands []*Candidate) []*catalog.IndexDef {
 // matrix over the prepared space, rows aligned with Space().Candidates:
 // entry (q, c) is the query's weighted cost reduction when candidate c
 // is installed alone, and Update is the candidate's modular maintenance
-// cost (no optimizer calls — the update model is local). Built once on
+// cost (read off the evaluator's table, priced at Prepare). Built once on
 // first call — one standalone what-if evaluation per candidate, batched
 // through the engine (atoms already cached by a prior search are free)
 // — and memoized once built; a failed build (a cancelled request, an

@@ -147,7 +147,7 @@ func E5UnseenWorkload(env *Env) (string, error) {
 // indexes the optimizer never uses (redundant picks). One advisor
 // session holds the candidate space; every (budget, strategy) cell then
 // re-searches it on the shared what-if cache instead of re-running the
-// whole advisor per budget point — visible in the falling evals /
+// whole advisor per budget point — visible in the falling evaluations /
 // rising hit-rate columns.
 func E6SearchStrategies(env *Env) (string, error) {
 	over, err := overtrainedPages(env, env.XMarkWorkload)
@@ -161,7 +161,7 @@ func E6SearchStrategies(env *Env) (string, error) {
 	}
 	defer sess.Close()
 	t := newTable("E6: search strategies across disk budgets (fractions of overtrained size; one shared candidate space + what-if cache)",
-		"budget%", "search", "#idx", "pages", "net benefit", "#unused", "evals", "cache hit%", "kernel hit%")
+		"budget%", "search", "#idx", "pages", "net benefit", "#unused", "evaluations", "cache hit%", "kernel hit%")
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
 		budget := int64(float64(over) * frac)
 		if budget < 1 {
@@ -196,7 +196,7 @@ func E6SearchStrategies(env *Env) (string, error) {
 func E14StrategyPortfolio(env *Env) (string, error) {
 	ctx := context.Background()
 	t := newTable("E14: strategy portfolio — all registered strategies plus the race, half-overtrained budget",
-		"workload", "strategy", "#idx", "pages", "net benefit", "rounds", "search ms", "evals", "cache hit%", "proj hits", "winner")
+		"workload", "strategy", "#idx", "pages", "net benefit", "rounds", "search ms", "evaluations", "evals", "cache hit%", "proj hits", "winner")
 	for _, wl := range []struct {
 		name string
 		w    *workload.Workload
@@ -223,14 +223,15 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 				return "", err
 			}
 			t.add(wl.name, name, len(rec.Indexes), rec.TotalPages, rec.NetBenefit, rec.Search.Rounds,
-				rec.Search.Elapsed.Milliseconds(), rec.Evaluations, 100*rec.Cache.HitRate(),
+				rec.Search.Elapsed.Milliseconds(), rec.Evaluations, rec.Search.Evals, 100*rec.Cache.HitRate(),
 				rec.Cache.ProjectedHits, rec.Search.Winner)
 		}
 	}
 	// Synthetic scale section: the same portfolio question at candidate
 	// counts the real workloads cannot reach, where lazy greedy, the lp
-	// relaxation and the race actually separate. Evals here are the
-	// exact per-strategy what-if call counts from Stats.
+	// relaxation and the race actually separate. The pure-model rows
+	// price through no CostService (evaluations 0); evals is the count
+	// of configurations each strategy priced, from Stats.
 	greedy, err := search.Lookup("greedy-heuristic")
 	if err != nil {
 		return "", err
@@ -248,7 +249,7 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 				return "", err
 			}
 			t.add(wlName, name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-				res.Stats.Elapsed.Milliseconds(), res.Stats.Evals, 0.0, int64(0), res.Stats.Winner)
+				res.Stats.Elapsed.Milliseconds(), int64(0), res.Stats.Evals, 0.0, int64(0), res.Stats.Winner)
 		}
 		// The same greedy search through the real what-if engine over the
 		// synthetic backend — the projected-hit and CostService-call
@@ -260,7 +261,7 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 		}
 		st := eng.Stats()
 		t.add(wlName, "greedy-whatif", len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-			res.Stats.Elapsed.Milliseconds(), st.Evaluations, 100*st.HitRate(), st.ProjectedHits, "")
+			res.Stats.Elapsed.Milliseconds(), st.Evaluations, res.Stats.Evals, 100*st.HitRate(), st.ProjectedHits, "")
 	}
 	return t.String(), nil
 }

@@ -25,7 +25,7 @@ import (
 // advisor run.
 func E7UpdateCost(env *Env) (string, error) {
 	t := newTable("E7: recommendation vs update share (update weight as multiple of query weight; budget sweep per ratio)",
-		"upd:qry ratio", "budget", "#idx", "pages", "query benefit", "update cost", "net benefit", "evals")
+		"upd:qry ratio", "budget", "#idx", "pages", "query benefit", "update cost", "net benefit", "evaluations")
 	ctx := context.Background()
 	for _, ratio := range []float64{0, 1, 5, 20, 50, 100} {
 		w := datagen.XMarkWorkload(20, 1)

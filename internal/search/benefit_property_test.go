@@ -81,12 +81,16 @@ func TestBenefitMatrixMatchesStandaloneWhatIf(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cell := make([]float64, m.NumQueries)
+				for _, e := range m.Rows[ci] {
+					cell[e.Query] = e.Benefit
+				}
 				for qi, qe := range res.Queries {
 					// The engine reports costs, not deltas; the
 					// subtraction reintroduces last-bit float error,
 					// hence the relative tolerance.
 					got := qe.CostNoIndexes - qe.Cost
-					want := m.Entry(ci, int32(qi))
+					want := cell[qi]
 					if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 						t.Fatalf("candidate %d query %d: engine standalone benefit %.9f != matrix entry %.9f",
 							ci, qi, got, want)

@@ -285,9 +285,13 @@ func TestBenefitMatrixPaperWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cell := make([]float64, m.NumQueries)
+		for _, e := range m.Rows[ci] {
+			cell[e.Query] = e.Benefit
+		}
 		for qi, e := range w.Queries {
 			want := e.Weight * res.Queries[qi].Benefit()
-			if got := m.Entry(ci, int32(qi)); math.Abs(got-want) > 1e-6 {
+			if got := cell[qi]; math.Abs(got-want) > 1e-6 {
 				t.Errorf("candidate %d query %d: matrix entry %.6f != what-if benefit %.6f", ci, qi, got, want)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/catalog"
@@ -95,8 +94,9 @@ func referenceKeeps(qs []*querylang.Query, pred bool) func(qi int, d *catalog.In
 // outside the query's space, with and without RelevanceService — the
 // memo's decision equals optimizer.RelevantFilter (plus the collection
 // filter). On random configurations, RelevantCounts, the projected
-// sizes a Tally charges and the cached atom keys equal a reference
-// computed with the predicate and ConfigKey.
+// sizes a Tally charges and the cached atoms equal a reference computed
+// with the predicate: one atom per distinct (query, projection), the
+// same atoms as pricing each query alone on its projection.
 func TestRelevanceMemoDifferential(t *testing.T) {
 	ctx := context.Background()
 	ws, spaces, outside, all := memoDefs(t)
@@ -128,7 +128,14 @@ func TestRelevanceMemoDifferential(t *testing.T) {
 				}
 				configs = append(configs, cfg)
 			}
-			want := map[string]bool{}
+			// refs lists each query's projection of each configuration;
+			// distinct counts the different (query, projection) pairs.
+			type ref struct {
+				qi  int
+				sub []*catalog.IndexDef
+			}
+			var refs []ref
+			distinct := map[[3]string]bool{}
 			for ci, cfg := range configs {
 				counts := b.RelevantCounts(cfg)
 				for qi := range qs {
@@ -142,7 +149,8 @@ func TestRelevanceMemoDifferential(t *testing.T) {
 						t.Fatalf("%s/%s config %d query %d: RelevantCounts %d, reference %d",
 							label, name, ci, qi, counts[qi], len(sub))
 					}
-					want[e.eng.Bind(qs[qi : qi+1]).KeyPrefixes()[0]+whatif.ConfigKey(sub)] = true
+					refs = append(refs, ref{qi, sub})
+					distinct[[3]string{qs[qi].Collection, qs[qi].Text, whatif.ConfigKey(sub)}] = true
 				}
 			}
 			// Each configuration is priced as its last definition
@@ -169,18 +177,30 @@ func TestRelevanceMemoDifferential(t *testing.T) {
 						label, name, ci, st, len(qs), sum)
 				}
 			}
-			// The engine saw only this batch since its last flush, so its
-			// cache holds exactly the reference keys.
-			var gotKeys, wantKeys []string
-			for _, a := range e.eng.ExportAtoms(nil) {
-				gotKeys = append(gotKeys, a.Key)
+			// The engine saw only this batch since its last flush, so the
+			// Bound's atoms are one per distinct (query, projection): the
+			// atoms that pricing each query alone on its reference
+			// projection leaves in an empty cache.
+			keys := func() []string {
+				var out []string
+				for _, a := range b.ExportAtoms() {
+					out = append(out, a.Key)
+				}
+				return out
 			}
-			for k := range want {
-				wantKeys = append(wantKeys, k)
+			gotKeys := keys()
+			if len(gotKeys) != len(distinct) {
+				t.Fatalf("%s/%s: %d cached atoms for %d distinct (query, projection) pairs",
+					label, name, len(gotKeys), len(distinct))
 			}
-			sort.Strings(wantKeys)
-			if !slices.Equal(gotKeys, wantKeys) {
-				t.Fatalf("%s/%s: cached atom keys differ from the reference: %d vs %d keys",
+			e.eng.Flush()
+			for _, r := range refs {
+				if _, err := e.eng.Bind(qs[r.qi:r.qi+1]).EvaluateConfig(ctx, r.sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if wantKeys := keys(); !slices.Equal(gotKeys, wantKeys) {
+				t.Fatalf("%s/%s: cached atom keys differ from the per-query reference: %d vs %d keys",
 					label, name, len(gotKeys), len(wantKeys))
 			}
 			e.eng.Flush()

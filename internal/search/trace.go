@@ -148,9 +148,9 @@ type Stats struct {
 	Rounds   int           `json:"rounds"`
 	Elapsed  time.Duration `json:"elapsedNs"`
 	Cache    Counters      `json:"cache"`
-	// Evals counts the configuration evaluations this strategy itself
-	// requested (what-if calls); for the race portfolio it is the sum
-	// over all members.
+	// Evals counts the configurations this strategy itself priced
+	// through Space.Eval (not CostService calls, which Cache.Evaluations
+	// counts); for the race portfolio it is the sum over all members.
 	Evals int64 `json:"evals"`
 	// Truncated counts trace events dropped after the per-strategy
 	// buffer hit DefaultTraceCap; 0 when the full trace fit.
@@ -209,7 +209,7 @@ type LPStats struct {
 // String renders the stats as one line.
 func (s Stats) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "search[%s]: %d rounds, %d what-if calls in %v; cache %d hits / %d misses / %d evaluations",
+	fmt.Fprintf(&sb, "search[%s]: %d rounds, %d configurations priced in %v; cache %d hits / %d misses / %d evaluations",
 		s.Strategy, s.Rounds, s.Evals, s.Elapsed.Round(time.Millisecond), s.Cache.Hits, s.Cache.Misses, s.Cache.Evaluations)
 	if s.Degraded {
 		sb.WriteString("; degraded (cost service unavailable)")

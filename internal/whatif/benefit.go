@@ -38,16 +38,6 @@ type BenefitMatrix struct {
 	Update []float64
 }
 
-// Entry returns the (candidate, query) benefit, 0 when absent.
-func (m *BenefitMatrix) Entry(ci int, query int32) float64 {
-	row := m.Rows[ci]
-	i := sort.Search(len(row), func(i int) bool { return row[i].Query >= query })
-	if i < len(row) && row[i].Query == query {
-		return row[i].Benefit
-	}
-	return 0
-}
-
 // StandaloneBenefit is candidate ci's total standalone query benefit:
 // its row sum plus its private benefit.
 func (m *BenefitMatrix) StandaloneBenefit(ci int) float64 {

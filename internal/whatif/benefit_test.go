@@ -12,15 +12,6 @@ func TestBenefitMatrix(t *testing.T) {
 		},
 		Private: []float64{0.5, 0, 0},
 	}
-	if got := m.Entry(0, 3); got != 5 {
-		t.Errorf("Entry(0,3) = %f, want 5", got)
-	}
-	if got := m.Entry(0, 2); got != 0 {
-		t.Errorf("Entry(0,2) = %f, want 0", got)
-	}
-	if got := m.Entry(1, 0); got != 0 {
-		t.Errorf("Entry(1,0) = %f, want 0", got)
-	}
 	if got := m.StandaloneBenefit(0); got != 7.5 {
 		t.Errorf("StandaloneBenefit(0) = %f, want 7.5", got)
 	}

@@ -205,12 +205,18 @@ func defPart(d *catalog.IndexDef) string {
 // different queries of one workload) never cross-talk — and atoms for
 // the same (collection, text) are shared even across workloads, since a
 // QueryEval depends on nothing else. The hashed serialization is
-// length-prefixed, hence injective up to hash collisions.
+// length-prefixed, hence injective up to hash collisions. An atom's key
+// is the query's fingerprint, keySep, then the projected configuration's
+// ConfigKey.
 func queryKey(q *querylang.Query) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d:%s|%d:%s", len(q.Collection), q.Collection, len(q.Text), q.Text)
 	return strconv.FormatUint(h.Sum64(), 16)
 }
+
+// keySep ends the query fingerprint in an atom key; the hex fingerprint
+// never contains it.
+const keySep = "\x1f"
 
 // shard returns the key's shard. The key is hashed eight bytes at a
 // time (FNV-1a's multiply over 64-bit words) and the sum is finished
@@ -277,7 +283,7 @@ type Bound struct {
 func (e *Engine) Bind(queries []*querylang.Query) *Bound {
 	b := &Bound{eng: e, atoms: make([]atomPlan, len(queries))}
 	for i, q := range queries {
-		b.atoms[i] = atomPlan{q: q, qi: i, prefix: queryKey(q) + "\x1f"}
+		b.atoms[i] = atomPlan{q: q, qi: i, prefix: queryKey(q) + keySep}
 		if e.rel != nil {
 			b.atoms[i].relevant = e.rel.RelevantFilter(q)
 		}

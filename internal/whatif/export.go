@@ -1,6 +1,9 @@
 package whatif
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // CachedAtom is one memoized cache entry in exportable form: the
 // engine's (query fingerprint, projected sub-config) key and the
@@ -11,18 +14,27 @@ type CachedAtom struct {
 	Val QueryEval
 }
 
-// ExportAtoms returns every completed cached atom whose key keep
-// accepts (nil keeps all), sorted by key so exports are deterministic.
-// In-flight and failed entries are skipped. The returned QueryEval
-// contents are shared with the cache and must not be mutated.
-func (e *Engine) ExportAtoms(keep func(key string) bool) []CachedAtom {
+// ExportAtoms returns the completed cached atoms of the bound queries
+// (every key an evaluation over this Bound makes, whichever Bound made
+// it), sorted by key so exports are deterministic: what a session
+// snapshot carries out of the shared engine cache. In-flight and failed
+// entries are skipped. The returned QueryEval contents are shared with
+// the cache and must not be mutated.
+func (b *Bound) ExportAtoms() []CachedAtom {
+	prefixes := make(map[string]bool, len(b.atoms))
+	for i := range b.atoms {
+		prefixes[b.atoms[i].prefix] = true
+	}
 	var out []CachedAtom
-	for _, sh := range e.shards {
+	for _, sh := range b.eng.shards {
 		sh.mu.Lock()
 		for k, ent := range sh.m {
+			if i := strings.Index(k, keySep); i < 0 || !prefixes[k[:i+len(keySep)]] {
+				continue
+			}
 			select {
 			case <-ent.ready:
-				if ent.err == nil && (keep == nil || keep(k)) {
+				if ent.err == nil {
 					out = append(out, CachedAtom{Key: k, Val: ent.val})
 				}
 			default:
@@ -55,20 +67,4 @@ func (e *Engine) ImportAtoms(atoms []CachedAtom) int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// KeyPrefixes returns the bound queries' atom-key prefixes (fingerprint
-// plus separator, deduplicated). Every cache key of an evaluation over
-// this Bound starts with one of them — the filter a session snapshot
-// uses to export only its own atoms from the shared engine cache.
-func (b *Bound) KeyPrefixes() []string {
-	seen := make(map[string]bool, len(b.atoms))
-	out := make([]string, 0, len(b.atoms))
-	for i := range b.atoms {
-		if p := b.atoms[i].prefix; !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
