@@ -127,16 +127,19 @@ func (a *Advisor) Strategy() string { return a.cfg.core.Search.String() }
 func (a *Advisor) BudgetPages() int64 { return a.cfg.core.DiskBudgetPages }
 
 // Open prepares a session for the workload: the candidate pipeline
-// runs once (enumeration, generalization, containment DAG) and the
-// what-if evaluator is bound, so every subsequent Recommend on the
+// runs once (enumeration, generalization, containment DAG), the
+// what-if evaluator is bound and the standalone benefit matrix every
+// strategy ranks by is built, so every subsequent Recommend on the
 // session — any strategy, any budget, from any goroutine — reuses the
-// candidate space and the warm cache.
+// candidate space, the matrix and the warm cache. The matrix's what-if
+// work is Open's, not the first Recommend's: a failure there (an open
+// circuit breaker) fails Open.
 //
 // With WithSnapshotDir, Open first tries to warm-start from the
-// workload's snapshot file: a hit skips the pipeline and the base-cost
-// evaluations entirely, and the restored session recommends
-// byte-identically to the one that saved. Any miss or mismatch falls
-// back to a cold prepare.
+// workload's snapshot file: a hit skips the pipeline and rebuilds the
+// matrix from the snapshot's atoms with no cost-service call, and the
+// restored session recommends byte-identically to the one that saved.
+// Any miss or mismatch falls back to a cold prepare.
 func (a *Advisor) Open(ctx context.Context, w *Workload) (*Session, error) {
 	if sess := a.tryRestore(ctx, w); sess != nil {
 		return sess, nil

@@ -88,9 +88,10 @@ func workloadSnapshotName(w *Workload) string {
 
 // Restore rebuilds a session from a snapshot stream previously written
 // by Session.Snapshot. The restored session serves recommendations
-// byte-identical to the one that saved — the candidate space, what-if
-// cache atoms, and benefit matrix all come back warm, so the first
-// Recommend issues no cost-service calls. Restore fails with
+// byte-identical to the one that saved — the candidate space and the
+// what-if cache atoms come back warm, and the benefit matrix is rebuilt
+// from those atoms, so neither Restore nor the first Recommend issues
+// cost-service calls. Restore fails with
 // ErrNotSnapshot / ErrSnapshotCorrupt for bad input and
 // ErrSnapshotMismatch when the snapshot was taken under different
 // options or the catalog's statistics have since changed.
@@ -144,10 +145,11 @@ func (a *Advisor) tryRestore(ctx context.Context, w *Workload) *Session {
 	return sess
 }
 
-// Snapshot serializes the session's full prepared state — candidate
-// space and containment DAG, pattern table, the session's completed
-// what-if cache atoms, and the benefit matrix if built — to w in the
-// versioned format of internal/snapshot.
+// Snapshot serializes the session's prepared state — candidate space
+// and containment DAG, pattern table, and the session's completed
+// what-if cache atoms — to w in the versioned format of
+// internal/snapshot. It carries no benefit matrix: Restore rebuilds it
+// from the atoms.
 func (s *Session) Snapshot(w io.Writer) error {
 	if err := s.checkOpen(); err != nil {
 		return err

@@ -16,18 +16,11 @@ import (
 var accountingBudgets = []int64{40, 80, 160, 320, 640, 1280}
 
 // accountingSession prepares a fresh advisor's session over the
-// xmark workload and builds its benefit matrix up front, which every
-// strategy ranks by: only the first request on a session builds it, so
-// leaving it to the requests would make their lookup counts depend on
-// which one got there first.
+// xmark workload.
 func accountingSession(t *testing.T, cat *catalog.Catalog) *Prepared {
 	t.Helper()
-	ctx := context.Background()
-	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))
+	p, err := New(cat, DefaultOptions()).Prepare(context.Background(), datagen.XMarkWorkload(20, 1))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.BenefitMatrix(ctx); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -64,6 +64,35 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload, cands 
 	return ev, nil
 }
 
+// benefitMatrix builds the standalone per-(query, candidate) benefit
+// matrix over cands, row i for cands[i]: entry (q, c) is the query's
+// weighted cost reduction when c is installed alone, and Update[i] is
+// c's maintenance cost read off the evaluator's table. It costs one
+// standalone what-if evaluation per candidate, batched through the
+// engine, so atoms already cached (a restored snapshot's) are free. Row
+// sums equal the standalone QueryBenefit the evaluator reports, which
+// the cross-check test pins.
+func (ev *evaluator) benefitMatrix(ctx context.Context, cands []*Candidate) (*whatif.BenefitMatrix, error) {
+	results, err := ev.bound.EvaluateExtensions(ctx, nil, defsOfCandidates(cands))
+	if err != nil {
+		return nil, err
+	}
+	m := &whatif.BenefitMatrix{
+		NumQueries: len(ev.w.Queries),
+		Rows:       make([][]whatif.BenefitEntry, len(cands)),
+		Update:     make([]float64, len(cands)),
+	}
+	for ci, res := range results {
+		m.Update[ci] = ev.updateCost(cands[ci : ci+1])
+		for qi, e := range ev.w.Queries {
+			if b := res.Queries[qi].Benefit(); b > 0 {
+				m.Rows[ci] = append(m.Rows[ci], whatif.BenefitEntry{Query: int32(qi), Benefit: e.Weight * b})
+			}
+		}
+	}
+	return m, nil
+}
+
 // maintenance charges update u for the index entries it would add or
 // remove in each of cands' indexes (paper §1: "taking into account the
 // cost of updating the index on data modification"), in a row indexed

@@ -70,13 +70,14 @@ func (a *Advisor) optionsFingerprint() string {
 		a.candidateSource().Name(), rules, candidate.DefaultMinSharedSteps, candidate.DefaultMaxCandidates)
 }
 
-// Save serializes the prepared session's full state — workload,
-// candidate space with containment DAG and coverage, the session's
-// memoized what-if atoms, and the benefit matrix when built — into the
-// versioned snapshot format. A Prepared restored from the output on an
-// advisor with equal options over unchanged collections recommends
-// byte-identically without re-enumeration and with near-zero
-// CostService calls.
+// Save serializes the prepared session's state — workload, candidate
+// space with containment DAG and coverage, and the session's memoized
+// what-if atoms — into the versioned snapshot format. It writes no
+// Benefits section: the atoms hold every standalone evaluation, so a
+// restore rebuilds the benefit matrix from them. A Prepared restored
+// from the output on an advisor with equal options over unchanged
+// collections recommends byte-identically without re-enumeration and
+// with no CostService calls.
 func (p *Prepared) Save(w io.Writer) error {
 	snap, err := p.buildSnapshot()
 	if err != nil {
@@ -176,30 +177,18 @@ func (p *Prepared) buildSnapshot() (*snapshot.Snapshot, error) {
 			UsedIndexes:   at.Val.UsedIndexes,
 		})
 	}
-
-	if m := p.builtBenefits(); m != nil {
-		b := &snapshot.BenefitsData{NumQueries: m.NumQueries, Private: m.Private, Update: m.Update}
-		for _, row := range m.Rows {
-			var cells []snapshot.BenefitCell
-			for _, e := range row {
-				cells = append(cells, snapshot.BenefitCell{Query: e.Query, Benefit: e.Benefit})
-			}
-			b.Rows = append(b.Rows, cells)
-		}
-		s.Benefits = b
-	}
 	return s, nil
 }
 
 // LoadPrepared restores a Prepared session from a snapshot stream: the
 // candidate space and DAG are rebuilt without enumeration or
-// containment work, the saved what-if atoms are imported into the
-// engine's cache before the evaluator binds (so even the base-cost
-// evaluation is a cache hit), and the benefit matrix is seeded when the
-// snapshot carries one. It fails with the codec's typed errors on bad
-// input, ErrSnapshotMismatch when options or catalog statistics
-// diverged, and ErrSnapshotInvalid when decoded content cannot be
-// materialized.
+// containment work, and the saved what-if atoms are imported into the
+// engine's cache before the evaluator binds, so the base-cost evaluation
+// and the benefit matrix, rebuilt from those atoms, are cache hits. A
+// Benefits section, which snapshots of earlier builds carry, is ignored.
+// It fails with the codec's typed errors on bad input,
+// ErrSnapshotMismatch when options or catalog statistics diverged, and
+// ErrSnapshotInvalid when decoded content cannot be materialized.
 func (a *Advisor) LoadPrepared(ctx context.Context, r io.Reader) (*Prepared, error) {
 	snap, err := snapshot.Decode(r)
 	if err != nil {
@@ -316,21 +305,5 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 	}
 	a.verMu.Unlock()
 
-	p, err := a.assemble(ctx, w, set)
-	if err != nil {
-		return nil, err
-	}
-	if b := snap.Benefits; b != nil {
-		m := &whatif.BenefitMatrix{NumQueries: b.NumQueries, Private: b.Private, Update: b.Update}
-		m.Rows = make([][]whatif.BenefitEntry, len(b.Rows))
-		for i, row := range b.Rows {
-			var cells []whatif.BenefitEntry
-			for _, cell := range row {
-				cells = append(cells, whatif.BenefitEntry{Query: cell.Query, Benefit: cell.Benefit})
-			}
-			m.Rows[i] = cells
-		}
-		p.seedBenefits(m)
-	}
-	return p, nil
+	return a.assemble(ctx, w, set)
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // benchSession builds the benchmark session: XMark at 500 documents,
-// the paper workload, one full recommend plus the benefit matrix so
-// the snapshot carries a realistic atom and benefit load.
+// the paper workload and one full recommend, so the snapshot carries a
+// realistic atom load.
 func benchSession(b *testing.B) (*catalog.Catalog, *Prepared, []byte) {
 	b.Helper()
 	_, cat := xmarkStoreFixture(b, 500)
@@ -24,9 +24,6 @@ func benchSession(b *testing.B) (*catalog.Catalog, *Prepared, []byte) {
 		b.Fatal(err)
 	}
 	if _, err := p.RecommendWith(ctx, SearchGreedyHeuristic, 0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.BenefitMatrix(ctx); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -13,6 +13,7 @@ import (
 	"repro/internal/candidate"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/search"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
@@ -80,11 +81,6 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 		}
 		want[k] = renderRec(t, rec)
 	}
-	m1, err := p1.BenefitMatrix(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var buf bytes.Buffer
 	if err := p1.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -99,7 +95,10 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 	}
 	evalsAfterLoad := b.CostEngine().Stats().Evaluations
 	if evalsAfterLoad != 0 {
-		t.Errorf("restore issued %d CostService calls, want 0 (base costs must come from imported atoms)", evalsAfterLoad)
+		t.Errorf("restore issued %d CostService calls, want 0 (base costs and the benefit matrix rebuilt from imported atoms)", evalsAfterLoad)
+	}
+	if !reflect.DeepEqual(p1.Space().Benefits, p2.Space().Benefits) {
+		t.Error("restored benefit matrix differs from original")
 	}
 	for _, k := range strategies {
 		rec, err := p2.RecommendWith(ctx, k, 0)
@@ -112,16 +111,6 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 	}
 	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
 		t.Errorf("restored recommends issued %d CostService calls, want 0 (warm cache)", evals)
-	}
-	m2, err := p2.BenefitMatrix(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Error("restored benefit matrix differs from original")
-	}
-	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
-		t.Errorf("restored benefit matrix issued %d CostService calls, want 0 (seeded from snapshot)", evals)
 	}
 }
 
@@ -207,13 +196,22 @@ func TestRestoreIgnoresPlanText(t *testing.T) {
 	}
 }
 
-func TestSaveWithoutBenefitMatrixOmitsSection(t *testing.T) {
+// TestSaveNeverWritesBenefitsSection pins that a snapshot carries no
+// benefit matrix, not even after every registered strategy has ranked
+// by it: the atoms hold every standalone evaluation, and restore
+// rebuilds the matrix from them.
+func TestSaveNeverWritesBenefitsSection(t *testing.T) {
 	_, cat := xmarkStoreFixture(t, 120)
 	ctx := context.Background()
 	a := New(cat, DefaultOptions())
 	p, err := a.Prepare(ctx, datagen.XMarkPaperWorkload())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range search.Names() {
+		if _, err := p.RecommendWith(ctx, SearchKind(name), 0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
@@ -224,19 +222,96 @@ func TestSaveWithoutBenefitMatrixOmitsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.BenefitRows != 0 {
-		t.Error("benefit section present though the matrix was never built")
+		t.Errorf("snapshot carries a benefit section of %d rows", info.BenefitRows)
 	}
 	if info.Atoms == 0 || info.Candidates == 0 {
 		t.Errorf("unexpectedly empty snapshot: %+v", info)
 	}
-	// Restore still works and can build the matrix on demand.
 	b := New(cat, DefaultOptions())
 	p2, err := b.LoadPrepared(ctx, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.BenefitMatrix(ctx); err != nil {
+	if !reflect.DeepEqual(p.Space().Benefits, p2.Space().Benefits) {
+		t.Error("restored benefit matrix differs from the saver's")
+	}
+}
+
+// TestRestoreIgnoresBenefitsSection restores a snapshot carrying a
+// Benefits section, as snapshots of earlier builds do, with every cell
+// doubled, maintenance costs included: the restored session must
+// rebuild the saver's matrix from the atoms, recommend byte-identically
+// and call the cost service not once.
+func TestRestoreIgnoresBenefitsSection(t *testing.T) {
+	_, cat := xmarkStoreFixture(t, 200)
+	ctx := context.Background()
+	strategies := []SearchKind{SearchGreedyHeuristic, SearchTopDown, SearchGreedyBasic, "lp"}
+	w := datagen.XMarkPaperWorkload()
+	datagen.XMarkUpdates(w, 2, 3)
+
+	a := New(cat, DefaultOptions())
+	p1, err := a.Prepare(ctx, w)
+	if err != nil {
 		t.Fatal(err)
+	}
+	want := map[SearchKind]string{}
+	for _, k := range strategies {
+		rec, err := p1.RecommendWith(ctx, k, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		want[k] = renderRec(t, rec)
+	}
+	var buf bytes.Buffer
+	if err := p1.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p1.Space().Benefits
+	doubled := &snapshot.BenefitsData{NumQueries: m.NumQueries}
+	for i, row := range m.Rows {
+		cells := []snapshot.BenefitCell{}
+		for _, e := range row {
+			cells = append(cells, snapshot.BenefitCell{Query: e.Query, Benefit: 2 * e.Benefit})
+		}
+		doubled.Rows = append(doubled.Rows, cells)
+		doubled.Update = append(doubled.Update, 2*m.UpdateCost(i))
+	}
+	snap.Benefits = doubled
+	var doctored bytes.Buffer
+	if err := snapshot.Encode(&doctored, snap); err != nil {
+		t.Fatal(err)
+	}
+	info, err := snapshot.Inspect(bytes.NewReader(doctored.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.BenefitRows != len(m.Rows) {
+		t.Fatalf("doctored snapshot carries %d benefit rows, want %d", info.BenefitRows, len(m.Rows))
+	}
+
+	b := New(cat, DefaultOptions())
+	p2, err := b.LoadPrepared(ctx, bytes.NewReader(doctored.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, p2.Space().Benefits) {
+		t.Error("restored benefit matrix differs from the saver's")
+	}
+	for _, k := range strategies {
+		rec, err := p2.RecommendWith(ctx, k, 0)
+		if err != nil {
+			t.Fatalf("restored %s: %v", k, err)
+		}
+		if got := renderRec(t, rec); got != want[k] {
+			t.Errorf("%s: restored recommendation differs from the saver's:\n--- saver ---\n%s\n--- restored ---\n%s", k, want[k], got)
+		}
+	}
+	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
+		t.Errorf("restore and recommends issued %d CostService calls, want 0", evals)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/candidate"
@@ -52,8 +51,10 @@ func (k SearchKind) String() string {
 }
 
 // Prepared is one advisor run stopped just before configuration search:
-// the candidate pipeline has run and the what-if evaluator is bound to
-// the workload. Repeated searches over it — different strategies,
+// the candidate pipeline has run, the what-if evaluator is bound to the
+// workload, and the space's standalone benefit matrix is built. It is
+// read-only from then on, so concurrent searches share it without a
+// lock. Repeated searches over it — different strategies,
 // different budgets via the space's WithBudget — reuse the candidate
 // set and the warm what-if cache instead of re-running the whole
 // advisor, which is what budget sweeps and strategy comparisons want.
@@ -70,16 +71,12 @@ type Prepared struct {
 	// whole candidate space, computed once at Prepare time (no what-if
 	// evaluations — the projection predicates alone decide it).
 	relevance whatif.RelevanceStats
-
-	// benefitMu guards the lazily built standalone benefit matrix
-	// behind the space's Benefits hook; nil until a build succeeds
-	// (restore seeds it from a snapshot, Save reads it concurrently).
-	benefitMu sync.Mutex
-	benefits  *whatif.BenefitMatrix
 }
 
-// Prepare runs the candidate pipeline on the workload and binds the
-// what-if evaluator, returning the reusable search setup.
+// Prepare runs the candidate pipeline on the workload, binds the
+// what-if evaluator and builds the benefit matrix, returning the
+// reusable search setup. A what-if failure while pricing the matrix
+// (a cancelled context, an open circuit breaker) fails Prepare.
 func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared, error) {
 	if len(w.Queries) == 0 {
 		return nil, fmt.Errorf("core: workload has no queries")
@@ -98,12 +95,16 @@ func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared,
 	return a.assemble(ctx, w, set)
 }
 
-// assemble binds the what-if evaluator and builds the search space over
-// an already-built candidate set — the tail of Prepare, shared with the
-// snapshot-restore path (which arrives with a deserialized set instead
-// of a pipeline run).
+// assemble binds the what-if evaluator, builds the benefit matrix and
+// the search space over an already-built candidate set — the tail of
+// Prepare, shared with the snapshot-restore path (which arrives with a
+// deserialized set and its imported atoms instead of a pipeline run).
 func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candidate.Set) (*Prepared, error) {
 	ev, err := a.newEvaluator(ctx, w, set.All)
+	if err != nil {
+		return nil, err
+	}
+	benefits, err := ev.benefitMatrix(ctx, set.All)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +114,9 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		BudgetPages:      a.opts.DiskBudgetPages,
 		Eval:             search.BoundEvaluator{Bound: ev.bound, Derive: ev.aggregate, Parallel: a.cost.Workers()},
 		InteractionAware: a.opts.InteractionAware,
+		Benefits:         benefits,
 	}
 	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp}
-	sp.Benefits = p.BenefitMatrix
 	p.relevance = whatif.NewRelevanceStats(ev.bound.RelevantCounts(defsOfCandidates(set.All)))
 	return p, nil
 }
@@ -127,64 +128,6 @@ func defsOfCandidates(cands []*Candidate) []*catalog.IndexDef {
 		defs[i] = c.Def
 	}
 	return defs
-}
-
-// BenefitMatrix returns the standalone per-(query, candidate) benefit
-// matrix over the prepared space, rows aligned with Space().Candidates:
-// entry (q, c) is the query's weighted cost reduction when candidate c
-// is installed alone, and Update is the candidate's modular maintenance
-// cost (read off the evaluator's table, priced at Prepare). Built once on
-// first call — one standalone what-if evaluation per candidate, batched
-// through the engine (atoms already cached by a prior search are free)
-// — and memoized once built; a failed build (a cancelled request, an
-// open breaker) is not memoized, so the next call retries. Row sums
-// equal the standalone QueryBenefit the search evaluator reports, which
-// the cross-check test pins. This is the decomposed benefit model the
-// CoPhy-style LP strategy seam (search.Space.Benefits) exposes.
-func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, error) {
-	p.benefitMu.Lock()
-	defer p.benefitMu.Unlock()
-	if p.benefits == nil {
-		m := &whatif.BenefitMatrix{
-			NumQueries: len(p.w.Queries),
-			Rows:       make([][]whatif.BenefitEntry, len(p.set.All)),
-			Update:     make([]float64, len(p.set.All)),
-		}
-		for i, c := range p.set.All {
-			m.Update[i] = p.ev.updateCost([]*Candidate{c})
-		}
-		results, err := p.ev.bound.EvaluateExtensions(ctx, nil, defsOfCandidates(p.set.All))
-		if err != nil {
-			return nil, err
-		}
-		for ci, res := range results {
-			var row []whatif.BenefitEntry
-			for qi, e := range p.w.Queries {
-				if b := res.Queries[qi].Benefit(); b > 0 {
-					row = append(row, whatif.BenefitEntry{Query: int32(qi), Benefit: e.Weight * b})
-				}
-			}
-			m.Rows[ci] = row
-		}
-		p.benefits = m
-	}
-	return p.benefits, nil
-}
-
-// builtBenefits returns the benefit matrix only if it has already been
-// built successfully (no what-if calls) — what a snapshot save carries.
-func (p *Prepared) builtBenefits() *whatif.BenefitMatrix {
-	p.benefitMu.Lock()
-	defer p.benefitMu.Unlock()
-	return p.benefits
-}
-
-// seedBenefits installs a restored benefit matrix so the first
-// BenefitMatrix call is free.
-func (p *Prepared) seedBenefits(m *whatif.BenefitMatrix) {
-	p.benefitMu.Lock()
-	p.benefits = m
-	p.benefitMu.Unlock()
 }
 
 // Workload exposes the workload the session was prepared over.

@@ -2,11 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/querylang"
 	"repro/internal/search"
+	"repro/internal/whatif"
 )
 
 func TestPlainGreedyKeepsRedundantIndexes(t *testing.T) {
@@ -162,11 +169,10 @@ func TestPreparedBudgetSweepMatchesFullRuns(t *testing.T) {
 	}
 }
 
-// TestBenefitMatrixRetriesAfterFailedBuild pins that a failed benefit
-// matrix build is not memoized: an lp search whose request was
-// cancelled while the matrix was being built must not make every later
-// lp search on the same session fail, and the retry must recommend
-// what a fresh session does.
+// TestBenefitMatrixRetriesAfterFailedBuild pins that a cancelled
+// request leaves its session intact: an lp search on a cancelled
+// context fails, every later lp search on the same session succeeds,
+// and the retry recommends what a fresh session does.
 func TestBenefitMatrixRetriesAfterFailedBuild(t *testing.T) {
 	cat := xmarkFixture(t, 100)
 	w := datagen.XMarkWorkload(10, 1)
@@ -194,5 +200,76 @@ func TestBenefitMatrixRetriesAfterFailedBuild(t *testing.T) {
 	if strings.Join(got.DDL, "\n") != strings.Join(want.DDL, "\n") || got.NetBenefit != want.NetBenefit {
 		t.Errorf("lp after a cancelled request recommends %v (net %.3f), a fresh session %v (net %.3f)",
 			got.DDL, got.NetBenefit, want.DDL, want.NetBenefit)
+	}
+}
+
+// errNonEmptyConfig is what nonEmptyOutage answers for a configuration
+// that holds an index.
+var errNonEmptyConfig = errors.New("cost backend down for indexed configurations")
+
+// nonEmptyOutage fails every call whose configuration is non-empty
+// while down is set, and passes the rest to inner: the base
+// (document-scan) evaluation succeeds and every standalone evaluation
+// of a candidate fails.
+type nonEmptyOutage struct {
+	inner whatif.CostService
+	down  *atomic.Bool
+}
+
+func (o nonEmptyOutage) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (whatif.QueryEval, error) {
+	if len(config) > 0 && o.down.Load() {
+		return whatif.QueryEval{}, fmt.Errorf("query %s: %w", q.ID, errNonEmptyConfig)
+	}
+	return o.inner.EvaluateQuery(ctx, q, config)
+}
+
+// TestPrepareFailsWhenBenefitModelFails pins that the benefit matrix
+// is built by Prepare: when its standalone evaluations fail, Prepare
+// returns the failure (an open circuit breaker behind the resilience
+// middleware), and nothing of the failed build stays behind to break a
+// later Prepare once the backend is healthy.
+func TestPrepareFailsWhenBenefitModelFails(t *testing.T) {
+	cat := xmarkFixture(t, 100)
+	w := datagen.XMarkWorkload(10, 1)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		resilience *whatif.ResilientOptions
+		want       error
+	}{
+		{"plain", nil, errNonEmptyConfig},
+		{"resilient", &whatif.ResilientOptions{
+			FailureThreshold: 1,
+			OpenFor:          time.Hour,
+			Sleep:            func(context.Context, time.Duration) error { return nil },
+		}, whatif.ErrCircuitOpen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var down atomic.Bool
+			down.Store(true)
+			opts := DefaultOptions()
+			opts.Resilience = tc.resilience
+			opts.CostWrapper = func(svc whatif.CostService) whatif.CostService {
+				return nonEmptyOutage{inner: svc, down: &down}
+			}
+			a := New(cat, opts)
+			if _, err := a.Prepare(ctx, w); !errors.Is(err, tc.want) {
+				t.Fatalf("Prepare under the outage: got error %v, want one wrapping %v", err, tc.want)
+			}
+			down.Store(false)
+			if tc.resilience == nil {
+				// The same advisor recovers with its backend.
+				if _, err := a.Prepare(ctx, w); err != nil {
+					t.Fatalf("Prepare after the outage: %v", err)
+				}
+			}
+			p, err := New(cat, DefaultOptions()).Prepare(ctx, w)
+			if err != nil {
+				t.Fatalf("Prepare on a healthy advisor: %v", err)
+			}
+			if p.Space().Benefits.NonZero() == 0 {
+				t.Error("healthy Prepare built an empty benefit matrix")
+			}
+		})
 	}
 }

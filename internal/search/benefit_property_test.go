@@ -29,10 +29,7 @@ func TestBenefitMatrixMatchesStandaloneWhatIf(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sp, eng := search.NewSyntheticWhatIfSpace(n, seed, whatif.Options{Workers: workers})
-			m, err := sp.Benefits(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := sp.Benefits
 			if len(m.Rows) != len(sp.Candidates) {
 				t.Fatalf("matrix has %d rows for %d candidates", len(m.Rows), len(sp.Candidates))
 			}
@@ -143,7 +140,7 @@ func TestStandaloneFromMatrixIsExact(t *testing.T) {
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for name, sp := range spaces {
-		alone, err := search.StandaloneEvals(ctx, sp, sp.Candidates)
+		alone, err := search.StandaloneEvals(sp, sp.Candidates)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,7 +2,6 @@ package search_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -90,43 +89,6 @@ func TestStrategiesDegradeOnOpenBreaker(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestBenefitModelOutage pins the failure exit of the strategies that
-// rank by the benefit model: when Space.Benefits reports an open circuit
-// breaker, each returns a Degraded empty configuration whose trace is
-// the one degraded event, having priced nothing; any other error from
-// Space.Benefits fails the search.
-func TestBenefitModelOutage(t *testing.T) {
-	boom := errors.New("benefit model unavailable")
-	for _, name := range []string{"greedy-basic", "greedy-heuristic", "topdown"} {
-		t.Run(name, func(t *testing.T) {
-			strat, err := search.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := degradedSpace(t, 1<<40)
-			sp.Benefits = func(context.Context) (*whatif.BenefitMatrix, error) {
-				return nil, fmt.Errorf("benefit matrix: %w", whatif.ErrCircuitOpen)
-			}
-			res, err := strat.Search(context.Background(), sp)
-			if err != nil {
-				t.Fatalf("search failed on an open breaker: %v", err)
-			}
-			if !res.Degraded || len(res.Config) != 0 || res.Eval.Net != 0 || res.Stats.Evals != 0 {
-				t.Errorf("degraded=%t config=%d net=%v evals=%d, want a degraded empty configuration priced by nothing",
-					res.Degraded, len(res.Config), res.Eval.Net, res.Stats.Evals)
-			}
-			if len(res.Trace) != 1 || res.Trace[0].Action != search.ActionDegraded {
-				t.Errorf("trace %v, want the one degraded event", res.Trace.Strings())
-			}
-
-			sp.Benefits = func(context.Context) (*whatif.BenefitMatrix, error) { return nil, boom }
-			if _, err := strat.Search(context.Background(), sp); !errors.Is(err, boom) {
-				t.Errorf("got error %v, want the benefit model's error", err)
-			}
-		})
 	}
 }
 

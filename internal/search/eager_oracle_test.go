@@ -16,7 +16,7 @@ import (
 // as in the strategy. Stats.Evals counts the oracle's own evaluations.
 func eagerGreedy(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, "greedy-eager", sp)
-	alone, err := standalone(ctx, sp, sp.Candidates)
+	alone, err := standalone(sp, sp.Candidates)
 	if err != nil {
 		return nil, err
 	}

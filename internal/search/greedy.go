@@ -23,9 +23,9 @@ func (greedyBasic) Name() string { return "greedy-basic" }
 
 func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, g.Name(), sp)
-	alone, err := standalone(ctx, sp, sp.Candidates)
+	alone, err := standalone(sp, sp.Candidates)
 	if err != nil {
-		return tr.fail(err, nil, nil)
+		return nil, err
 	}
 	var config []*Candidate
 	var pages int64
@@ -73,9 +73,9 @@ func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error)
 	// index-ANDed plan, but its standalone benefit is a tight upper
 	// bound in practice and evaluating every (config, candidate) pair
 	// without it would be quadratic in optimizer calls.
-	alone, err := standalone(ctx, sp, sp.Candidates)
+	alone, err := standalone(sp, sp.Candidates)
 	if err != nil {
-		return tr.fail(err, nil, nil)
+		return nil, err
 	}
 	var positive []*Candidate
 	for _, c := range sp.Candidates {

@@ -27,8 +27,7 @@ import (
 // What-if evaluations are spent only on the rounded configuration and
 // the repair pass, so at 10k-50k candidates the strategy runs orders
 // of magnitude fewer evaluations than lazy greedy while the benefit
-// matrix — memoized by its producer and free of optimizer calls on
-// engine-backed spaces after the first build — carries the model.
+// matrix, built once with the space, carries the model.
 func init() { Register(lpStrategy{}) }
 
 // lpRepairRounds caps the what-if repair rounds after rounding. Each
@@ -49,9 +48,9 @@ func (lpStrategy) Name() string { return "lp" }
 func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	ctx, tr := newTracer(ctx, "lp", sp)
 
-	m, err := benefitMatrix(ctx, sp)
+	m, err := benefitMatrix(sp)
 	if err != nil {
-		return tr.fail(err, nil, nil)
+		return nil, err
 	}
 
 	// Canonical item order: surrogate standalone net density, densest

@@ -186,27 +186,22 @@ func TestLPPermutationStable(t *testing.T) {
 		})
 		perm.Candidates = cands
 		// Space.Benefits rows align with Space.Candidates, so a shuffled
-		// copy must present a matching row permutation — reusing the
-		// original closure unchanged would violate the producer contract.
-		perm.Benefits = func(ctx context.Context) (*whatif.BenefitMatrix, error) {
-			m, err := sp.Benefits(ctx)
-			if err != nil {
-				return nil, err
-			}
-			pm := &whatif.BenefitMatrix{
-				NumQueries: m.NumQueries,
-				Rows:       make([][]whatif.BenefitEntry, len(cands)),
-				Private:    make([]float64, len(cands)),
-				Update:     make([]float64, len(cands)),
-			}
-			for i, c := range cands {
-				ci := orig[c.ID]
-				pm.Rows[i] = m.Rows[ci]
-				pm.Private[i] = m.PrivateBenefit(ci)
-				pm.Update[i] = m.UpdateCost(ci)
-			}
-			return pm, nil
+		// copy must carry a matching row permutation — reusing the
+		// original matrix unchanged would violate the producer contract.
+		m := sp.Benefits
+		pm := &whatif.BenefitMatrix{
+			NumQueries: m.NumQueries,
+			Rows:       make([][]whatif.BenefitEntry, len(cands)),
+			Private:    make([]float64, len(cands)),
+			Update:     make([]float64, len(cands)),
 		}
+		for i, c := range cands {
+			ci := orig[c.ID]
+			pm.Rows[i] = m.Rows[ci]
+			pm.Private[i] = m.PrivateBenefit(ci)
+			pm.Update[i] = m.UpdateCost(ci)
+		}
+		perm.Benefits = pm
 		res, err := lpS.Search(ctx, perm)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +213,7 @@ func TestLPPermutationStable(t *testing.T) {
 }
 
 // TestLPRequiresBenefits pins the search contract: the benefit model
-// is what lp optimizes over, so a space without a Benefits hook is an
+// is what lp optimizes over, so a space without a benefit matrix is an
 // error, not a silent fallback.
 func TestLPRequiresBenefits(t *testing.T) {
 	sp := search.NewSyntheticSpace(50, 7).WithBudget(0)
@@ -323,8 +318,8 @@ func TestLPAliases(t *testing.T) {
 	}
 }
 
-// TestLPShortBenefitMatrix covers a producer bug: a Benefits hook whose
-// matrix is shorter than the candidate list — in Rows, Private or
+// TestLPShortBenefitMatrix covers a producer bug: a benefit matrix
+// shorter than the candidate list — in Rows, Private or
 // Update — must make the lp strategy fail with an error naming both
 // lengths, not index past the matrix.
 func TestLPShortBenefitMatrix(t *testing.T) {
@@ -344,15 +339,9 @@ func TestLPShortBenefitMatrix(t *testing.T) {
 		{"update costs", func(m *whatif.BenefitMatrix) { m.Update = m.Update[:10] }},
 	} {
 		sp := base.WithBudget(base.BudgetPages)
-		sp.Benefits = func(ctx context.Context) (*whatif.BenefitMatrix, error) {
-			m, err := base.Benefits(ctx)
-			if err != nil {
-				return nil, err
-			}
-			short := *m
-			tc.shorten(&short)
-			return &short, nil
-		}
+		short := *base.Benefits
+		tc.shorten(&short)
+		sp.Benefits = &short
 		_, err := lpS.Search(ctx, sp)
 		want := fmt.Sprintf("benefit matrix has 10 %s for %d candidates", tc.what, n)
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -212,10 +212,7 @@ func TestBenefitMatrixSynthetic(t *testing.T) {
 		} else {
 			sp = search.NewSyntheticSpace(400, 3)
 		}
-		m, err := sp.Benefits(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := sp.Benefits
 		if len(m.Rows) != len(sp.Candidates) {
 			t.Fatalf("matrix has %d rows for %d candidates", len(m.Rows), len(sp.Candidates))
 		}
@@ -249,12 +246,9 @@ func TestBenefitMatrixPaperWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := prep.Space()
-	if sp.Benefits == nil {
-		t.Fatal("prepared space exposes no Benefits hook")
-	}
-	m, err := sp.Benefits(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := sp.Benefits
+	if m == nil {
+		t.Fatal("prepared space carries no benefit matrix")
 	}
 	if len(m.Rows) != len(sp.Candidates) {
 		t.Fatalf("matrix has %d rows for %d candidates", len(m.Rows), len(sp.Candidates))
@@ -301,13 +295,5 @@ func TestBenefitMatrixPaperWorkload(t *testing.T) {
 	}
 	if populated == 0 {
 		t.Fatal("no candidate has a populated benefit row")
-	}
-	// The second call returns the memoized matrix.
-	again, err := sp.Benefits(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != m {
-		t.Error("Benefits rebuilt the matrix instead of memoizing it")
 	}
 }

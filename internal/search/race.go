@@ -18,8 +18,8 @@ func init() {
 // strategy concurrently over the same space — same candidates, same
 // budget, same shared what-if cache, one shared context/deadline — and
 // returns the best-net configuration found. Every member ranks by the
-// space's one memoized benefit matrix, built at most once for all of
-// them, and the members share the memoizing what-if engine, so their
+// space's one benefit matrix, built with the space before any search,
+// and the members share the memoizing what-if engine, so their
 // configurations share atoms and the portfolio costs far less than the
 // sum of its members run cold.
 //

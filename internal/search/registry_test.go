@@ -110,7 +110,7 @@ func (f flatEval) space(cands []*Candidate, budget int64) *Space {
 		m.Private[i] = f.net[c.ID]
 	}
 	return &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, BudgetPages: budget, Eval: f,
-		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) { return m, nil }}
+		Benefits: m}
 }
 
 // TestGreedyRankingTiesAreDeterministic is the regression test for the
@@ -143,7 +143,7 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		cands, ev := build(perm)
 		sp := ev.space(cands, 10)
-		alone, err := standalone(context.Background(), sp, cands)
+		alone, err := standalone(sp, cands)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,10 +110,7 @@ func TestLazyMatchesEagerOnSyntheticPermuted(t *testing.T) {
 // Candidates[i].
 func permuted(t *testing.T, sp *search.Space, seed int64) *search.Space {
 	t.Helper()
-	m, err := sp.Benefits(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := sp.Benefits
 	idx := make([]int, len(sp.Candidates))
 	for i := range idx {
 		idx[i] = i
@@ -138,7 +135,7 @@ func permuted(t *testing.T, sp *search.Space, seed int64) *search.Space {
 			pm.Update[i] = m.Update[from]
 		}
 	}
-	perm.Benefits = func(context.Context) (*whatif.BenefitMatrix, error) { return pm, nil }
+	perm.Benefits = pm
 	return perm
 }
 

@@ -24,17 +24,19 @@
 // budget point.
 //
 // The search contract is one shape for every strategy. A Space carries
-// its benefit model (Space.Benefits), the only standalone pricing: every
-// strategy requires it, and none prices a candidate alone through the
-// evaluator. Strategies price configurations only through their
-// tracer's counting evaluator, which batches through the Evaluator's
-// EvaluateBatch when it has one (BoundEvaluator, the adaptor over a
-// whatif.Bound, does) and fans out otherwise; plan usage is read on
-// demand (Eval.Uses), only where a strategy drops unused members. And
-// every strategy fails through one exit: an open circuit breaker
-// becomes a Degraded best-so-far result, and any other error fails the
-// search. Best-so-far holds at a deadline too: a race cut off by an
-// expired deadline returns its best finished member.
+// its benefit model (Space.Benefits), the only standalone pricing: a
+// matrix its producer builds once, with the space, so no search builds
+// or waits for it. Every strategy requires it, and none prices a
+// candidate alone through the evaluator. Strategies price
+// configurations only through their tracer's counting evaluator, which
+// batches through the Evaluator's EvaluateBatch when it has one
+// (BoundEvaluator, the adaptor over a whatif.Bound, does) and fans out
+// otherwise; plan usage is read on demand (Eval.Uses), only where a
+// strategy drops unused members. And every strategy fails through one
+// exit: an open circuit breaker becomes a Degraded best-so-far result,
+// and any other error fails the search. Best-so-far holds at a deadline
+// too: a race cut off by an expired deadline returns its best finished
+// member.
 package search
 
 import (
@@ -230,15 +232,13 @@ type Space struct {
 	// each round instead of trusting standalone benefits (§2.3 "index
 	// interaction").
 	InteractionAware bool
-	// Benefits produces the standalone per-(query, candidate) benefit
-	// matrix, rows aligned with Candidates order: the decomposed
-	// benefit model the paper strategies rank by and the CoPhy-style
-	// lp strategy optimizes over. Every strategy requires it and fails
-	// on a space without one. Producers memoize: the first call may
-	// cost one standalone what-if evaluation per candidate
-	// (deduplicated through the engine's atom cache), repeat calls are
-	// free.
-	Benefits func(ctx context.Context) (*whatif.BenefitMatrix, error)
+	// Benefits is the standalone per-(query, candidate) benefit matrix,
+	// rows aligned with Candidates order: the decomposed benefit model
+	// the paper strategies rank by and the CoPhy-style lp strategy
+	// optimizes over. Every strategy requires it and fails on a space
+	// without one. The producer builds it once, with the space, and it
+	// is read-only from then on.
+	Benefits *whatif.BenefitMatrix
 	// Observer, when non-nil, receives every trace event as it is
 	// emitted — the streaming-progress hook. Events still accumulate in
 	// the result's Trace. The observer may be called concurrently (the
@@ -412,8 +412,8 @@ func fanOutEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]
 // each of cands — the candidates the strategy looks up, such as the DAG
 // nodes — must be the space's candidate under its ID. It spends no
 // what-if evaluation.
-func standalone(ctx context.Context, sp *Space, cands []*Candidate) ([]Eval, error) {
-	m, err := benefitMatrix(ctx, sp)
+func standalone(sp *Space, cands []*Candidate) ([]Eval, error) {
+	m, err := benefitMatrix(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -433,21 +433,15 @@ func standalone(ctx context.Context, sp *Space, cands []*Candidate) ([]Eval, err
 	return alone, nil
 }
 
-// benefitMatrix obtains the benefit model from the space's Benefits
-// hook, which every strategy requires. The matrix must have one row
-// per candidate, and Private and Update, when set, one entry per
-// candidate; any other shape is an error.
-func benefitMatrix(ctx context.Context, sp *Space) (*whatif.BenefitMatrix, error) {
-	if sp.Benefits == nil {
-		return nil, errors.New("search: the space has no benefit model (Space.Benefits is nil)")
-	}
-	m, err := sp.Benefits(ctx)
-	if err != nil {
-		return nil, err
-	}
+// benefitMatrix returns the space's benefit model, which every strategy
+// requires. The matrix must have one row per candidate, and Private and
+// Update, when set, one entry per candidate; any other shape is an
+// error.
+func benefitMatrix(sp *Space) (*whatif.BenefitMatrix, error) {
+	m := sp.Benefits
 	switch n := len(sp.Candidates); {
 	case m == nil:
-		return nil, errors.New("search: Space.Benefits returned no matrix")
+		return nil, errors.New("search: the space has no benefit model (Space.Benefits is nil)")
 	case len(m.Rows) != n:
 		return nil, fmt.Errorf("search: benefit matrix has %d rows for %d candidates", len(m.Rows), n)
 	case m.Private != nil && len(m.Private) != n:

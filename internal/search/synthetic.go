@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/candidate"
 	"repro/internal/catalog"
@@ -246,16 +245,13 @@ func NewSyntheticSpace(n int, seed uint64) *Space {
 		gi++
 	}
 
-	benefits := sync.OnceValue(ev.benefits)
 	return &Space{
 		Candidates:       all,
 		DAG:              &candidate.DAG{Nodes: all, Roots: roots},
 		BudgetPages:      synBudgetPages,
 		Eval:             ev,
 		InteractionAware: true,
-		Benefits: func(context.Context) (*whatif.BenefitMatrix, error) {
-			return benefits(), nil
-		},
+		Benefits:         ev.benefits(),
 	}
 }
 

@@ -24,9 +24,9 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		return nil, fmt.Errorf("search: topdown needs a containment DAG (Space.DAG is nil)")
 	}
 	ctx, tr := newTracer(ctx, t.Name(), sp)
-	alone, err := standalone(ctx, sp, sp.DAG.Nodes)
+	alone, err := standalone(sp, sp.DAG.Nodes)
 	if err != nil {
-		return tr.fail(err, nil, nil)
+		return nil, err
 	}
 	// Start configuration: all roots with positive standalone benefit.
 	var config []*Candidate

@@ -20,7 +20,9 @@ type BenefitEntry struct {
 // Update maintenance cost) that make net benefits computable without
 // further what-if calls. Rows are aligned with whatever candidate
 // order the producer documents (search.Space.Benefits aligns with
-// Space.Candidates).
+// Space.Candidates). A producer builds the matrix once, before handing
+// it out (core builds a session's when it prepares or restores it),
+// and never writes it again, so consumers share it without a lock.
 type BenefitMatrix struct {
 	// NumQueries is the workload query count (the column space).
 	NumQueries int
