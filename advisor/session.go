@@ -216,6 +216,9 @@ func (s *Session) response(rec *core.Recommendation, strategy string, budgetPage
 		Evaluations:    rec.Cache.Evaluations,
 		ElapsedMS:      int64(rec.Elapsed / time.Millisecond),
 	}
+	if len(rec.Config) > 0 {
+		resp.Indexes = make([]Index, 0, len(rec.Config))
+	}
 	for i, c := range rec.Config {
 		resp.Indexes = append(resp.Indexes, Index{
 			// Names come from core in Config order, so the DTO can
@@ -228,6 +231,9 @@ func (s *Session) response(rec *core.Recommendation, strategy string, budgetPage
 			Entries:    c.Def.EstEntries,
 			DDL:        rec.DDL[i],
 		})
+	}
+	if len(rec.PerQuery) > 0 {
+		resp.PerQuery = make([]QueryCost, 0, len(rec.PerQuery))
 	}
 	for _, qa := range rec.PerQuery {
 		resp.PerQuery = append(resp.PerQuery, QueryCost{

@@ -25,6 +25,7 @@ package candidate
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/pattern"
@@ -63,14 +64,25 @@ type Candidate struct {
 	// a handful of basics, so per-candidate dense bitmaps would cost
 	// O(candidates × basics) bits and dominate memory at 10k+ candidates.
 	covers CoverSet
+
+	// key memoizes Key: sorts, trace events and tie-breaks ask for it
+	// far more often than candidates are made.
+	key atomic.Pointer[string]
 }
 
 // Pages returns the candidate's estimated size in pages.
 func (c *Candidate) Pages() int64 { return c.Def.EstPages }
 
-// Key identifies the candidate by what it indexes.
+// Key identifies the candidate by what it indexes. It is rendered on
+// the first call and memoized, so Collection, Pattern and Type must not
+// change after it. Safe for concurrent use.
 func (c *Candidate) Key() string {
-	return c.Collection + "|" + c.Pattern.String() + "|" + c.Type.Short()
+	if k := c.key.Load(); k != nil {
+		return *k
+	}
+	k := c.Collection + "|" + c.Pattern.String() + "|" + c.Type.Short()
+	c.key.Store(&k)
+	return k
 }
 
 // Covers is the candidate's redundancy coverage over basic-candidate

@@ -51,24 +51,9 @@ func buildDAGMatrix(all []*Candidate) (*DAG, *containmentMatrix) {
 
 // SortByKey orders candidates by what they index, independent of ID
 // assignment, so every DAG rendering, traversal and recommendation
-// listing is stable across runs and rule configurations. Each key is
-// computed once, not per comparison.
+// listing is stable across runs and rule configurations.
 func SortByKey(cs []*Candidate) {
-	if len(cs) < 2 {
-		return
-	}
-	type keyed struct {
-		c   *Candidate
-		key string
-	}
-	ks := make([]keyed, len(cs))
-	for i, c := range cs {
-		ks[i] = keyed{c: c, key: c.Key()}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	for i := range ks {
-		cs[i] = ks[i].c
-	}
+	sort.Slice(cs, func(i, j int) bool { return cs[i].Key() < cs[j].Key() })
 }
 
 // Edges returns the number of DAG edges.

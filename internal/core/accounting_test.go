@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/search"
 	"repro/internal/store"
 	"repro/internal/whatif"
 )
@@ -97,6 +99,46 @@ func TestConcurrentRecommendsAccountExactly(t *testing.T) {
 			}
 			if got, want := sum.Hits+sum.Misses, (after.Hits+after.Misses)-(before.Hits+before.Misses); got != want {
 				t.Errorf("requests claim %d lookups, the engine made %d", got, want)
+			}
+		})
+	}
+}
+
+// TestWarmRecommendPricesNoOvertrained pins that the overtrained
+// configuration is priced once, by Prepare: a warm recommend looks up
+// exactly its search's atoms plus one per query for the final
+// configuration, for every registered strategy (the race portfolio
+// included), and reports the overtrained costs a fresh engine prices
+// for every basic candidate, bit for bit.
+func TestWarmRecommendPricesNoOvertrained(t *testing.T) {
+	cat := xmarkFixture(t, 250)
+	ctx := context.Background()
+	p := accountingSession(t, cat)
+	over, err := New(cat, DefaultOptions()).CostEngine().EvaluateConfig(ctx, p.w.QueryList(), defsOfCandidates(p.Basics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range search.Names() {
+		t.Run(name, func(t *testing.T) {
+			if _, err := p.RecommendWith(ctx, SearchKind(name), 320); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := p.RecommendWith(ctx, SearchKind(name), 320)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := rec.Search.Cache
+			if got, want := rec.Cache.Hits+rec.Cache.Misses, sc.Hits+sc.Misses+int64(len(p.w.Queries)); got != want {
+				t.Errorf("warm recommend looked up %d atoms, its search %d plus %d for the final configuration",
+					got, sc.Hits+sc.Misses, len(p.w.Queries))
+			}
+			if rec.Cache.Evaluations != 0 {
+				t.Errorf("warm recommend made %d cost calls", rec.Cache.Evaluations)
+			}
+			for qi, qa := range rec.PerQuery {
+				if math.Float64bits(qa.CostOvertrained) != math.Float64bits(over.Queries[qi].Cost) {
+					t.Errorf("%s: overtrained cost %v, a fresh engine prices %v", qa.ID, qa.CostOvertrained, over.Queries[qi].Cost)
+				}
 			}
 		})
 	}

@@ -42,3 +42,37 @@ func BenchmarkWarmGreedy(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Hits)/float64(b.N), "lookups/op")
 }
+
+// BenchmarkWarmRecommend runs one RecommendWith per registered strategy
+// on a warm xmark session: search plus assembly, every atom already
+// cached and the overtrained configuration priced by Prepare.
+// lookups/op counts the what-if atoms resolved per recommend.
+func BenchmarkWarmRecommend(b *testing.B) {
+	cat := xmarkFixture(b, 300)
+	ctx := context.Background()
+	p, err := New(cat, DefaultOptions()).Prepare(ctx, datagen.XMarkWorkload(20, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range search.Names() {
+		b.Run(name, func(b *testing.B) {
+			if _, err := p.RecommendWith(ctx, SearchKind(name), 0); err != nil {
+				b.Fatal(err)
+			}
+			var lookups int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec, err := p.RecommendWith(ctx, SearchKind(name), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec.Cache.Misses != 0 {
+					b.Fatalf("warm recommend missed %d atoms", rec.Cache.Misses)
+				}
+				lookups += rec.Cache.Hits
+			}
+			b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
+		})
+	}
+}

@@ -52,7 +52,8 @@ func (k SearchKind) String() string {
 
 // Prepared is one advisor run stopped just before configuration search:
 // the candidate pipeline has run, the what-if evaluator is bound to the
-// workload, and the space's standalone benefit matrix is built. It is
+// workload, and the space's standalone benefit matrix and the
+// overtrained configuration's per-query costs are priced. It is
 // read-only from then on, so concurrent searches share it without a
 // lock. Repeated searches over it — different strategies,
 // different budgets via the space's WithBudget — reuse the candidate
@@ -71,12 +72,18 @@ type Prepared struct {
 	// whole candidate space, computed once at Prepare time (no what-if
 	// evaluations — the projection predicates alone decide it).
 	relevance whatif.RelevanceStats
+	// overtrained[qi] is query qi's cost under the overtrained
+	// configuration (every basic candidate, ignoring the budget): the
+	// most any recommendation can gain, the same for every request.
+	overtrained []float64
 }
 
 // Prepare runs the candidate pipeline on the workload, binds the
-// what-if evaluator and builds the benefit matrix, returning the
-// reusable search setup. A what-if failure while pricing the matrix
-// (a cancelled context, an open circuit breaker) fails Prepare.
+// what-if evaluator, builds the benefit matrix and prices the
+// overtrained configuration, returning the reusable search setup. A
+// what-if failure while pricing the matrix or the overtrained
+// configuration (a cancelled context, an open circuit breaker) fails
+// Prepare.
 func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared, error) {
 	if len(w.Queries) == 0 {
 		return nil, fmt.Errorf("core: workload has no queries")
@@ -95,16 +102,21 @@ func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared,
 	return a.assemble(ctx, w, set)
 }
 
-// assemble binds the what-if evaluator, builds the benefit matrix and
-// the search space over an already-built candidate set — the tail of
-// Prepare, shared with the snapshot-restore path (which arrives with a
-// deserialized set and its imported atoms instead of a pipeline run).
+// assemble binds the what-if evaluator, builds the benefit matrix,
+// prices the overtrained configuration and builds the search space over
+// an already-built candidate set — the tail of Prepare, shared with the
+// snapshot-restore path (which arrives with a deserialized set and its
+// imported atoms instead of a pipeline run).
 func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candidate.Set) (*Prepared, error) {
 	ev, err := a.newEvaluator(ctx, w, set.All)
 	if err != nil {
 		return nil, err
 	}
 	benefits, err := ev.benefitMatrix(ctx, set.All)
+	if err != nil {
+		return nil, err
+	}
+	over, err := ev.eval(ctx, set.Basics)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +128,7 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		InteractionAware: a.opts.InteractionAware,
 		Benefits:         benefits,
 	}
-	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp}
+	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp, overtrained: over.queryCost}
 	p.relevance = whatif.NewRelevanceStats(ev.bound.RelevantCounts(defsOfCandidates(set.All)))
 	return p, nil
 }
@@ -172,9 +184,9 @@ func (p *Prepared) RecommendObserved(ctx context.Context, kind SearchKind, budge
 }
 
 // recommend searches the prepared space and derives the recommendation
-// output: DDL, per-query analysis, overtrained comparison, the what-if
-// counts of tally (the request's, which ctx carries), and the kernel
-// window against the given snapshot.
+// output: DDL, per-query analysis against the session's overtrained
+// costs, the what-if counts of tally (the request's, which ctx
+// carries), and the kernel window against the given snapshot.
 func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind SearchKind, budgetPages int64,
 	obs func(search.TraceEvent), start time.Time, kernelBefore pattern.KernelStats) (*Recommendation, error) {
 	strat, err := search.Lookup(string(kind))
@@ -190,10 +202,10 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 		return nil, err
 	}
 	// The search delivered a best-so-far result at an expired deadline;
-	// assembling the recommendation below needs a few more what-if
-	// evaluations (the final and overtrained configurations), which must
-	// not be killed by the deadline that already fired — the whole point
-	// was to return something useful at the deadline. Explicit
+	// assembling the recommendation below needs one more what-if
+	// evaluation (the final configuration), which must not be killed by
+	// the deadline that already fired — the whole point was to return
+	// something useful at the deadline. Explicit
 	// cancellation is not softened: the search itself would have failed,
 	// so we never get here with a cancelled context.
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -219,10 +231,9 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 
 	// A circuit-breaker rejection at assembly is absorbed into a
 	// degraded best-so-far recommendation instead of failing the run;
-	// any other evaluation error fails it. Normally these evaluations
-	// are pure cache hits (the search priced the winning configuration),
-	// so this fires only when the breaker opened with atoms still
-	// uncached.
+	// any other evaluation error fails it. Normally this evaluation is
+	// pure cache hits (the search priced the winning configuration), so
+	// this fires only when the breaker opened with atoms still uncached.
 	finalEval, err := p.ev.eval(ctx, rec.Config)
 	if err != nil {
 		if !errors.Is(err, whatif.ErrCircuitOpen) {
@@ -243,25 +254,20 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 	rec.UpdateCost = finalEval.UpdateCost
 	rec.NetBenefit = finalEval.Net
 
-	// Overtrained configuration: every basic candidate, ignoring the
-	// budget — the maximum achievable benefit for this workload.
-	overEval, err := p.ev.eval(ctx, p.set.Basics)
-	if err != nil {
-		if !errors.Is(err, whatif.ErrCircuitOpen) {
-			return nil, err
-		}
-		overEval = p.ev.degradedEval(p.set.Basics)
-		rec.Degraded = true
-	}
 	// Public names: XIA_IDX<i> in config order, used consistently in the
 	// DDL and the per-query analysis.
-	public := map[int]string{}
+	public := make(map[int]string, len(rec.Config))
+	if len(rec.Config) > 0 {
+		rec.Names = make([]string, len(rec.Config))
+		rec.DDL = make([]string, len(rec.Config))
+	}
 	for i, c := range rec.Config {
 		name := fmt.Sprintf("XIA_IDX%d", i+1)
 		public[c.ID] = name
-		rec.Names = append(rec.Names, name)
-		rec.DDL = append(rec.DDL, catalogDDL(name, c))
+		rec.Names[i] = name
+		rec.DDL[i] = catalogDDL(name, c)
 	}
+	rec.PerQuery = make([]QueryAnalysis, len(p.w.Queries))
 	for qi, e := range p.w.Queries {
 		qa := QueryAnalysis{
 			ID:              e.Query.ID,
@@ -269,7 +275,7 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 			Weight:          e.Weight,
 			CostNoIndexes:   p.ev.baseCost[qi],
 			CostRecommended: finalEval.queryCost[qi],
-			CostOvertrained: overEval.queryCost[qi],
+			CostOvertrained: p.overtrained[qi],
 		}
 		for _, id := range finalEval.usedBy[qi] {
 			if name, ok := public[id]; ok {
@@ -277,7 +283,7 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 			}
 		}
 		sort.Strings(qa.IndexesUsed)
-		rec.PerQuery = append(rec.PerQuery, qa)
+		rec.PerQuery[qi] = qa
 	}
 	rec.Relevance = p.relevance
 	rec.Cache = tally.Stats()

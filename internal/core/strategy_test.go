@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -169,29 +170,70 @@ func TestPreparedBudgetSweepMatchesFullRuns(t *testing.T) {
 	}
 }
 
+// cancelOnIndexed cancels the context cancel points at (when it points
+// at one) on the first call whose configuration holds an index, and
+// passes every other call to inner: the base (document-scan)
+// evaluation succeeds and the benefit matrix's build is cancelled.
+type cancelOnIndexed struct {
+	inner  whatif.CostService
+	cancel *atomic.Pointer[context.CancelFunc]
+}
+
+func (c cancelOnIndexed) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (whatif.QueryEval, error) {
+	if cancel := c.cancel.Load(); cancel != nil && len(config) > 0 {
+		(*cancel)()
+		return whatif.QueryEval{}, ctx.Err()
+	}
+	return c.inner.EvaluateQuery(ctx, q, config)
+}
+
 // TestBenefitMatrixRetriesAfterFailedBuild pins that a cancelled
-// request leaves its session intact: an lp search on a cancelled
-// context fails, every later lp search on the same session succeeds,
-// and the retry recommends what a fresh session does.
+// request leaves its advisor and session intact. A Prepare whose
+// context is cancelled while the benefit matrix is priced fails, and a
+// Prepare on the same advisor then builds the matrix a fresh advisor
+// does. An lp search on a cancelled context fails and leaves no base
+// memo entry behind, every later lp search on the same session
+// succeeds, and the retry recommends what a fresh session does.
 func TestBenefitMatrixRetriesAfterFailedBuild(t *testing.T) {
 	cat := xmarkFixture(t, 100)
 	w := datagen.XMarkWorkload(10, 1)
-	prep, err := New(cat, DefaultOptions()).Prepare(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
+	var cancelBuild atomic.Pointer[context.CancelFunc]
+	opts := DefaultOptions()
+	opts.CostWrapper = func(svc whatif.CostService) whatif.CostService {
+		return cancelOnIndexed{inner: svc, cancel: &cancelBuild}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := prep.RecommendWith(ctx, "lp", 0); err == nil {
-		t.Fatal("lp on a cancelled context succeeded")
+	a := New(cat, opts)
+	buildCtx, cancelCtx := context.WithCancel(context.Background())
+	defer cancelCtx()
+	cancelBuild.Store(&cancelCtx)
+	if _, err := a.Prepare(buildCtx, w); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Prepare cancelled during the matrix build: got error %v, want context.Canceled", err)
 	}
-	got, err := prep.RecommendWith(context.Background(), "lp", 0)
+	cancelBuild.Store(nil)
+	prep, err := a.Prepare(context.Background(), w)
 	if err != nil {
-		t.Fatalf("lp after a cancelled request: %v", err)
+		t.Fatalf("Prepare after a cancelled build: %v", err)
 	}
 	fresh, err := New(cat, DefaultOptions()).Prepare(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prep.Space().Benefits, fresh.Space().Benefits) {
+		t.Error("the matrix rebuilt after a cancelled build differs from a fresh advisor's")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bases := prep.ev.bound.MemoizedBases()
+	if _, err := prep.RecommendWith(ctx, "lp", 0); err == nil {
+		t.Fatal("lp on a cancelled context succeeded")
+	}
+	if got := prep.ev.bound.MemoizedBases(); got != bases {
+		t.Errorf("the cancelled lp left %d base memo entries behind", got-bases)
+	}
+	got, err := prep.RecommendWith(context.Background(), "lp", 0)
+	if err != nil {
+		t.Fatalf("lp after a cancelled request: %v", err)
 	}
 	want, err := fresh.RecommendWith(context.Background(), "lp", 0)
 	if err != nil {

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -30,12 +31,13 @@ type Options struct {
 // Stats are what-if counters: an engine's lifetime totals
 // (Engine.Stats) or the work charged to one Tally. A cache "hit" includes
 // joining an in-flight evaluation of the same atom (the singleflight
-// path); "evaluations" counts per-query CostService calls. Hits,
-// misses, and the projection counters are per atom the engine keyed —
-// one (query, projected sub-config) lookup each. An extension batch
-// keys a query's base projection at most once and keys an extension's
-// atom only for the queries the added definition is relevant to; the
-// other queries reuse the base's atom without a lookup and count
+// path) and reading an atom from a Bound's base memo; "evaluations"
+// counts per-query CostService calls. Hits, misses, and the projection
+// counters are per atom resolved — one (query, projected sub-config)
+// atom each, whether looked up in the cache or served by the memo. An
+// extension batch resolves a query's base projection at most once and
+// an extension's atom only for the queries the added definition is
+// relevant to; the other queries reuse the base's atom and count
 // nothing.
 type Stats struct {
 	Hits        int64 `json:"hits"`
@@ -127,6 +129,9 @@ type Engine struct {
 	// total is the engine's lifetime tally: every call charges it
 	// alongside the tallies on the call's context.
 	total Tally
+	// gen counts flushes. A Bound's base memo serves an entry only while
+	// the generation it was made at is current.
+	gen atomic.Uint64
 }
 
 // NewEngine wraps the service in a concurrent memoizing engine.
@@ -252,10 +257,11 @@ type atomPlan struct {
 }
 
 // defMemo is what a Bound decides about one definition on first sight:
-// its ConfigKey part and, per bound query, whether the query's
-// projection keeps it (same collection, and accepted by the query's
-// relevance predicate).
+// its Bound-local ID (dense, in order of first sight), its ConfigKey
+// part and, per bound query, whether the query's projection keeps it
+// (same collection, and accepted by the query's relevance predicate).
 type defMemo struct {
+	id   uint32
 	part string
 	rel  []uint64 // bit qi set: bound query qi keeps the definition
 }
@@ -264,19 +270,53 @@ func (m *defMemo) keeps(qi int) bool { return m.rel[qi>>6]&(1<<(qi&63)) != 0 }
 
 // Bound is a what-if evaluation scope over a fixed query list. The
 // per-query fingerprints and relevance predicates are computed at Bind.
-// Each definition's relevance to every bound query, and its key part,
-// are decided once, the first time the definition is evaluated or
-// counted on the Bound, so a lookup on the hot search path is a bit
-// test per definition plus a join of cached parts. The memo is keyed by
-// definition pointer and lives as long as the Bound: a definition must
-// not be mutated once the Bound has seen it.
+// Each definition's relevance to every bound query, its key part and
+// its Bound-local ID are decided once, the first time the definition is
+// evaluated or counted on the Bound, so a lookup on the hot search path
+// is a bit test per definition plus a join of cached parts. That memo is
+// keyed by definition pointer and lives as long as the Bound: a
+// definition must not be mutated once the Bound has seen it.
+//
+// A Bound also memoizes, per base configuration (keyed by its
+// definitions' sorted IDs), the per-query atoms evaluations over that
+// base resolved, so a later EvaluateConfig or EvaluateExtensions call
+// over the same base takes every query the added definition leaves
+// untouched from the memo: no key build, no shard lock, no cache probe.
+// A memo-served atom counts as the cache hit it replaces. The memo
+// holds at most baseMemoCap bases and is dropped whole when full; only
+// successful calls add to it, and an Engine.Flush retires every entry
+// made before it. It holds the atoms themselves, so it can keep serving
+// atoms the engine's MaxEntries cap has since evicted from the cache,
+// for as long as the Bound lives.
 type Bound struct {
 	eng   *Engine
 	atoms []atomPlan
 	// defs maps each definition seen to its *defMemo. It is written once
 	// per definition and read on every lookup after that, so reads take
-	// no lock.
-	defs sync.Map
+	// no lock. learnMu serializes publishing, so IDs stay dense.
+	defs    sync.Map
+	learnMu sync.Mutex
+	nextID  uint32
+
+	basesMu sync.RWMutex
+	bases   map[string]*baseAtoms // keyed by baseKey
+}
+
+// baseMemoCap bounds the base configurations one Bound memoizes.
+const baseMemoCap = 256
+
+// baseAtoms is one base configuration's memo entry: the engine
+// generation it was made at and, per bound query, the atom resolved for
+// the query's projection of the base (nil until a call resolves it)
+// and that projection's size.
+type baseAtoms struct {
+	gen   uint64
+	slots []baseSlot
+}
+
+type baseSlot struct {
+	ev atomic.Pointer[QueryEval]
+	n  int32
 }
 
 // Bind fixes the query list the engine evaluates configurations over.
@@ -305,9 +345,10 @@ func (b *Bound) memos(dst []*defMemo, config []*catalog.IndexDef) []*defMemo {
 	return dst
 }
 
-// learn decides d's relevance to every bound query and renders its key
-// part. Concurrent first sights of one definition may both decide it;
-// the first to publish wins, and the decisions agree anyway.
+// learn decides d's relevance to every bound query, renders its key
+// part and gives it the next ID. Concurrent first sights of one
+// definition may both decide it; the first to publish wins, and the
+// decisions agree anyway.
 func (b *Bound) learn(d *catalog.IndexDef) *defMemo {
 	m := &defMemo{part: defPart(d), rel: make([]uint64, (len(b.atoms)+63)/64)}
 	for qi := range b.atoms {
@@ -316,8 +357,87 @@ func (b *Bound) learn(d *catalog.IndexDef) *defMemo {
 			m.rel[qi>>6] |= 1 << (qi & 63)
 		}
 	}
-	prev, _ := b.defs.LoadOrStore(d, m)
-	return prev.(*defMemo)
+	b.learnMu.Lock()
+	defer b.learnMu.Unlock()
+	if prev, ok := b.defs.Load(d); ok {
+		return prev.(*defMemo)
+	}
+	m.id = b.nextID
+	b.nextID++
+	b.defs.Store(d, m)
+	return m
+}
+
+// baseKey appends the base memo's key of a configuration, given its
+// memos, to dst: the definitions' IDs, sorted, as uvarints.
+func baseKey(dst []byte, memos []*defMemo) []byte {
+	var buf [32]uint32
+	ids := buf[:0]
+	for _, m := range memos {
+		ids = append(ids, m.id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, uint64(id))
+	}
+	return dst
+}
+
+// base returns the memo entry of the base configuration with the given
+// key, or nil when there is none made at generation gen.
+func (b *Bound) base(key []byte, gen uint64) *baseAtoms {
+	b.basesMu.RLock()
+	ba := b.bases[string(key)]
+	b.basesMu.RUnlock()
+	if ba == nil || ba.gen != gen {
+		return nil
+	}
+	return ba
+}
+
+// MemoizedBases reports how many base configurations the Bound's base
+// memo holds.
+func (b *Bound) MemoizedBases() int {
+	b.basesMu.RLock()
+	defer b.basesMu.RUnlock()
+	return len(b.bases)
+}
+
+// remember records the base atoms a successful call resolved (the
+// queries atoms[i] with keyed[i] set, whose atom is baseQ[i]) in ba, the
+// base's memo entry, or in a new entry when ba is nil; scratch holds the
+// new entry's key while it is looked up. Nothing is recorded when the
+// engine has been flushed since generation gen.
+func (b *Bound) remember(ba *baseAtoms, scratch []byte, gen uint64, baseMemos []*defMemo, atoms []atomPlan, keyed []bool, baseQ []*QueryEval) {
+	if !slices.Contains(keyed, true) || b.eng.gen.Load() != gen {
+		return
+	}
+	if ba == nil {
+		key := baseKey(scratch[:0], baseMemos)
+		ba = &baseAtoms{gen: gen, slots: make([]baseSlot, len(b.atoms))}
+		for _, m := range baseMemos {
+			for qi := range ba.slots {
+				if m.keeps(qi) {
+					ba.slots[qi].n++
+				}
+			}
+		}
+		b.basesMu.Lock()
+		if cur := b.bases[string(key)]; cur != nil && cur.gen == gen {
+			ba = cur
+		} else {
+			if len(b.bases) >= baseMemoCap || b.bases == nil {
+				b.bases = make(map[string]*baseAtoms)
+			}
+			b.bases[string(key)] = ba
+		}
+		b.basesMu.Unlock()
+	}
+	for i, k := range keyed {
+		if k {
+			ba.slots[atoms[i].qi].ev.CompareAndSwap(nil, baseQ[i])
+		}
+	}
 }
 
 // RelevantCounts returns, per bound query, the size of the
@@ -348,15 +468,18 @@ func (b *Bound) EvaluateConfig(ctx context.Context, config []*catalog.IndexDef) 
 // EvaluateExtensions costs every bound query under base+{d} for each d
 // of adds, as one unit; result i is the evaluation of base+{adds[i]}.
 // Adding d changes only the queries d is relevant to, so a query's
-// base projection is keyed at most once per call, and an extension's
+// base projection is resolved at most once per call, and an extension's
 // atom is keyed only for the queries its definition can serve; every
-// other query shares the base's atom. All keys are registered (or
-// joined) in a single pass, identical atoms inside the call are
-// scheduled once, and the missing atoms are drained by a fixed pool of
-// workers pulling from one flat task list. Values match calling
-// EvaluateConfig per configuration. Lazy-greedy re-evaluation bursts
-// and the standalone benefit pass (an empty base) are the intended
-// callers.
+// other query shares the base's atom. A base atom an earlier successful
+// call over the same base resolved comes from the Bound's base memo
+// without a lookup, so lazy greedy's single-candidate refreshes of one
+// configuration key only the candidate's own queries after the first.
+// All keys are registered (or joined) in a single pass, identical atoms
+// inside the call are scheduled once, and the missing atoms are drained
+// by a fixed pool of workers pulling from one flat task list. Values
+// match calling EvaluateConfig per configuration. Lazy-greedy
+// re-evaluation bursts and the standalone benefit pass (an empty base)
+// are the intended callers.
 func (b *Bound) EvaluateExtensions(ctx context.Context, base, adds []*catalog.IndexDef) ([]*ConfigEval, error) {
 	if len(adds) == 0 {
 		return nil, nil
@@ -456,8 +579,9 @@ type joinedAtom struct {
 // each atom finds its relevance bits by its own index, not its position
 // in atoms). A registration pass walks every (configuration, query)
 // pair: a query the added definition is relevant to keys its extension
-// atom, any other query shares its base atom, which is keyed the first
-// time a configuration needs it. Each keyed atom is either claimed
+// atom, any other query shares its base atom, which is resolved the
+// first time a configuration needs it: from the base memo when an
+// earlier call recorded it, else keyed. Each keyed atom is either claimed
 // (first occurrence anywhere — in the cache, in flight, or earlier in
 // this very batch), read at once from a completed cached value, or
 // recorded as a join on an entry still in flight. The owned atoms are
@@ -467,6 +591,7 @@ type joinedAtom struct {
 // retry instead of rejoining a dead entry) before any join is waited
 // on, so in-batch duplicates can never deadlock. The call's lookups and
 // evaluations are gathered in d and charged once, on every return path.
+// Only a successful call records its base atoms in the memo.
 func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds []*catalog.IndexDef) ([]*ConfigEval, error) {
 	e := b.eng
 	var d Stats
@@ -479,7 +604,7 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds 
 	// warm batch allocates a handful of objects however many atoms it
 	// looks up. baseQ holds each query's base atom (a lone
 	// configuration's base atoms go straight into its result); keyed
-	// marks the ones looked up. The memos are the base's and the
+	// marks the ones resolved. The memos are the base's and the
 	// additions', in argument order, then a copy of the base's sorted by
 	// key part.
 	out := make([]*ConfigEval, nc)
@@ -504,11 +629,13 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds 
 
 	var own []*ownedAtom
 	var joins []joinedAtom
-	// served tallies the hits on completed entries, which are read at
-	// once instead of joined; they count only if the batch succeeds,
-	// like the hits of joins.
+	// served tallies the hits on completed entries and memo-served base
+	// atoms, which are read at once instead of joined; they count only
+	// if the batch succeeds, like the hits of joins.
 	var served Stats
 	key := make([]byte, 0, 512) // scratch: only an owned atom's key becomes a string
+	gen := e.gen.Load()
+	memo := b.base(baseKey(key, baseMemos), gen)
 	for ci := 0; ci < nc; ci++ {
 		var am *defMemo
 		var add *catalog.IndexDef
@@ -523,6 +650,18 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds 
 					continue // filled from baseQ once the batch resolves
 				}
 				keyed[i] = true
+				if memo != nil {
+					if ev := memo.slots[p.qi].ev.Load(); ev != nil {
+						served.Hits++
+						n := int(memo.slots[p.qi].n)
+						served.RelevantDefs += int64(n)
+						if n < cfgLen {
+							served.ProjectedHits++
+						}
+						baseQ[i] = ev
+						continue
+					}
+				}
 				dst, km, kd = &baseQ[i], nil, nil
 			}
 			var n int
@@ -694,6 +833,7 @@ func (b *Bound) evaluateBatch(ctx context.Context, atoms []atomPlan, base, adds 
 			return nil, ctx.Err()
 		}
 	}
+	b.remember(memo, key, gen, baseMemos, atoms, keyed, baseQ)
 	// Every query an extension leaves untouched shares the base's atom.
 	for _, ev := range out {
 		for i, q := range ev.Queries {
@@ -775,12 +915,13 @@ func (s *cacheShard) remove(key string) {
 	delete(s.m, key)
 }
 
-// Flush drops every cached atom (counters are kept). Callers must
-// flush after the underlying data or statistics change: cached costs
-// are keyed by query text and index definitions only, not by catalog
-// version. In-flight evaluations are orphaned — already-joined waiters
-// still receive their result, but it is not cached, and later requests
-// re-evaluate against the new state.
+// Flush drops every cached atom (counters are kept) and retires every
+// Bound's base memo entries. Callers must flush after the underlying
+// data or statistics change: cached costs are keyed by query text and
+// index definitions only, not by catalog version. In-flight evaluations
+// are orphaned — already-joined waiters still receive their result, but
+// it is not cached, and later requests re-evaluate against the new
+// state.
 func (e *Engine) Flush() {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -789,6 +930,9 @@ func (e *Engine) Flush() {
 		sh.head = 0
 		sh.mu.Unlock()
 	}
+	// Only after the shards are empty: a call that reads the new
+	// generation can no longer find an atom cached before the flush.
+	e.gen.Add(1)
 }
 
 // Len reports the number of cached per-(query, sub-config) atoms.
