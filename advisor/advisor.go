@@ -168,7 +168,7 @@ func (a *Advisor) Recommend(ctx context.Context, w *Workload, req RecommendReque
 	}
 	ctx, cancel := a.requestContext(ctx, req)
 	defer cancel()
-	rec, prep, err := a.core.RecommendFull(ctx, w, core.SearchKind(strategy), budgetPages, nil)
+	rec, prep, err := a.core.RecommendFull(ctx, w, core.SearchKind(strategy), budgetPages, core.Observe{Trace: req.IncludeTrace})
 	if err != nil {
 		return nil, err
 	}

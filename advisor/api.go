@@ -101,7 +101,9 @@ type RecommendRequest struct {
 	// instead of failing.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 	// IncludeTrace attaches the structured search trace to the
-	// response.
+	// response. Without it the search keeps no trace at all; a
+	// streaming request still delivers every trace event, and
+	// Search.Truncated reads the same either way.
 	IncludeTrace bool `json:"includeTrace,omitempty"`
 	// IncludeDAG attaches the rendered candidate containment DAG to the
 	// response.

@@ -187,7 +187,8 @@ func (s *Session) recommend(ctx context.Context, req RecommendRequest, obs func(
 	}
 	ctx, cancel := s.adv.requestContext(ctx, req)
 	defer cancel()
-	rec, err := s.prep.RecommendObserved(ctx, core.SearchKind(strategy), budgetPages, obs)
+	rec, err := s.prep.RecommendObserved(ctx, core.SearchKind(strategy), budgetPages,
+		core.Observe{Trace: req.IncludeTrace, Events: obs})
 	if err != nil {
 		return nil, err
 	}

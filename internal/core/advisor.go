@@ -255,7 +255,7 @@ type Recommendation struct {
 // Recommend runs the full index recommendation pipeline on the workload
 // with the advisor's default strategy and budget.
 func (a *Advisor) Recommend(w *workload.Workload) (*Recommendation, error) {
-	rec, _, err := a.RecommendFull(context.Background(), w, a.opts.Search, a.opts.DiskBudgetPages, nil)
+	rec, _, err := a.RecommendFull(context.Background(), w, a.opts.Search, a.opts.DiskBudgetPages, Observe{Trace: true})
 	return rec, err
 }
 
@@ -263,11 +263,12 @@ func (a *Advisor) Recommend(w *workload.Workload) (*Recommendation, error) {
 // budget: Prepare plus one search, with Elapsed, Cache and Kernel
 // covering the whole run (candidate generation included), unlike
 // Prepared.RecommendWith, which covers only the search and assembly.
-// Cache counts exactly this run's what-if work. The Prepared is
-// returned alongside so callers can keep the warm space for follow-up
-// searches.
+// Cache counts exactly this run's what-if work. obs says what it
+// reports of the search, as for Prepared.RecommendObserved. The
+// Prepared is returned alongside so callers can keep the warm space for
+// follow-up searches.
 func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, kind SearchKind, budgetPages int64,
-	obs func(search.TraceEvent)) (*Recommendation, *Prepared, error) {
+	obs Observe) (*Recommendation, *Prepared, error) {
 	start, kernelBefore := time.Now(), pattern.Stats()
 	ctx, tally := whatif.WithTally(ctx)
 	p, err := a.Prepare(ctx, w)
@@ -279,12 +280,6 @@ func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, kind 
 		return nil, nil, err
 	}
 	return rec, p, nil
-}
-
-func catalogDDL(name string, c *Candidate) string {
-	d := *c.Def
-	d.Name = name
-	return d.DDL()
 }
 
 // EvaluateDefs measures an index-definition configuration on a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/candidate"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/whatif"
 	"repro/internal/workload"
+	"repro/internal/xindex"
 )
 
 // SearchKind selects the configuration search algorithm (paper §2.3).
@@ -103,7 +105,8 @@ func (a *Advisor) Prepare(ctx context.Context, w *workload.Workload) (*Prepared,
 }
 
 // assemble binds the what-if evaluator, builds the benefit matrix,
-// prices the overtrained configuration and builds the search space over
+// prices the overtrained configuration and builds the search space (and
+// with it the search model every strategy ranks by) over
 // an already-built candidate set — the tail of Prepare, shared with the
 // snapshot-restore path (which arrives with a deserialized set and its
 // imported atoms instead of a pipeline run).
@@ -120,13 +123,16 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 	if err != nil {
 		return nil, err
 	}
-	sp := &search.Space{
+	sp, err := search.NewSpace(search.Space{
 		Candidates:       set.All,
 		DAG:              set.DAG,
 		BudgetPages:      a.opts.DiskBudgetPages,
 		Eval:             search.BoundEvaluator{Bound: ev.bound, Derive: ev.aggregate, Parallel: a.cost.Workers()},
 		InteractionAware: a.opts.InteractionAware,
 		Benefits:         benefits,
+	})
+	if err != nil {
+		return nil, err
 	}
 	p := &Prepared{a: a, w: w, set: set, ev: ev, space: sp, overtrained: over.queryCost}
 	p.relevance = whatif.NewRelevanceStats(ev.bound.RelevantCounts(defsOfCandidates(set.All)))
@@ -167,17 +173,29 @@ func (p *Prepared) CandidateStats() candidate.Stats { return p.set.Stats }
 // Elapsed cover this search and its assembly, not the shared candidate
 // generation.
 func (p *Prepared) RecommendWith(ctx context.Context, kind SearchKind, budgetPages int64) (*Recommendation, error) {
-	return p.RecommendObserved(ctx, kind, budgetPages, nil)
+	return p.RecommendObserved(ctx, kind, budgetPages, Observe{Trace: true})
 }
 
-// RecommendObserved is RecommendWith with a streaming trace hook: every
-// search TraceEvent is forwarded to obs as it is emitted, before the
-// recommendation is assembled. obs may be called concurrently (the race
-// portfolio's members search at once) and must not block for long. A
-// nil obs makes it identical to RecommendWith. Concurrent calls on one
-// Prepared are safe and each sees only its own events.
+// Observe says what a recommend reports of its search besides the
+// recommendation: the structured trace, and a streaming trace hook.
+type Observe struct {
+	// Trace keeps the search trace in Recommendation.TraceEvents; without
+	// it the search buffers no trace and formats no note an observer
+	// does not read.
+	Trace bool
+	// Events, when non-nil, receives every search TraceEvent, with its
+	// note, as it is emitted, before the recommendation is assembled.
+	// It may be called concurrently (the race portfolio's members search
+	// at once) and must not block for long.
+	Events func(search.TraceEvent)
+}
+
+// RecommendObserved is RecommendWith reporting what obs asks for of the
+// search: Observe{Trace: true} makes it identical to RecommendWith.
+// Concurrent calls on one Prepared are safe and each sees only its own
+// events.
 func (p *Prepared) RecommendObserved(ctx context.Context, kind SearchKind, budgetPages int64,
-	obs func(search.TraceEvent)) (*Recommendation, error) {
+	obs Observe) (*Recommendation, error) {
 	start, kernelBefore := time.Now(), pattern.Stats()
 	ctx, tally := whatif.WithTally(ctx)
 	return p.recommend(ctx, tally, kind, budgetPages, obs, start, kernelBefore)
@@ -188,15 +206,16 @@ func (p *Prepared) RecommendObserved(ctx context.Context, kind SearchKind, budge
 // costs, the what-if counts of tally (the request's, which ctx
 // carries), and the kernel window against the given snapshot.
 func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind SearchKind, budgetPages int64,
-	obs func(search.TraceEvent), start time.Time, kernelBefore pattern.KernelStats) (*Recommendation, error) {
+	obs Observe, start time.Time, kernelBefore pattern.KernelStats) (*Recommendation, error) {
 	strat, err := search.Lookup(string(kind))
 	if err != nil {
 		return nil, err
 	}
-	// WithBudget copies the space, so the per-call observer never leaks
-	// into sibling searches running on the same Prepared.
+	// WithBudget copies the space, so the per-call observer and trace
+	// setting never leak into sibling searches on the same Prepared.
 	sp := p.space.WithBudget(budgetPages)
-	sp.Observer = obs
+	sp.Observer = obs.Events
+	sp.NoTrace = !obs.Trace
 	res, err := strat.Search(ctx, sp)
 	if err != nil {
 		return nil, err
@@ -262,10 +281,10 @@ func (p *Prepared) recommend(ctx context.Context, tally *whatif.Tally, kind Sear
 		rec.DDL = make([]string, len(rec.Config))
 	}
 	for i, c := range rec.Config {
-		name := fmt.Sprintf("XIA_IDX%d", i+1)
+		name := "XIA_IDX" + strconv.Itoa(i+1)
 		public[c.ID] = name
 		rec.Names[i] = name
-		rec.DDL[i] = catalogDDL(name, c)
+		rec.DDL[i] = xindex.DDL(name, c.Def.Collection, c.Def.Pattern, c.Def.Type)
 	}
 	rec.PerQuery = make([]QueryAnalysis, len(p.w.Queries))
 	for qi, e := range p.w.Queries {

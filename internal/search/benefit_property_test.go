@@ -140,7 +140,7 @@ func TestStandaloneFromMatrixIsExact(t *testing.T) {
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for name, sp := range spaces {
-		alone, err := search.StandaloneEvals(sp, sp.Candidates)
+		alone, err := search.StandaloneEvals(sp)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

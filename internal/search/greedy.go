@@ -22,15 +22,15 @@ type greedyBasic struct{}
 func (greedyBasic) Name() string { return "greedy-basic" }
 
 func (g greedyBasic) Search(ctx context.Context, sp *Space) (*Result, error) {
-	ctx, tr := newTracer(ctx, g.Name(), sp)
-	alone, err := standalone(sp, sp.Candidates)
+	md, err := sp.searchModel()
 	if err != nil {
 		return nil, err
 	}
+	ctx, tr := newTracer(ctx, g.Name(), sp)
+	alone := md.alone
 	var config []*Candidate
 	var pages int64
-	for _, i := range rankByDensity(sp.Candidates, func(i int) float64 { return alone[sp.Candidates[i].ID].Net }) {
-		c := sp.Candidates[i]
+	for _, c := range md.ranked {
 		if alone[c.ID].Net <= 0 {
 			break
 		}
@@ -66,28 +66,27 @@ type greedyHeuristic struct{}
 func (greedyHeuristic) Name() string { return "greedy-heuristic" }
 
 func (g greedyHeuristic) Search(ctx context.Context, sp *Space) (*Result, error) {
+	md, err := sp.searchModel()
+	if err != nil {
+		return nil, err
+	}
 	ctx, tr := newTracer(ctx, g.Name(), sp)
 
 	// Candidates with no standalone benefit are dropped up front. A
 	// candidate useless alone can in principle gain value inside an
 	// index-ANDed plan, but its standalone benefit is a tight upper
 	// bound in practice and evaluating every (config, candidate) pair
-	// without it would be quadratic in optimizer calls.
-	alone, err := standalone(sp, sp.Candidates)
-	if err != nil {
-		return nil, err
-	}
-	var positive []*Candidate
-	for _, c := range sp.Candidates {
+	// without it would be quadratic in optimizer calls. The rest keep
+	// the density order, high-density candidates first: the lazy heap's
+	// initial order, and the standalone mode's selection order. The
+	// order's comparator is total on candidate content, so filtering
+	// it is ranking the positive subset.
+	alone := md.alone
+	var remaining []*Candidate
+	for _, c := range md.ranked {
 		if alone[c.ID].Net > 0 {
-			positive = append(positive, c)
+			remaining = append(remaining, c)
 		}
-	}
-	// Consider high-density candidates first: the lazy heap's initial
-	// order, and the standalone mode's selection order.
-	remaining := make([]*Candidate, len(positive))
-	for k, i := range rankByDensity(positive, func(i int) float64 { return alone[positive[i].ID].Net }) {
-		remaining[k] = positive[i]
 	}
 	if sp.InteractionAware {
 		return g.lazy(ctx, sp, tr, alone, remaining)
@@ -154,15 +153,23 @@ func (g greedyHeuristic) standaloneOnly(ctx context.Context, sp *Space, tr *trac
 }
 
 // reclaim returns the members of config that some plan uses under ev,
-// emitting an ActionReclaim event for each one it drops.
+// emitting an ActionReclaim event for each one it drops: config itself
+// when every member is used, else a new slice.
 func reclaim(tr *tracer, config []*Candidate, ev *Eval) []*Candidate {
-	pruned := config[:0:0]
-	for _, c := range config {
-		if ev.Uses(c) {
-			pruned = append(pruned, c)
-		} else {
+	var pruned []*Candidate
+	for i, c := range config {
+		switch {
+		case !ev.Uses(c):
+			if pruned == nil {
+				pruned = append(make([]*Candidate, 0, len(config)-1), config[:i]...)
+			}
 			tr.emit(TraceEvent{Action: ActionReclaim, Candidate: c.Key(), Note: "unused under current config"})
+		case pruned != nil:
+			pruned = append(pruned, c)
 		}
+	}
+	if pruned == nil {
+		return config
 	}
 	return pruned
 }

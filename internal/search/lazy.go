@@ -85,9 +85,11 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 	// Round 1 keys are exact, not just bounds: against the empty
 	// configuration the marginal IS the standalone net, so the first
 	// selection costs no re-evaluations at all.
-	h := make(lazyHeap, 0, len(order))
+	items := make([]lazyItem, len(order))
+	h := make(lazyHeap, len(order))
 	for i, c := range order {
-		h = append(h, &lazyItem{c: c, key: ratio(alone[c.ID].Net, c.Pages()), pos: i, round: 1, eval: &alone[c.ID]})
+		items[i] = lazyItem{c: c, key: ratio(alone[c.ID].Net, c.Pages()), pos: i, round: 1, eval: &alone[c.ID]}
+		h[i] = &items[i]
 	}
 	heap.Init(&h)
 

@@ -46,20 +46,19 @@ type lpStrategy struct{}
 func (lpStrategy) Name() string { return "lp" }
 
 func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
-	ctx, tr := newTracer(ctx, "lp", sp)
-
-	m, err := benefitMatrix(sp)
+	md, err := sp.searchModel()
 	if err != nil {
 		return nil, err
 	}
+	ctx, tr := newTracer(ctx, "lp", sp)
 
-	// Canonical item order: surrogate standalone net density, densest
-	// first, with the greedy strategies' content-only tie-breaks — the
-	// LP's item indices, the rounding heap's tie-breaks, and therefore
-	// the recommendation are byte-stable under candidate permutation.
-	order := rankByDensity(sp.Candidates, func(ci int) float64 { return m.StandaloneBenefit(ci) - m.UpdateCost(ci) })
-
-	prob := lpProblem(sp, m, order)
+	// Canonical item order: the space's density order — surrogate
+	// standalone net density, densest first, with the greedy
+	// strategies' content-only tie-breaks — so the LP's item indices,
+	// the rounding heap's tie-breaks, and therefore the recommendation
+	// are byte-stable under candidate permutation. The relaxation over
+	// it is the space's, under this view's budget.
+	prob := md.problem(sp.BudgetPages)
 	sol := lp.Solve(prob, lp.Options{})
 	support := 0
 	for _, x := range sol.X {
@@ -73,13 +72,16 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 		Passes:    sol.Passes,
 		Converged: sol.Converged,
 		Items:     prob.NumItems,
-		NonZero:   m.NonZero(),
+		NonZero:   md.benefits.NonZero(),
 		Chains:    len(prob.Groups),
 		Support:   support,
 	}
-	tr.emit(TraceEvent{Action: ActionSolve, Benefit: sol.Objective,
-		Note: fmt.Sprintf("lp relaxation: objective %.1f, dual bound %.1f, %d passes (converged=%t), support %d of %d items, %d chains",
-			sol.Objective, sol.Bound, sol.Passes, sol.Converged, support, prob.NumItems, len(prob.Groups))})
+	solve := TraceEvent{Action: ActionSolve, Benefit: sol.Objective}
+	if tr.detailed() {
+		solve.Note = fmt.Sprintf("lp relaxation: objective %.1f, dual bound %.1f, %d passes (converged=%t), support %d of %d items, %d chains",
+			sol.Objective, sol.Bound, sol.Passes, sol.Converged, support, prob.NumItems, len(prob.Groups))
+	}
+	tr.emit(solve)
 
 	// Deterministic rounding: a lazy-greedy (CELF) scan over the
 	// surrogate objective under the budget and containment-antichain
@@ -90,9 +92,9 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	// matrix arithmetic; the better surrogate net wins, ties to the
 	// density pivot.
 	supportPos := make([]int, 0, support)
-	rest := make([]int, 0, len(order)-support)
-	allPos := make([]int, len(order))
-	for pos := range order {
+	rest := make([]int, 0, prob.NumItems-support)
+	allPos := make([]int, prob.NumItems)
+	for pos := range allPos {
 		allPos[pos] = pos
 		if sol.X[pos] > 0 {
 			supportPos = append(supportPos, pos)
@@ -100,28 +102,35 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 			rest = append(rest, pos)
 		}
 	}
-	ra := newLPRounder(sp, prob, order)
+	ra := newLPRounder(sp, prob, md.ranked)
 	ra.phase(supportPos)
 	ra.phase(rest)
-	rb := newLPRounder(sp, prob, order)
+	rb := newLPRounder(sp, prob, md.ranked)
 	rb.phase(allPos)
 	r, pivot := rb, "density-first"
 	if ra.surNet > rb.surNet {
 		r, pivot = ra, "support-first"
 	}
 	tr.lp.Pivot = pivot
+	var addNote string
+	if tr.detailed() {
+		addNote = "surrogate net (" + pivot + ")"
+	}
 	for _, a := range r.adds {
 		tr.round++
 		tr.emit(TraceEvent{Action: ActionAdd, Candidate: r.cands[a.pos].Key(), Benefit: a.surNet,
-			Pages: a.pages, Note: "surrogate net (" + pivot + ")"})
+			Pages: a.pages, Note: addNote})
 	}
 
 	curEval, err := tr.ev.Evaluate(ctx, r.config)
 	if err != nil {
 		return tr.fail(err, r.config, nil)
 	}
-	tr.emit(TraceEvent{Action: ActionRounded, Benefit: curEval.Net, Pages: r.pages,
-		Note: fmt.Sprintf("rounded net %.1f vs lp objective %.1f (bound %.1f)", curEval.Net, sol.Objective, sol.Bound)})
+	rounded := TraceEvent{Action: ActionRounded, Benefit: curEval.Net, Pages: r.pages}
+	if tr.detailed() {
+		rounded.Note = fmt.Sprintf("rounded net %.1f vs lp objective %.1f (bound %.1f)", curEval.Net, sol.Objective, sol.Bound)
+	}
+	tr.emit(rounded)
 
 	// Bounded what-if repair: drop members no plan uses, then try a
 	// burst of surrogate-promising extensions priced by real marginal
@@ -145,11 +154,14 @@ func (lpStrategy) Search(ctx context.Context, sp *Space) (*Result, error) {
 	return tr.finish(ctx, r.config, curEval)
 }
 
-// lpProblem assembles the relaxation: weights are the modular nets
-// (private benefit minus update cost), rows the per-query benefit
-// coefficients, and every (ancestor, descendant) containment pair an
-// at-most-one group. Rows are windows of one backing slab, in item
-// order; the rounders read weights, sizes and rows from the result.
+// lpProblem assembles the relaxation over the items in order (positions
+// in sp.Candidates): weights are the modular nets (private benefit
+// minus update cost), rows the per-query benefit coefficients, and
+// every (ancestor, descendant) containment pair an at-most-one group.
+// Rows are windows of one backing slab, in item order; the rounders
+// read weights, sizes and rows from the result. NewSpace builds it once
+// per space; the lp strategy prices a copy of its header under the
+// view's budget.
 func lpProblem(sp *Space, m *whatif.BenefitMatrix, order []int) *lp.Problem {
 	prob := &lp.Problem{
 		NumItems:   len(order),
@@ -172,7 +184,7 @@ func lpProblem(sp *Space, m *whatif.BenefitMatrix, order []int) *lp.Problem {
 		}
 	}
 	if sp.DAG != nil {
-		itemOf := make([]int32, idSpan(sp.Candidates)) // candidate ID -> item index, -1 if none
+		itemOf := make([]int32, len(sp.Candidates)) // candidate ID -> item index, -1 if none
 		for i := range itemOf {
 			itemOf[i] = -1
 		}
@@ -200,16 +212,6 @@ func lpProblem(sp *Space, m *whatif.BenefitMatrix, order []int) *lp.Problem {
 		}
 	}
 	return prob
-}
-
-// idSpan is one past the largest candidate ID: the length of a table
-// indexed by ID.
-func idSpan(cands []*Candidate) int {
-	n := 0
-	for _, c := range cands {
-		n = max(n, c.ID+1)
-	}
-	return n
 }
 
 // dagWalker walks the candidate DAG without allocating per walk: one
@@ -282,20 +284,18 @@ type lpAdd struct {
 	pages  int64
 }
 
-func newLPRounder(sp *Space, prob *lp.Problem, order []int) *lpRounder {
-	span := idSpan(sp.Candidates)
-	r := &lpRounder{
+// newLPRounder starts a rounding over the relaxation's items, ranked
+// holding the candidate at each item position; it shares ranked, which
+// it only reads.
+func newLPRounder(sp *Space, prob *lp.Problem, ranked []*Candidate) *lpRounder {
+	return &lpRounder{
 		sp:     sp,
-		cands:  make([]*Candidate, len(order)),
+		cands:  ranked,
 		prob:   prob,
 		curQ:   make([]float64, prob.NumQueries),
-		chosen: make([]bool, span),
-		banned: make([]bool, span),
+		chosen: make([]bool, len(sp.Candidates)),
+		banned: make([]bool, len(sp.Candidates)),
 	}
-	for pos, ci := range order {
-		r.cands[pos] = sp.Candidates[ci]
-	}
-	return r
 }
 
 // gain is the exact surrogate marginal of adding item pos to the

@@ -202,6 +202,10 @@ func TestLPPermutationStable(t *testing.T) {
 			pm.Update[i] = m.UpdateCost(ci)
 		}
 		perm.Benefits = pm
+		perm, err := search.NewSpace(*perm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := lpS.Search(ctx, perm)
 		if err != nil {
 			t.Fatal(err)

@@ -102,11 +102,15 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 			continue
 		}
 		tr.round++
-		note := fmt.Sprintf("%s: %d indexes in %v", name, len(res.Config), res.Stats.Elapsed.Round(time.Millisecond))
-		if res.Degraded {
-			note = fmt.Sprintf("%s: degraded (best-so-far) in %v", name, res.Stats.Elapsed.Round(time.Millisecond))
+		member := TraceEvent{Action: ActionMember, Benefit: res.Eval.Net, Pages: res.Pages}
+		switch {
+		case !tr.detailed():
+		case res.Degraded:
+			member.Note = fmt.Sprintf("%s: degraded (best-so-far) in %v", name, res.Stats.Elapsed.Round(time.Millisecond))
+		default:
+			member.Note = fmt.Sprintf("%s: %d indexes in %v", name, len(res.Config), res.Stats.Elapsed.Round(time.Millisecond))
 		}
-		tr.emit(TraceEvent{Action: ActionMember, Benefit: res.Eval.Net, Pages: res.Pages, Note: note})
+		tr.emit(member)
 		// Degraded members compete among themselves as the fallback
 		// tier: a fully evaluated result always beats a best-so-far one,
 		// whatever the nets claim.
@@ -127,18 +131,24 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 		// here: every finished member otherwise competes.
 		return nil, fmt.Errorf("search: race has no finished member")
 	}
-	pickNote := winner.Strategy
-	if expired != nil {
-		pickNote = fmt.Sprintf("%s (deadline: %d/%d members finished)", winner.Strategy, finished, len(members))
+	pick := TraceEvent{Action: ActionPick, Benefit: winner.Eval.Net, Pages: winner.Pages}
+	if tr.detailed() {
+		pick.Note = winner.Strategy
+		if expired != nil {
+			pick.Note = fmt.Sprintf("%s (deadline: %d/%d members finished)", winner.Strategy, finished, len(members))
+		}
+		if winner.Degraded {
+			pick.Note += " (degraded: every member returned best-so-far)"
+		}
 	}
-	if winner.Degraded {
-		pickNote += " (degraded: every member returned best-so-far)"
-	}
-	tr.emit(TraceEvent{Action: ActionPick, Benefit: winner.Eval.Net, Pages: winner.Pages, Note: pickNote})
+	tr.emit(pick)
 
 	stats := tr.stats()
 	stats.Winner = winner.Strategy
 	stats.Degraded = winner.Degraded
+	// The race's trace carries the winner's, so it drops what the
+	// winner's dropped.
+	stats.Truncated += winner.Stats.Truncated
 	// Report the winner's search rounds, not the member count the
 	// tracer accumulated: in side-by-side tables the race row's
 	// "rounds" must be comparable to the plain strategies'.
@@ -156,7 +166,11 @@ func (r race) Search(ctx context.Context, sp *Space) (*Result, error) {
 	// `-trace-json` consumers still see how the chosen configuration
 	// was built; losers' step traces stay available on Members (a race
 	// cut off by its deadline lists only the members that finished).
-	trace := append(append(Trace{}, winner.Trace...), tr.events...)
+	// Under NoTrace there is none to build.
+	var trace Trace
+	if !sp.NoTrace {
+		trace = append(append(make(Trace, 0, len(winner.Trace)+len(tr.events)), winner.Trace...), tr.events...)
+	}
 	memberResults := make([]*Result, 0, len(results))
 	for _, res := range results {
 		if res != nil {

@@ -101,16 +101,26 @@ func (f flatEval) Evaluate(_ context.Context, cfg []*Candidate) (*Eval, error) {
 
 func (f flatEval) Workers() int { return 2 }
 
-// space is a space over cands priced by f, whose benefit model holds
+// unbuilt is a space over cands priced by f, whose benefit model holds
 // each candidate's net as its private benefit, row by row in cands
-// order.
-func (f flatEval) space(cands []*Candidate, budget int64) *Space {
+// order, before NewSpace builds its search model.
+func (f flatEval) unbuilt(cands []*Candidate, budget int64) Space {
 	m := &whatif.BenefitMatrix{Rows: make([][]whatif.BenefitEntry, len(cands)), Private: make([]float64, len(cands))}
 	for i, c := range cands {
 		m.Private[i] = f.net[c.ID]
 	}
-	return &Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, BudgetPages: budget, Eval: f,
+	return Space{Candidates: cands, DAG: &DAG{Nodes: cands, Roots: cands}, BudgetPages: budget, Eval: f,
 		Benefits: m}
+}
+
+// space is f's unbuilt space over cands, built.
+func (f flatEval) space(t *testing.T, cands []*Candidate, budget int64) *Space {
+	t.Helper()
+	sp, err := NewSpace(f.unbuilt(cands, budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
 }
 
 // TestGreedyRankingTiesAreDeterministic is the regression test for the
@@ -142,7 +152,7 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		cands, ev := build(perm)
-		sp := ev.space(cands, 10)
+		sp := ev.space(t, cands, 10)
 		alone, err := standalone(sp, cands)
 		if err != nil {
 			t.Fatal(err)
@@ -173,22 +183,39 @@ func TestGreedyRankingTiesAreDeterministic(t *testing.T) {
 // TestStandaloneNeedsDenseIDs pins the benefit matrix's alignment
 // contract: strategies find a candidate's row through its ID, so a
 // candidate whose ID is out of range, or a DAG node that is not the
-// space's candidate under its ID, fails the search.
+// space's candidate under its ID, fails NewSpace; and every strategy
+// fails a space whose search model NewSpace did not build for its
+// current candidates, DAG and matrix.
 func TestStandaloneNeedsDenseIDs(t *testing.T) {
 	ev := flatEval{net: map[int]float64{0: 5, 1: 3, 7: 2}}
-	sparse := ev.space([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 7, "/a/c", 1)}, 0)
-	stray := ev.space([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 1, "/a/c", 1)}, 0)
+	sparse := ev.unbuilt([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 7, "/a/c", 1)}, 0)
+	stray := ev.unbuilt([]*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 1, "/a/c", 1)}, 0)
 	stray.DAG = &DAG{Nodes: []*Candidate{stray.Candidates[0], testCand(t, 1, "/a/d", 1)}, Roots: stray.Candidates[:1]}
-	for _, tc := range []struct {
-		strategy string
-		sp       *Space
-	}{{"greedy-basic", sparse}, {"greedy-heuristic", sparse}, {"topdown", sparse}, {"topdown", stray}} {
-		strat, err := Lookup(tc.strategy)
+	for name, sp := range map[string]Space{"sparse": sparse, "stray": stray} {
+		if _, err := NewSpace(sp); err == nil || !strings.Contains(err.Error(), "does not index it") {
+			t.Errorf("%s: got error %v, want one naming the ID", name, err)
+		}
+	}
+
+	cands := []*Candidate{testCand(t, 0, "/a/b", 1), testCand(t, 1, "/a/c", 1)}
+	built := ev.space(t, cands, 0)
+	literal := ev.unbuilt(cands, 0)
+	replaced := built.WithBudget(0)
+	replaced.Candidates = []*Candidate{cands[1], cands[0]}
+	otherDAG := built.WithBudget(0)
+	otherDAG.DAG = &DAG{Nodes: cands, Roots: cands[:1]}
+	for _, name := range Names() {
+		strat, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := strat.Search(context.Background(), tc.sp); err == nil || !strings.Contains(err.Error(), "does not index it") {
-			t.Errorf("%s: got error %v, want one naming the ID", tc.strategy, err)
+		if _, err := strat.Search(context.Background(), built); err != nil {
+			t.Errorf("%s on the built space: %v", name, err)
+		}
+		for what, sp := range map[string]*Space{"literal": &literal, "replaced candidates": replaced, "replaced DAG": otherDAG} {
+			if _, err := strat.Search(context.Background(), sp); err == nil || !strings.Contains(err.Error(), "NewSpace") {
+				t.Errorf("%s on a %s space: got error %v, want one naming NewSpace", name, what, err)
+			}
 		}
 	}
 }
@@ -227,7 +254,7 @@ func TestTraceRendering(t *testing.T) {
 // winner among whichever members happened to finish.
 func TestRaceAbortsOnDeadContext(t *testing.T) {
 	cands := []*Candidate{testCand(t, 0, "/a/b", 1)}
-	sp := flatEval{net: map[int]float64{0: 5}}.space(cands, 0)
+	sp := flatEval{net: map[int]float64{0: 5}}.space(t, cands, 0)
 	strat, err := Lookup("race")
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,11 @@ func permuted(t *testing.T, sp *search.Space, seed int64) *search.Space {
 		}
 	}
 	perm.Benefits = pm
-	return perm
+	built, err := search.NewSpace(*perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built
 }
 
 // TestStandaloneGreedyMatchesOracle pins greedy-heuristic without

@@ -13,20 +13,22 @@
 // and every race member runs to completion. External strategies can be
 // added with Register without touching internal/core.
 //
-// Every search produces a structured trace (typed TraceEvents rendered
-// to text or JSON, at most DefaultTraceCap buffered per strategy) and
-// per-strategy stats (rounds, wall time, what-if cache counts). Each
-// strategy evaluates under a context carrying its own whatif.Tally,
-// which the what-if engine charges directly, so the counts are exact
-// even while other searches share the engine. A Space can be
-// re-budgeted with WithBudget so budget sweeps reuse the candidate set
-// and the warm cache instead of re-running the whole advisor per
-// budget point.
+// Every search keeps a structured trace (typed TraceEvents rendered to
+// text or JSON, at most DefaultTraceCap buffered per strategy) unless
+// its space sets NoTrace, and reports per-strategy stats (rounds, wall
+// time, what-if cache counts) either way. Each strategy evaluates under
+// a context carrying its own whatif.Tally, which the what-if engine
+// charges directly, so the counts are exact even while other searches
+// share the engine. A Space can be re-budgeted with WithBudget so
+// budget sweeps reuse the candidate set, its search model and the warm
+// cache instead of re-running the whole advisor per budget point.
 //
 // The search contract is one shape for every strategy. A Space carries
 // its benefit model (Space.Benefits), the only standalone pricing: a
 // matrix its producer builds once, with the space, so no search builds
-// or waits for it. Every strategy requires it, and none prices a
+// or waits for it. NewSpace derives from it, also once, the tables every
+// strategy ranks by: the standalone evaluations, the density order and
+// the lp relaxation. Every strategy requires them, and none prices a
 // candidate alone through the evaluator. Strategies price
 // configurations only through their tracer's counting evaluator, which
 // batches through the Evaluator's EvaluateBatch when it has one
@@ -51,6 +53,7 @@ import (
 
 	"repro/internal/candidate"
 	"repro/internal/catalog"
+	"repro/internal/lp"
 	"repro/internal/whatif"
 )
 
@@ -213,10 +216,11 @@ type Counters struct {
 
 // Space is one configuration-search problem: the candidate set to
 // choose from, the containment DAG over it, the disk budget, and the
-// cost evaluator. A Space is immutable once built; WithBudget derives
-// re-budgeted views that share the candidates and the evaluator (and
-// therefore the what-if cache), which is what makes budget sweeps and
-// portfolio racing cheap.
+// cost evaluator. Build one with NewSpace, which derives the search
+// model every strategy ranks by. A Space is immutable once built;
+// WithBudget derives re-budgeted views that share the candidates, the
+// search model and the evaluator (and therefore the what-if cache),
+// which is what makes budget sweeps and portfolio racing cheap.
 type Space struct {
 	// Candidates is every candidate (basic and generalized), with dense
 	// IDs from 0 as produced by the candidate pipeline.
@@ -240,15 +244,102 @@ type Space struct {
 	// is read-only from then on.
 	Benefits *whatif.BenefitMatrix
 	// Observer, when non-nil, receives every trace event as it is
-	// emitted — the streaming-progress hook. Events still accumulate in
-	// the result's Trace. The observer may be called concurrently (the
-	// race portfolio's members search at once) and must not block for
-	// long: strategies emit synchronously on their search path.
+	// emitted, with its note — the streaming-progress hook. It sees the
+	// full stream whether or not the trace is kept (NoTrace) and however
+	// long it grows (DefaultTraceCap bounds only the kept trace). The
+	// observer may be called concurrently (the race portfolio's members
+	// search at once) and must not block for long: strategies emit
+	// synchronously on their search path.
 	Observer func(TraceEvent)
+	// NoTrace drops the search trace: results carry no Trace, and no
+	// event is buffered or, without an Observer, even formatted.
+	// Stats.Truncated still counts what a kept trace would have dropped.
+	// The zero value keeps the trace.
+	NoTrace bool
+
+	// model holds the tables NewSpace derives from Candidates, DAG and
+	// Benefits; WithBudget views share it.
+	model *model
+}
+
+// model is a space's search model: the tables every strategy ranks by,
+// derived from the space's candidates, DAG and benefit matrix once, by
+// NewSpace, and read-only from then on, so concurrent searches over
+// WithBudget views share it without a lock.
+type model struct {
+	// cands, dag and benefits are what the tables were built from; a
+	// view whose fields no longer match them has no model.
+	cands    []*Candidate
+	dag      *DAG
+	benefits *whatif.BenefitMatrix
+	// alone is every candidate's standalone evaluation, by candidate ID
+	// (see standalone).
+	alone []Eval
+	// ranked is cands in standalone net density order, densest first
+	// (see rankByDensity).
+	ranked []*Candidate
+	// lp is the lp strategy's relaxation over ranked, with no budget.
+	lp *lp.Problem
+}
+
+// NewSpace validates the space and builds its search model: the
+// standalone evaluations by candidate ID, the density order over
+// Candidates, and the budget-free lp relaxation. The benefit matrix
+// must have one row per candidate (and Private and Update, when set,
+// one entry per candidate); candidate IDs must be dense, and every
+// candidate and DAG node must be the space's candidate under its ID.
+// Strategies reject a space not built this way, or a view whose
+// Candidates, DAG or Benefits were replaced after it was built.
+func NewSpace(s Space) (*Space, error) {
+	m, err := benefitMatrix(&s)
+	if err != nil {
+		return nil, err
+	}
+	lookups := [][]*Candidate{s.Candidates}
+	if s.DAG != nil {
+		lookups = append(lookups, s.DAG.Nodes)
+	}
+	alone, err := standalone(&s, lookups...)
+	if err != nil {
+		return nil, err
+	}
+	order := rankByDensity(s.Candidates, func(i int) float64 { return alone[s.Candidates[i].ID].Net })
+	md := &model{cands: s.Candidates, dag: s.DAG, benefits: m, alone: alone,
+		ranked: make([]*Candidate, len(order)), lp: lpProblem(&s, m, order)}
+	for k, i := range order {
+		md.ranked[k] = s.Candidates[i]
+	}
+	md.lp.Budget = 0
+	s.model = md
+	return &s, nil
+}
+
+// searchModel returns the space's search model, failing on a space
+// whose benefit matrix is missing or misshapen, or that has no model
+// built for its current candidates, DAG and matrix.
+func (s *Space) searchModel() (*model, error) {
+	if _, err := benefitMatrix(s); err != nil {
+		return nil, err
+	}
+	md := s.model
+	if md == nil || md.benefits != s.Benefits || md.dag != s.DAG || len(md.cands) != len(s.Candidates) ||
+		(len(md.cands) > 0 && &md.cands[0] != &s.Candidates[0]) {
+		return nil, errors.New("search: the space has no search model for its candidates, DAG and benefit matrix (build it with NewSpace)")
+	}
+	return md, nil
+}
+
+// problem is the lp relaxation under the given budget: a copy of the
+// model's header sharing its read-only rows and groups.
+func (md *model) problem(budget int64) *lp.Problem {
+	p := *md.lp
+	p.Budget = budget
+	return &p
 }
 
 // WithBudget returns a view of the space under a different disk budget,
-// sharing the candidates, DAG, and evaluator (and its cache).
+// sharing the candidates, DAG, search model and evaluator (and its
+// cache).
 func (s *Space) WithBudget(pages int64) *Space {
 	c := *s
 	c.BudgetPages = pages
@@ -405,14 +496,15 @@ func fanOutEach(ctx context.Context, ev Evaluator, base, cands []*Candidate) ([]
 }
 
 // standalone derives every candidate's evaluation alone from the
-// space's benefit model, in a table indexed by candidate ID: the
+// space's benefit matrix, in a table indexed by candidate ID: the
 // matrix's standalone benefit and update cost, their difference as the
 // net, and the candidate used iff its standalone benefit is positive.
 // Matrix row i is Space.Candidates[i]. Candidate IDs must be dense, and
-// each of cands — the candidates the strategy looks up, such as the DAG
-// nodes — must be the space's candidate under its ID. It spends no
-// what-if evaluation.
-func standalone(sp *Space, cands []*Candidate) ([]Eval, error) {
+// each candidate of every list in lookups — the candidates strategies
+// look up, such as the DAG nodes — must be the space's candidate under
+// its ID. It spends no what-if evaluation. NewSpace builds the table
+// once per space.
+func standalone(sp *Space, lookups ...[]*Candidate) ([]Eval, error) {
 	m, err := benefitMatrix(sp)
 	if err != nil {
 		return nil, err
@@ -425,15 +517,17 @@ func standalone(sp *Space, cands []*Candidate) ([]Eval, error) {
 			alone[c.ID], byID[c.ID] = Eval{QueryBenefit: qb, UpdateCost: uc, Net: qb - uc, Usage: uniformUsage(qb > 0)}, c
 		}
 	}
-	for _, c := range cands {
-		if c.ID < 0 || c.ID >= len(byID) || byID[c.ID] != c {
-			return nil, fmt.Errorf("search: candidate %s: ID %d does not index it among the space's %d candidates", c.Key(), c.ID, len(byID))
+	for _, cands := range lookups {
+		for _, c := range cands {
+			if c.ID < 0 || c.ID >= len(byID) || byID[c.ID] != c {
+				return nil, fmt.Errorf("search: candidate %s: ID %d does not index it among the space's %d candidates", c.Key(), c.ID, len(byID))
+			}
 		}
 	}
 	return alone, nil
 }
 
-// benefitMatrix returns the space's benefit model, which every strategy
+// benefitMatrix returns the space's benefit matrix, which every strategy
 // requires. The matrix must have one row per candidate, and Private and
 // Update, when set, one entry per candidate; any other shape is an
 // error.
@@ -457,24 +551,30 @@ func benefitMatrix(sp *Space) (*whatif.BenefitMatrix, error) {
 // condition, not a wrong answer — the search answers with a degraded
 // best-so-far result: config is what the strategy had fully built,
 // last its last complete evaluation (nil means the empty
-// configuration's zero evaluation), and the Degraded flag flows
-// through the race winner pick up into the v1 response. Any other
-// error fails the search.
+// configuration's zero evaluation), copied into the result, and the
+// Degraded flag flows through the race winner pick up into the v1
+// response. Any other error fails the search.
 func (t *tracer) fail(err error, config []*Candidate, last *Eval) (*Result, error) {
 	if !errors.Is(err, whatif.ErrCircuitOpen) {
 		return nil, err
 	}
-	if last == nil {
-		last = &Eval{}
+	// The result owns its evaluation: last may be a row of the space's
+	// shared standalone table.
+	final := &Eval{}
+	if last != nil {
+		*final = *last
 	}
 	t.degraded = true
-	t.emit(TraceEvent{Action: ActionDegraded, Benefit: last.Net, Pages: PagesOf(config),
-		Note: fmt.Sprintf("best-so-far: %v", err)})
+	e := TraceEvent{Action: ActionDegraded, Benefit: final.Net, Pages: PagesOf(config)}
+	if t.detailed() {
+		e.Note = "best-so-far: " + err.Error()
+	}
+	t.emit(e)
 	return &Result{
 		Strategy: t.strategy,
 		Config:   config,
 		Pages:    PagesOf(config),
-		Eval:     last,
+		Eval:     final,
 		Trace:    t.events,
 		Stats:    t.stats(),
 		Degraded: true,

@@ -245,14 +245,18 @@ func NewSyntheticSpace(n int, seed uint64) *Space {
 		gi++
 	}
 
-	return &Space{
+	sp, err := NewSpace(Space{
 		Candidates:       all,
 		DAG:              &candidate.DAG{Nodes: all, Roots: roots},
 		BudgetPages:      synBudgetPages,
 		Eval:             ev,
 		InteractionAware: true,
 		Benefits:         ev.benefits(),
+	})
+	if err != nil {
+		panic(err) // the generator builds dense IDs and one row per candidate
 	}
+	return sp
 }
 
 // sortInt32 is an insertion sort for the tiny query lists (avoids a

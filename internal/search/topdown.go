@@ -2,7 +2,8 @@ package search
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"strconv"
 )
 
 func init() {
@@ -21,13 +22,14 @@ func (topDown) Name() string { return "topdown" }
 
 func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 	if sp.DAG == nil {
-		return nil, fmt.Errorf("search: topdown needs a containment DAG (Space.DAG is nil)")
+		return nil, errors.New("search: topdown needs a containment DAG (Space.DAG is nil)")
 	}
-	ctx, tr := newTracer(ctx, t.Name(), sp)
-	alone, err := standalone(sp, sp.DAG.Nodes)
+	md, err := sp.searchModel()
 	if err != nil {
 		return nil, err
 	}
+	ctx, tr := newTracer(ctx, t.Name(), sp)
+	alone := md.alone
 	// Start configuration: all roots with positive standalone benefit.
 	var config []*Candidate
 	for _, r := range sp.DAG.Roots {
@@ -35,10 +37,13 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 			config = append(config, r)
 		}
 	}
-	tr.emit(TraceEvent{Action: ActionStart, Pages: PagesOf(config),
-		Note: fmt.Sprintf("%d DAG roots", len(config))})
+	start := TraceEvent{Action: ActionStart, Pages: PagesOf(config)}
+	if tr.detailed() {
+		start.Note = strconv.Itoa(len(config)) + " DAG roots"
+	}
+	tr.emit(start)
 
-	inConfig := map[int]bool{}
+	inConfig := make([]bool, len(sp.Candidates)) // by candidate ID
 	for _, c := range config {
 		inConfig[c.ID] = true
 	}
@@ -54,7 +59,7 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 		}
 		victim := config[vi]
 		config = append(config[:vi], config[vi+1:]...)
-		delete(inConfig, victim.ID)
+		inConfig[victim.ID] = false
 
 		added := 0
 		for _, ch := range victim.Children {
@@ -66,8 +71,11 @@ func (t topDown) Search(ctx context.Context, sp *Space) (*Result, error) {
 			added++
 		}
 		tr.round++
-		tr.emit(TraceEvent{Action: ActionReplace, Candidate: victim.Key(), Pages: PagesOf(config),
-			Note: fmt.Sprintf("%d children added", added)})
+		replace := TraceEvent{Action: ActionReplace, Candidate: victim.Key(), Pages: PagesOf(config)}
+		if tr.detailed() {
+			replace.Note = strconv.Itoa(added) + " children added"
+		}
+		tr.emit(replace)
 	}
 
 	// The children sum can still exceed the victim's size; the Fits

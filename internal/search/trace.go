@@ -153,7 +153,9 @@ type Stats struct {
 	// counts); for the race portfolio it is the sum over all members.
 	Evals int64 `json:"evals"`
 	// Truncated counts trace events dropped after the per-strategy
-	// buffer hit DefaultTraceCap; 0 when the full trace fit.
+	// buffer hit DefaultTraceCap; 0 when the full trace fit. A race
+	// counts its winner's, whose trace its own carries. The count is
+	// the same whether or not the trace is kept (Space.NoTrace).
 	Truncated int `json:"truncatedEvents,omitempty"`
 	// Degraded marks a run that fell back to its best-so-far
 	// configuration because the what-if backend became unavailable
@@ -233,18 +235,20 @@ const DefaultTraceCap = 4096
 // strategy routes its evaluations through tracer.ev, so Stats.Evals and
 // TraceEvent.Evals are exact even when portfolio members share the
 // engine concurrently. The what-if engine charges the search's work to
-// tally, which newTracer installs in the strategy's context.
+// tally, which newTracer installs in the strategy's context. Under a
+// space's NoTrace it buffers nothing but still counts events, so
+// Stats.Truncated does not depend on whether the trace is kept.
 type tracer struct {
-	strategy  string
-	sp        *Space
-	ev        *countingEvaluator
-	tally     *whatif.Tally
-	start     time.Time
-	round     int
-	truncated int
-	degraded  bool
-	lp        *LPStats
-	events    Trace
+	strategy string
+	sp       *Space
+	ev       *countingEvaluator
+	tally    *whatif.Tally
+	start    time.Time
+	round    int
+	emitted  int
+	degraded bool
+	lp       *LPStats
+	events   Trace
 }
 
 // newTracer starts a search's tracer and returns the context the
@@ -263,26 +267,35 @@ func (t *tracer) cache() Counters {
 	return Counters{Hits: s.Hits, Misses: s.Misses, Evaluations: s.Evaluations}
 }
 
-// emit stamps the round, strategy, cache counts, and eval count, then
-// appends the event (up to the trace cap; the cap'th slot becomes an
-// ActionTruncated marker and later events only bump the dropped count)
-// and forwards it to the space's streaming observer, if any — observers
-// see the full stream regardless of the cap.
+// detailed reports whether anyone reads the events: the trace is kept
+// or an observer streams them. Strategies format notes only then.
+func (t *tracer) detailed() bool { return !t.sp.NoTrace || t.sp.Observer != nil }
+
+// emit counts the event (Stats.Truncated is the count past the trace
+// cap); when anyone reads events, it stamps the round, strategy, cache
+// counts, and eval count, appends the event to a kept trace (up to the
+// cap; the cap'th slot becomes an ActionTruncated marker and later
+// events are only counted) and forwards it to the space's streaming
+// observer, if any — observers see the full stream regardless of the
+// cap.
 func (t *tracer) emit(e TraceEvent) {
+	t.emitted++
+	if !t.detailed() {
+		return
+	}
 	e.Round = t.round
 	e.Strategy = t.strategy
 	e.Cache = t.cache()
 	e.Evals = t.ev.calls.Load()
-	switch {
-	case len(t.events) < DefaultTraceCap:
-		t.events = append(t.events, e)
-	case t.truncated == 0:
-		t.truncated++
-		t.events = append(t.events, TraceEvent{Round: e.Round, Action: ActionTruncated,
-			Strategy: t.strategy, Cache: e.Cache, Evals: e.Evals,
-			Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", DefaultTraceCap)})
-	default:
-		t.truncated++
+	if !t.sp.NoTrace {
+		switch {
+		case t.emitted <= DefaultTraceCap:
+			t.events = append(t.events, e)
+		case t.emitted == DefaultTraceCap+1:
+			t.events = append(t.events, TraceEvent{Round: e.Round, Action: ActionTruncated,
+				Strategy: t.strategy, Cache: e.Cache, Evals: e.Evals,
+				Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", DefaultTraceCap)})
+		}
 	}
 	if t.sp.Observer != nil {
 		t.sp.Observer(e)
@@ -296,7 +309,7 @@ func (t *tracer) stats() Stats {
 		Elapsed:   time.Since(t.start),
 		Cache:     t.cache(),
 		Evals:     t.ev.calls.Load(),
-		Truncated: t.truncated,
+		Truncated: max(0, t.emitted-DefaultTraceCap),
 		Degraded:  t.degraded,
 		LP:        t.lp,
 	}

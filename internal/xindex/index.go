@@ -218,7 +218,6 @@ func (ix *Index) Scan(op sqltype.CmpOp, v sqltype.Value) (ScanResult, error) {
 // DDL renders the DB2-style CREATE INDEX statement for this index over
 // the named collection.
 func DDL(name, collection string, p pattern.Pattern, t sqltype.Type) string {
-	return fmt.Sprintf(
-		"CREATE INDEX %s ON %s(DOC) GENERATE KEY USING XMLPATTERN '%s' AS SQL %s",
-		name, strings.ToUpper(collection), p.String(), t.String())
+	return "CREATE INDEX " + name + " ON " + strings.ToUpper(collection) +
+		"(DOC) GENERATE KEY USING XMLPATTERN '" + p.String() + "' AS SQL " + t.String()
 }
